@@ -44,9 +44,6 @@ from .spectral import (
 
 __all__ = ["RunConfig", "ConfigError", "run", "main"]
 
-# graphs above this arc dimension default to finite-time averaging
-LARGE_GRAPH_ARCS = 2000
-
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
@@ -101,12 +98,10 @@ def _coin_kind(name: str) -> CoinKind:
         raise ConfigError(f"unknown coin {name!r}; choose fourier or grover") from None
 
 
-def _resolve_mode(config: RunConfig, graph: Graph) -> str:
+def _resolve_mode(config: RunConfig) -> str:
     mode = config.mode
     if mode is None:
-        return (
-            "average-infinite" if graph.arc_count <= LARGE_GRAPH_ARCS else "average-finite"
-        )
+        return "average-infinite"
     mode = {"finite": "average-finite", "infinite": "average-infinite"}.get(mode, mode)
     if mode not in ("average-finite", "average-infinite"):
         raise ConfigError(f"unknown averaging mode {config.mode!r}")
@@ -114,9 +109,13 @@ def _resolve_mode(config: RunConfig, graph: Graph) -> str:
 
 
 def _average_matrices(config: RunConfig, graph: Graph, op) -> tuple[str, np.ndarray, np.ndarray]:
-    mode = _resolve_mode(config, graph)
+    mode = _resolve_mode(config)
     if mode == "average-infinite":
-        dense = materialize_dense(op, cap=config.dense_cap)
+        try:
+            dense = materialize_dense(op, cap=config.dense_cap)
+        except DenseCapExceeded as exc:
+            msg = f"{exc}; use --mode average-finite or raise --dense-cap"
+            raise DenseCapExceeded(msg) from None
         dec = decompose(dense, degeneracy_tol=config.degeneracy_tol)
         p, norm = infinite_time_average_matrix(dec, graph)
     else:
@@ -403,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--mode",
             default=None,
             choices=["average-finite", "average-infinite", "finite", "infinite"],
-            help="averaging mode (default: infinite for D <= 2000, else finite)",
+            help="averaging mode (default: exact infinite-time; finite time only on request)",
         )
         p.add_argument("--steps", type=int, default=DEFAULT_AVERAGE_STEPS)
         p.add_argument("--include-t0", action="store_true")

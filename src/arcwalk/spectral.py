@@ -5,10 +5,13 @@ matrix its triangular factor is numerically diagonal and the Schur vectors
 form an exactly orthonormal eigenbasis, which a raw nonsymmetric eigensolver
 does not guarantee inside degenerate eigenspaces.
 
-Infinite-time (Cesaro) averages are computed with eigenspace projectors, so
-they stay correct when eigenvalues are degenerate (the Grover walk always
-is); for simple spectra the projector sum reduces to the familiar
-per-eigenvector formula.
+Infinite-time (Cesaro) averages sum |P_g[a, b]|^2 over eigenspace projectors
+P_g and over the arc fans of the start and target nodes, so they stay correct
+when eigenvalues are degenerate (the Grover walk always is).  For a simple
+eigenvalue P_g = v v^*, so |P_g[a, b]|^2 = |v_a|^2 |v_b|^2 and its fan sum is
+the product of two node probabilities of v: all simple groups together are
+one N x N GEMM of fan-summed |v|^2.  Only degenerate groups build D x D
+projectors.
 """
 
 from __future__ import annotations
@@ -152,20 +155,12 @@ def degeneracy_report(dec: SpectralDecomposition, graph: Graph) -> DegeneracyRep
 def infinite_time_average(
     dec: SpectralDecomposition, graph: Graph, node: int
 ) -> TransitionRow:
-    """Cesaro-limit transition row from ``node`` (1-based)."""
-    i = node - 1
-    if not 0 <= i < graph.node_count:
+    """Cesaro-limit transition row from ``node`` (1-based): one row of
+    :func:`infinite_time_average_matrix`."""
+    if not 1 <= node <= graph.node_count:
         raise GraphError(f"node {node} out of range 1..{graph.node_count}")
-    k = int(graph.degrees[i])
-    o = int(graph.arc_offsets[i])
-    start_arcs = np.arange(o, o + k)
-    weights = np.zeros((graph.arc_count, k))
-    for group in dec.groups:
-        v = dec.eigenvectors[:, group]
-        projected = v @ v[start_arcs, :].conj().T  # columns: P_g |i -> j>
-        weights += np.abs(projected) ** 2
-    p = np.add.reduceat(weights.sum(axis=1), graph.arc_offsets[:-1]) / k
-    return TransitionRow(node, p, p / graph.degrees, (0, None))
+    p, norm = infinite_time_average_matrix(dec, graph)
+    return TransitionRow(node, p[node - 1], norm[node - 1], (0, None))
 
 
 def infinite_time_average_matrix(
@@ -173,21 +168,23 @@ def infinite_time_average_matrix(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cesaro-limit (p, P) matrices over all start nodes, indexed [start, target].
 
-    Accumulates |P_g|^2 elementwise over eigenspace projectors P_g; for a
-    fully simple spectrum this equals the per-eigenvector double sum.
+    The node block sums |P_g[a, b]|^2 over eigenspace projectors P_g and over
+    both arc fans.  For a simple eigenvalue the term is W[g, target] W[g, start]
+    with W the fan-summed |v|^2 (``eigenstate_node_probability``), so every
+    simple group enters through one N x N GEMM W_s^T W_s; only degenerate
+    groups build a D x D projector.
     """
-    d = graph.arc_count
-    kernel = np.zeros((d, d))
+    offsets = graph.arc_offsets[:-1]
+    simple = [int(g[0]) for g in dec.groups if g.size == 1]
+    w = eigenstate_node_probability(dec, graph)[simple]
+    block = w.T @ w  # [target, start]
     for group in dec.groups:
-        v = dec.eigenvectors[:, group]
-        projector = v @ v.conj().T
-        kernel += projector.real**2
-        kernel += projector.imag**2
-    block = np.add.reduceat(
-        np.add.reduceat(kernel, graph.arc_offsets[:-1], axis=0),
-        graph.arc_offsets[:-1],
-        axis=1,
-    )  # [target, start] sums over both arc fans
+        if group.size > 1:
+            v = dec.eigenvectors[:, group]
+            kernel = np.abs(v @ v.conj().T) ** 2
+            block += np.add.reduceat(
+                np.add.reduceat(kernel, offsets, axis=0), offsets, axis=1
+            )
     p = block.T / graph.degrees[:, None]
     return p, p / graph.degrees[None, :]
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from arcwalk.cli import ConfigError, RunConfig, main, render, run
+from arcwalk.cli import ConfigError, RunConfig, _resolve_mode, main, render, run
 from arcwalk.io import emit_heatmap_csv, format_float
 
 
@@ -169,6 +169,21 @@ def test_main_exit_codes(tmp_path, capsys):
     # config error: dense cap exceeded
     assert main(["spectrum", "--graph", "builtin:karate", "--dense-cap", "10"]) == 2
     capsys.readouterr()
+
+
+def test_default_detect_over_dense_cap_names_the_way_out(capsys):
+    assert main(["detect", "--graph", "builtin:karate", "--dense-cap", "100"]) == 2
+    err = capsys.readouterr().err
+    assert "D=156 exceeds dense materialization cap 100" in err
+    assert "--mode average-finite" in err and "--dense-cap" in err
+
+
+def test_default_mode_is_infinite_at_every_size(capsys):
+    # D = 46 * 45 = 2070 arcs; the dense cap stops the run before any eigensolver
+    config = RunConfig(command="detect", graph_source="builtin:complete(46)", dense_cap=2000)
+    assert _resolve_mode(config) == "average-infinite"
+    assert main(["detect", "--graph", "builtin:complete(46)", "--dense-cap", "2000"]) == 2
+    assert "D=2070" in capsys.readouterr().err
 
 
 def test_main_edgelist_file(tmp_path):

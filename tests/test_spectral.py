@@ -98,6 +98,9 @@ def test_infinite_average_row_matches_matrix(three_fourier_dec, three_community,
         row = aw.infinite_time_average(three_fourier_dec, three_community, node)
         assert np.abs(row.probability - p[node - 1]).max() < 1e-12
         assert np.abs(row.normalized - norm[node - 1]).max() < 1e-12
+        assert row.start == node and row.time == (0, None)
+    with pytest.raises(aw.GraphError, match="out of range"):
+        aw.infinite_time_average(three_fourier_dec, three_community, 22)
 
 
 def test_infinite_average_conservation_and_symmetry(three_fourier_avg):
