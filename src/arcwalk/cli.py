@@ -24,9 +24,8 @@ from .community import (
 )
 from .evolution import (
     DEFAULT_AVERAGE_STEPS,
-    _initial_batch,
-    _node_probability_raw,
-    finite_time_average,
+    _node_probabilities,
+    _start_arcs,
     finite_time_average_matrix,
 )
 from .graph import Graph, GraphError, betti_number, builtin, is_bipartite, load_edge_list, load_pajek
@@ -119,6 +118,8 @@ def _average_matrices(config: RunConfig, graph: Graph, op) -> tuple[str, np.ndar
         dec = decompose(dense, degeneracy_tol=config.degeneracy_tol)
         p, norm = infinite_time_average_matrix(dec, graph)
     else:
+        if config.steps < 1:
+            raise ConfigError("average-finite needs --steps of at least 1")
         p, norm = finite_time_average_matrix(
             op, steps=config.steps, include_start=config.include_start
         )
@@ -132,7 +133,7 @@ def _threshold(config: RunConfig, graph: Graph) -> float:
         q = float(config.threshold)
     except ValueError:
         raise ConfigError(f"threshold must be a number or 'auto', got {config.threshold!r}") from None
-    if q <= 0:
+    if not q > 0:
         raise ConfigError("threshold must be positive")
     return q
 
@@ -163,16 +164,14 @@ def _run_evolve(config: RunConfig, graph: Graph) -> OutputDocument:
     if config.start is None:
         raise ConfigError("evolve requires --start")
     op = build_walk_operator(graph, _coin_kind(config.coin))
-    batch = _initial_batch(graph, config.start)
+    arcs = _start_arcs(graph, config.start)
     if config.slot is not None:
-        if not 0 <= config.slot < batch.shape[0]:
+        if not 0 <= config.slot < len(arcs):
             raise ConfigError(f"slot {config.slot} out of range for node {config.start}")
-        batch = batch[config.slot : config.slot + 1]
+        arcs = arcs[config.slot : config.slot + 1]
     rows = []
-    for t in range(config.steps + 1):
-        if t > 0:
-            batch = op.apply_amplitudes(batch)
-        p = _node_probability_raw(graph, batch).mean(axis=0)
+    for t, probs in enumerate(_node_probabilities(op, arcs, config.steps)):
+        p = probs.mean(axis=1)
         rows.append({"t": t, "probability": p, "normalized": p / graph.degrees})
     payload = {"start": config.start, "rows": rows}
     meta = _metadata(config, graph, parameters={"start": config.start, "steps": config.steps})
@@ -198,6 +197,8 @@ def _run_average(config: RunConfig, graph: Graph) -> OutputDocument:
 
 
 def _run_spectrum(config: RunConfig, graph: Graph) -> OutputDocument:
+    if config.bins < 2:
+        raise ConfigError("--bins must be at least 2")
     op = build_walk_operator(graph, _coin_kind(config.coin))
     dense = materialize_dense(op, cap=config.dense_cap)
     dec = decompose(dense, degeneracy_tol=config.degeneracy_tol)
@@ -253,6 +254,8 @@ def _run_detect(config: RunConfig, graph: Graph) -> OutputDocument:
 def _run_sweep(config: RunConfig, graph: Graph) -> OutputDocument:
     if not config.q_list:
         raise ConfigError("sweep requires --q-list")
+    if not all(q > 0 for q in config.q_list) or list(config.q_list) != sorted(config.q_list):
+        raise ConfigError("--q-list must hold positive thresholds in ascending order")
     op = build_walk_operator(graph, _coin_kind(config.coin))
     mode, _, norm = _average_matrices(config, graph, op)
     result = sweep(norm, graph, config.q_list, source=mode)
@@ -269,6 +272,8 @@ def _run_sweep(config: RunConfig, graph: Graph) -> OutputDocument:
 def _run_classical(config: RunConfig, graph: Graph) -> OutputDocument:
     if config.start is None:
         raise ConfigError("classical requires --start")
+    if config.steps < 1:
+        raise ConfigError("classical needs --steps of at least 1")
     trace, tv = relaxation_trace(graph, config.start, config.steps)
     flat = stationary(graph)
     payload = {
@@ -480,7 +485,7 @@ def main(argv: list[str] | None = None) -> int:
     except SpectralError as exc:
         print(f"arcwalk: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, DenseCapExceeded, ValueError) as exc:
+    except (ConfigError, DenseCapExceeded) as exc:
         print(f"arcwalk: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if config.output:

@@ -4,6 +4,11 @@ Transition rows follow the site-averaging convention: a walk from node i is
 started once per outgoing arc and the resulting node probabilities are
 averaged with weight 1/k_i.  The normalized row divides by the target
 degree k_l, which removes the degree bias of the raw probabilities.
+
+One streaming core, ``_node_probabilities``, steps a batch of start arcs and
+yields their (N, B) node probabilities at t = 0..T.  Single-time rows,
+finite-time averages (per node and as a matrix) and the CLI's ``evolve``
+rows are folds over it.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ def basis_state(graph: Graph, node: int, slot: int = 0) -> WalkState:
 
 def step(op: WalkOperator, state: WalkState) -> WalkState:
     """One application of the walk unitary."""
-    return WalkState(state.graph, op.apply_amplitudes(state.amplitudes), state.time + 1)
+    return WalkState(state.graph, op.apply(state.amplitudes), state.time + 1)
 
 
 def evolve(op: WalkOperator, state: WalkState, steps: int) -> WalkState:
@@ -75,7 +80,7 @@ def evolve(op: WalkOperator, state: WalkState, steps: int) -> WalkState:
         raise ValueError("step count must be non-negative")
     amplitudes = state.amplitudes
     for _ in range(steps):
-        amplitudes = op.apply_amplitudes(amplitudes)
+        amplitudes = op.apply(amplitudes)
     return WalkState(state.graph, amplitudes, state.time + steps)
 
 
@@ -85,21 +90,37 @@ def node_probability(state: WalkState) -> np.ndarray:
 
 
 def _node_probability_raw(graph: Graph, amplitudes: np.ndarray) -> np.ndarray:
-    # supports batched amplitudes of shape (..., D); reduces the last axis
+    # amplitudes of shape (D,) or (D, B); reduces the arc axis 0
     weights = np.abs(amplitudes) ** 2
-    return np.add.reduceat(weights, graph.arc_offsets[:-1], axis=-1)
+    return np.add.reduceat(weights, graph.arc_offsets[:-1], axis=0)
 
 
-def _initial_batch(graph: Graph, node: int) -> np.ndarray:
-    """One basis state per outgoing arc of ``node`` (1-based), as rows."""
-    i = node - 1
+def _start_arcs(graph: Graph, node: int) -> np.ndarray:
+    """Flat indices of the outgoing arcs of ``node`` (1-based)."""
     if not 1 <= node <= graph.node_count:
         raise GraphError(f"node {node} out of range 1..{graph.node_count}")
-    k = int(graph.degrees[i])
-    batch = np.zeros((k, graph.arc_count), dtype=complex)
-    o = int(graph.arc_offsets[i])
-    batch[np.arange(k), o + np.arange(k)] = 1.0
-    return batch
+    return np.arange(graph.arc_offsets[node - 1], graph.arc_offsets[node])
+
+
+def _node_probabilities(op: WalkOperator, arcs: np.ndarray, steps: int):
+    """Yield the (N, B) node probabilities at t = 0..steps of the B walks
+    started on the basis states of ``arcs``; column b belongs to arcs[b]."""
+    psi = np.zeros((op.dimension, len(arcs)), dtype=complex)
+    psi[arcs, np.arange(len(arcs))] = 1.0
+    yield _node_probability_raw(op.graph, psi)
+    for _ in range(steps):
+        psi = op.apply(psi)
+        yield _node_probability_raw(op.graph, psi)
+
+
+def _window_mean(op: WalkOperator, arcs: np.ndarray, steps: int, include_start: bool):
+    """Mean over the averaging window of the (N, B) node probabilities."""
+    if steps < 1:
+        raise ValueError("averaging window must contain at least one step")
+    probs = _node_probabilities(op, arcs, steps)
+    if not include_start:
+        next(probs)
+    return sum(probs) / (steps + include_start)
 
 
 def transition_probability(op: WalkOperator, node: int, steps: int) -> TransitionRow:
@@ -107,10 +128,9 @@ def transition_probability(op: WalkOperator, node: int, steps: int) -> Transitio
     if steps < 0:
         raise ValueError("step count must be non-negative")
     graph = op.graph
-    batch = _initial_batch(graph, node)
-    for _ in range(steps):
-        batch = op.apply_amplitudes(batch)
-    p = _node_probability_raw(graph, batch).mean(axis=0)
+    for probs in _node_probabilities(op, _start_arcs(graph, node), steps):
+        pass
+    p = probs.mean(axis=1)
     return TransitionRow(node, p, p / graph.degrees, steps)
 
 
@@ -125,20 +145,8 @@ def finite_time_average(
     ``include_start`` widens the window to t = 0..steps; the default excludes
     t = 0, which would only weight the diagonal.
     """
-    if steps < 1:
-        raise ValueError("averaging window must contain at least one step")
     graph = op.graph
-    batch = _initial_batch(graph, node)
-    accum = np.zeros(graph.node_count)
-    count = 0
-    if include_start:
-        accum += _node_probability_raw(graph, batch).mean(axis=0)
-        count += 1
-    for _ in range(steps):
-        batch = op.apply_amplitudes(batch)
-        accum += _node_probability_raw(graph, batch).mean(axis=0)
-        count += 1
-    p = accum / count
+    p = _window_mean(op, _start_arcs(graph, node), steps, include_start).mean(axis=1)
     window = (0 if include_start else 1, steps)
     return TransitionRow(node, p, p / graph.degrees, window)
 
@@ -154,27 +162,14 @@ def finite_time_average_matrix(
     Returns two (N, N) arrays indexed [start, target].  Work is chunked over
     initial arcs to bound memory on large graphs.
     """
-    if steps < 1:
-        raise ValueError("averaging window must contain at least one step")
     graph = op.graph
     d = graph.arc_count
-    n = graph.node_count
-    arc_node_prob = np.zeros((d, n))
+    # [target, start arc]
+    target_arc_prob = np.empty((graph.node_count, d))
     for lo in range(0, d, chunk_arcs):
         hi = min(lo + chunk_arcs, d)
-        batch = np.zeros((hi - lo, d), dtype=complex)
-        batch[np.arange(hi - lo), np.arange(lo, hi)] = 1.0
-        accum = np.zeros((hi - lo, n))
-        count = 0
-        if include_start:
-            accum += _node_probability_raw(graph, batch)
-            count += 1
-        for _ in range(steps):
-            batch = op.apply_amplitudes(batch)
-            accum += _node_probability_raw(graph, batch)
-            count += 1
-        arc_node_prob[lo:hi] = accum / count
-    # average the rows of each start node's outgoing arcs
-    p = np.add.reduceat(arc_node_prob, graph.arc_offsets[:-1], axis=0)
+        target_arc_prob[:, lo:hi] = _window_mean(op, np.arange(lo, hi), steps, include_start)
+    # average the columns of each start node's outgoing arcs
+    p = np.add.reduceat(target_arc_prob, graph.arc_offsets[:-1], axis=1).T
     p /= graph.degrees[:, None]
     return p, p / graph.degrees[None, :]

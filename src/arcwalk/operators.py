@@ -3,6 +3,11 @@
 The walk unitary U = (shift) x (block-diagonal coin) is kept in structured
 form: one coin block per degree value plus the reverse-arc permutation.
 Applying it costs O(sum of k_i^2) and never materializes the D x D matrix.
+
+States are arcs-first, shape (D,) or (D, B) for a batch of B walks.  A step
+loops once over the degree classes: gather each node's arc fan as an
+(n_k, k, B) array, apply the k x k coin block as one batched GEMM, and
+scatter to the reversed arcs, which applies the shift without a second copy.
 """
 
 from __future__ import annotations
@@ -72,20 +77,18 @@ class WalkOperator:
     graph: Graph
     coin: CoinKind
     blocks: dict[int, np.ndarray] = field(init=False, repr=False)
-    # per distinct degree k: (n_k, k) array of flat arc indices, row per node
-    _degree_arcs: dict[int, np.ndarray] = field(init=False, repr=False)
+    # per distinct degree k: (block, arcs, reverse_arc[arcs]), with arcs the
+    # (n_k, k) flat arc indices of the nodes of degree k, one row per node
+    _classes: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        degrees = self.graph.degrees
-        offsets = self.graph.arc_offsets
-        blocks: dict[int, np.ndarray] = {}
-        degree_arcs: dict[int, np.ndarray] = {}
-        for k in sorted(set(int(d) for d in degrees)):
-            blocks[k] = coin_matrix(self.coin, k)
-            nodes = np.flatnonzero(degrees == k)
-            degree_arcs[k] = offsets[nodes][:, None] + np.arange(k)[None, :]
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "_degree_arcs", degree_arcs)
+        g = self.graph
+        classes = []
+        for k in sorted(set(int(d) for d in g.degrees)):
+            arcs = g.arc_offsets[np.flatnonzero(g.degrees == k)][:, None] + np.arange(k)
+            classes.append((coin_matrix(self.coin, k), arcs, g.reverse_arc[arcs]))
+        object.__setattr__(self, "blocks", {len(c[0]): c[0] for c in classes})
+        object.__setattr__(self, "_classes", tuple(classes))
 
     @property
     def shift(self) -> np.ndarray:
@@ -96,17 +99,21 @@ class WalkOperator:
     def dimension(self) -> int:
         return self.graph.arc_count
 
+    def apply(self, psi: np.ndarray) -> np.ndarray:
+        """U @ psi along axis 0, for psi of shape (D,) or (D, B)."""
+        if psi.shape[0] != self.dimension:
+            raise ValueError(f"state dimension {psi.shape[0]} does not match D={self.dimension}")
+        # a 1-D psi would make psi[arcs] an (n_k, k) matrix, which matmul
+        # would contract against the block on the wrong axis
+        batch = psi.reshape(self.dimension, -1)
+        out = np.empty(batch.shape, dtype=complex)
+        for block, arcs, dst in self._classes:
+            out[dst] = np.matmul(block, batch[arcs])
+        return out.reshape(psi.shape)
+
     def apply_amplitudes(self, psi: np.ndarray) -> np.ndarray:
         """Apply U to amplitude vector(s) of shape (..., D)."""
-        if psi.shape[-1] != self.dimension:
-            raise ValueError(
-                f"state dimension {psi.shape[-1]} does not match D={self.dimension}"
-            )
-        out = np.empty(psi.shape, dtype=complex)
-        for k, arcs in self._degree_arcs.items():
-            # (..., n_k, k) batch of per-node coin applications
-            out[..., arcs] = psi[..., arcs] @ self.blocks[k].T
-        return out[..., self.graph.reverse_arc]
+        return np.moveaxis(self.apply(np.moveaxis(psi, -1, 0)), 0, -1)
 
 
 def build_walk_operator(graph: Graph, coin: CoinKind) -> WalkOperator:
@@ -117,7 +124,10 @@ def _dense_cap(override: int | None) -> int:
     if override is not None:
         return override
     env = os.environ.get(_DENSE_CAP_ENV)
-    return int(env) if env else DEFAULT_DENSE_CAP
+    try:
+        return int(env) if env else DEFAULT_DENSE_CAP
+    except ValueError:  # refuse to materialize under a guard that cannot be read
+        raise DenseCapExceeded(f"{_DENSE_CAP_ENV} must be an integer, got {env!r}") from None
 
 
 def materialize_dense(op: WalkOperator, cap: int | None = None) -> np.ndarray:
@@ -130,15 +140,7 @@ def materialize_dense(op: WalkOperator, cap: int | None = None) -> np.ndarray:
         raise DenseCapExceeded(
             f"D={op.dimension} exceeds dense materialization cap {limit}"
         )
-    # rows of the batch are U e_a, so columns of U are the batch rows
-    return op.apply_amplitudes(np.eye(op.dimension, dtype=complex)).T
-
-
-def _shift_matrix(graph: Graph) -> np.ndarray:
-    d = graph.arc_count
-    s = np.zeros((d, d))
-    s[graph.reverse_arc, np.arange(d)] = 1.0
-    return s
+    return op.apply(np.eye(op.dimension, dtype=complex))
 
 
 def verify_shift_equivalence(n: int) -> bool:
@@ -152,7 +154,8 @@ def verify_shift_equivalence(n: int) -> bool:
         raise GraphError("shift equivalence check needs a cycle of length >= 3")
     graph = builtin(f"cycle({n})")
     d = graph.arc_count
-    s = _shift_matrix(graph)
+    s = np.zeros((d, d))
+    s[graph.reverse_arc, np.arange(d)] = 1.0
     flip = np.zeros((d, d))
     for i in range(graph.node_count):
         o = graph.arc_offsets[i]
@@ -171,9 +174,6 @@ def verify_shift_equivalence(n: int) -> bool:
         s_std[graph.arc_offsets[z] + slot[(z, x)], arc] = 1.0
     if not np.array_equal(s @ flip, s_std):
         return False
-    coin = np.zeros((d, d), dtype=complex)
-    f2 = fourier_coin(2)
-    for i in range(graph.node_count):
-        o = graph.arc_offsets[i]
-        coin[o : o + 2, o : o + 2] = f2
+    # S is an involution, so S U is the block-diagonal coin C
+    coin = s @ materialize_dense(build_walk_operator(graph, CoinKind.FOURIER), cap=d)
     return bool(np.max(np.abs(s @ (flip @ coin) - s_std @ coin)) < 1e-15)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .evolution import TransitionRow, WalkState, _initial_batch, _node_probability_raw
+from .evolution import TransitionRow, WalkState
 from .graph import Graph, GraphError, betti_number, is_bipartite
 from .operators import CoinKind, WalkOperator, build_walk_operator
 
@@ -268,7 +268,7 @@ def loop_eigenvector(
             raise GraphError("sign pattern must hold ±1 for each of the 2n arcs")
         amplitudes = np.zeros(graph.arc_count, dtype=complex)
         amplitudes[arcs] = np.asarray(pattern, dtype=float) * scale
-        image = op.apply_amplitudes(amplitudes)
+        image = op.apply(amplitudes)
         for lam in targets:
             if np.max(np.abs(image - lam * amplitudes)) < 1e-10:
                 return WalkState(graph, amplitudes, 0), lam

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from arcwalk import cli
 from arcwalk.cli import ConfigError, RunConfig, _resolve_mode, main, render, run
 from arcwalk.io import emit_heatmap_csv, format_float
 
@@ -216,3 +217,37 @@ def test_average_csv_matrix(capsys):
     lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
     assert lines[0].startswith("l,1,2,")
     assert len(lines) == 22
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["detect", "--graph", "builtin:karate", "--mode", "average-finite", "--steps", "0"],
+        ["average", "--graph", "builtin:karate", "--mode", "finite", "--steps", "0"],
+        ["classical", "--graph", "builtin:karate", "--start", "1", "--steps", "0"],
+        ["spectrum", "--graph", "builtin:karate", "--bins", "1"],
+        ["sweep", "--graph", "builtin:karate", "--q-list", ""],
+        ["sweep", "--graph", "builtin:karate", "--q-list", "0.1,0.01"],
+        ["sweep", "--graph", "builtin:karate", "--q-list", "0,0.01"],
+        ["detect", "--graph", "builtin:karate", "--threshold", "nan"],
+    ],
+)
+def test_bad_inputs_are_config_errors(argv, capsys):
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_bad_dense_cap_override_is_config_error(monkeypatch, capsys):
+    monkeypatch.setenv("ARCWALK_DENSE_CAP", "lots")
+    assert main(["spectrum", "--graph", "builtin:karate"]) == 2
+    assert "ARCWALK_DENSE_CAP" in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_a_config_error(monkeypatch, capsys):
+    def broken(config, graph):
+        raise ValueError("internal bug")
+
+    monkeypatch.setitem(cli._RUNNERS, "detect", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["detect", "--graph", "builtin:karate"])
+    assert "config error" not in capsys.readouterr().err

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import arcwalk as aw
+from arcwalk.cli import RunConfig, run
 from arcwalk.graph import GraphError
 
 
@@ -143,3 +144,77 @@ def test_norm_conserved_on_all_builtins(rng):
         final = aw.evolve(op, state, 1000)
         assert abs(final.norm() - 1.0) < 1e-10
         assert final.time == 1000
+
+
+def row_layout_steps(graph, u, arcs, steps):
+    """Reference stepping: one basis state per start arc as a row, stepped by
+    the dense U; returns the (B, N) node probabilities at t = 0..steps."""
+    batch = np.zeros((len(arcs), graph.arc_count), dtype=complex)
+    batch[np.arange(len(arcs)), arcs] = 1.0
+    probs = []
+    for t in range(steps + 1):
+        if t > 0:
+            batch = batch @ u.T
+        probs.append(np.add.reduceat(np.abs(batch) ** 2, graph.arc_offsets[:-1], axis=-1))
+    return probs
+
+
+def average_matrix_oracle(graph, u, steps, include_start, chunk_arcs):
+    """Reference (p, P): the chunked row-layout loop over all start arcs."""
+    d = graph.arc_count
+    arc_node_prob = np.zeros((d, graph.node_count))
+    for lo in range(0, d, chunk_arcs):
+        hi = min(lo + chunk_arcs, d)
+        probs = row_layout_steps(graph, u, np.arange(lo, hi), steps)
+        window = probs if include_start else probs[1:]
+        arc_node_prob[lo:hi] = sum(window) / len(window)
+    p = np.add.reduceat(arc_node_prob, graph.arc_offsets[:-1], axis=0)
+    p /= graph.degrees[:, None]
+    return p, p / graph.degrees[None, :]
+
+
+def node_arcs(graph, node):
+    return np.arange(graph.arc_offsets[node - 1], graph.arc_offsets[node])
+
+
+@pytest.mark.parametrize("kind", list(aw.CoinKind))
+@pytest.mark.parametrize("include_start", [False, True])
+@pytest.mark.parametrize("chunk_arcs", [1024, 17])
+def test_average_matrix_matches_row_layout_oracle(three_community, kind, include_start, chunk_arcs):
+    # D = 78, so chunks of 17 leave a short last chunk
+    op = aw.build_walk_operator(three_community, kind)
+    u = aw.materialize_dense(op)
+    p, norm = aw.finite_time_average_matrix(
+        op, steps=15, include_start=include_start, chunk_arcs=chunk_arcs
+    )
+    p_ref, norm_ref = average_matrix_oracle(three_community, u, 15, include_start, chunk_arcs)
+    assert np.abs(p - p_ref).max() <= 1e-12
+    assert np.abs(norm - norm_ref).max() <= 1e-12
+    for node in (1, 13):
+        row = aw.finite_time_average(op, node, steps=15, include_start=include_start)
+        assert np.abs(row.probability - p_ref[node - 1]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("t", [0, 1, 7])
+def test_transition_matches_row_layout_oracle(karate, t):
+    op = aw.build_walk_operator(karate, aw.CoinKind.FOURIER)
+    u = aw.materialize_dense(op)
+    for node in (1, 12, 34):
+        expected = row_layout_steps(karate, u, node_arcs(karate, node), t)[t].mean(axis=0)
+        row = aw.transition_probability(op, node, t)
+        assert np.abs(row.probability - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("slot", [None, 2])
+def test_cli_evolve_matches_row_layout_oracle(karate, slot):
+    config = RunConfig(command="evolve", graph_source="builtin:karate", start=3, slot=slot, steps=9)
+    rows = run(config).payload["rows"]
+    u = aw.materialize_dense(aw.build_walk_operator(karate, aw.CoinKind.FOURIER))
+    arcs = node_arcs(karate, 3)
+    if slot is not None:
+        arcs = arcs[slot : slot + 1]
+    expected = row_layout_steps(karate, u, arcs, 9)
+    assert [row["t"] for row in rows] == list(range(10))
+    for row, probs in zip(rows, expected):
+        assert np.abs(row["probability"] - probs.mean(axis=0)).max() <= 1e-12
+        assert np.abs(row["normalized"] - probs.mean(axis=0) / karate.degrees).max() <= 1e-12

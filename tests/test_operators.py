@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_cesaro_kernel import connected_graphs
 
 import arcwalk as aw
 from arcwalk.operators import DEFAULT_DENSE_CAP, DenseCapExceeded
@@ -81,16 +84,52 @@ def test_dense_unitary_three_community(three_community):
     assert unitarity_defect(u) < 1e-12
 
 
+def dense_oracle(graph, kind):
+    """U = SC built entry by entry: row a of SC is row reverse_arc[a] of C."""
+    d = graph.arc_count
+    coin = np.zeros((d, d), dtype=complex)
+    for lo, hi in zip(graph.arc_offsets[:-1], graph.arc_offsets[1:]):
+        k = hi - lo
+        coin[lo:hi, lo:hi] = aw.fourier_coin(k) if kind is aw.CoinKind.FOURIER else aw.grover_coin(k)
+    return coin[graph.reverse_arc]
+
+
+def assert_apply_matches_dense(graph, kind):
+    op = aw.build_walk_operator(graph, kind)
+    u = aw.materialize_dense(op)
+    assert np.abs(u - dense_oracle(graph, kind)).max() <= 1e-12
+    rng = np.random.default_rng(7)
+    d = graph.arc_count
+    states = rng.normal(size=(d, 50)) + 1j * rng.normal(size=(d, 50))
+    states /= np.linalg.norm(states, axis=0, keepdims=True)
+    expected = u @ states
+    assert np.abs(op.apply(states) - expected).max() <= 1e-12
+    assert np.abs(op.apply(states[:, 0]) - expected[:, 0]).max() <= 1e-12
+    assert np.abs(op.apply_amplitudes(states.T) - expected.T).max() <= 1e-12
+
+
 @pytest.mark.parametrize("name", ["cycle(6)", "three_community", "karate", "square_triangle"])
 @pytest.mark.parametrize("kind", list(aw.CoinKind))
-def test_apply_matches_dense(name, kind, rng):
-    g = aw.builtin(name)
-    op = aw.build_walk_operator(g, kind)
-    u = aw.materialize_dense(op)
-    d = g.arc_count
-    states = rng.normal(size=(50, d)) + 1j * rng.normal(size=(50, d))
-    states /= np.linalg.norm(states, axis=1, keepdims=True)
-    assert np.abs(op.apply_amplitudes(states) - states @ u.T).max() < 1e-12
+def test_apply_matches_dense(name, kind):
+    assert_apply_matches_dense(aw.builtin(name), kind)
+
+
+@pytest.mark.parametrize("kind", list(aw.CoinKind))
+def test_apply_matches_dense_when_class_size_equals_degree(kind):
+    # K4 plus a pendant: three nodes of degree 3, so the degree-3 class is a
+    # 3 x 3 fan matrix that a 1-D state could contract on the wrong axis
+    g = aw.Graph.from_edges([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4)])
+    assert sorted(g.degrees) == [1, 3, 3, 3, 4]
+    assert_apply_matches_dense(g, kind)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    graph=st.booleans().flatmap(lambda bip: connected_graphs(bip)),
+    kind=st.sampled_from(list(aw.CoinKind)),
+)
+def test_apply_matches_dense_on_random_graphs(graph, kind):
+    assert_apply_matches_dense(graph, kind)
 
 
 def test_norm_preserved_over_many_applications(karate, rng):
