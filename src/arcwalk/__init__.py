@@ -63,6 +63,7 @@ from .spectral import (
     decompose,
     degeneracy_report,
     eigenstate_profile,
+    grover_decompose,
     infinite_time_average,
     infinite_time_average_matrix,
     ipr,
@@ -100,6 +101,7 @@ __all__ = [
     "SpectralError",
     "DegeneracyReport",
     "decompose",
+    "grover_decompose",
     "degeneracy_report",
     "infinite_time_average",
     "infinite_time_average_matrix",

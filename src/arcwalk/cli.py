@@ -37,6 +37,7 @@ from .spectral import (
     argument_histogram,
     decompose,
     degeneracy_report,
+    grover_decompose,
     infinite_time_average_matrix,
     ipr,
 )
@@ -107,23 +108,29 @@ def _resolve_mode(config: RunConfig) -> str:
     return mode
 
 
-def _average_matrices(config: RunConfig, graph: Graph, op) -> tuple[str, np.ndarray, np.ndarray]:
+def _average_matrices(config: RunConfig, graph: Graph, op) -> tuple[dict, np.ndarray, np.ndarray]:
+    """The (p, P) matrices and the document parameters that say how they
+    were computed: the mode and, for exact averages, the eigensolver."""
     mode = _resolve_mode(config)
-    if mode == "average-infinite":
-        try:
-            dense = materialize_dense(op, cap=config.dense_cap)
-        except DenseCapExceeded as exc:
-            msg = f"{exc}; use --mode average-finite or raise --dense-cap"
-            raise DenseCapExceeded(msg) from None
-        dec = decompose(dense, degeneracy_tol=config.degeneracy_tol)
-        p, norm = infinite_time_average_matrix(dec, graph)
-    else:
+    if mode == "average-finite":
         if config.steps < 1:
             raise ConfigError("average-finite needs --steps of at least 1")
         p, norm = finite_time_average_matrix(
             op, steps=config.steps, include_start=config.include_start
         )
-    return mode, p, norm
+        return {"mode": mode}, p, norm
+    grover = op.coin is CoinKind.GROVER
+    try:
+        if grover:
+            dec = grover_decompose(graph, config.degeneracy_tol, cap=config.dense_cap)
+        else:
+            dense = materialize_dense(op, cap=config.dense_cap)
+            dec = decompose(dense, degeneracy_tol=config.degeneracy_tol)
+    except DenseCapExceeded as exc:
+        msg = f"{exc}; use --mode average-finite or raise --dense-cap"
+        raise DenseCapExceeded(msg) from None
+    p, norm = infinite_time_average_matrix(dec, graph)
+    return {"mode": mode, "eigensolver": "grover-spectral-map" if grover else "schur"}, p, norm
 
 
 def _threshold(config: RunConfig, graph: Graph) -> float:
@@ -179,10 +186,11 @@ def _run_evolve(config: RunConfig, graph: Graph) -> OutputDocument:
 
 
 def _run_average(config: RunConfig, graph: Graph) -> OutputDocument:
+    if config.start is not None and not 1 <= config.start <= graph.node_count:
+        raise GraphError(f"node {config.start} out of range 1..{graph.node_count}")
     op = build_walk_operator(graph, _coin_kind(config.coin))
-    mode, p, norm = _average_matrices(config, graph, op)
-    params = {"mode": mode}
-    if mode == "average-finite":
+    params, p, norm = _average_matrices(config, graph, op)
+    if params["mode"] == "average-finite":
         params["steps"] = config.steps
         params["window_start"] = 0 if config.include_start else 1
     if config.start is not None:
@@ -226,9 +234,9 @@ def _run_spectrum(config: RunConfig, graph: Graph) -> OutputDocument:
 
 def _run_detect(config: RunConfig, graph: Graph) -> OutputDocument:
     op = build_walk_operator(graph, _coin_kind(config.coin))
-    mode, _, norm = _average_matrices(config, graph, op)
+    params, _, norm = _average_matrices(config, graph, op)
     q = _threshold(config, graph)
-    partition = detect(norm, graph, q, source=mode)
+    partition = detect(norm, graph, q, source=params["mode"])
     margins = margin_report(norm, partition, band=config.marginal_band)
     payload = {
         "threshold": q,
@@ -246,7 +254,7 @@ def _run_detect(config: RunConfig, graph: Graph) -> OutputDocument:
     meta = _metadata(
         config,
         graph,
-        parameters={"mode": mode, "threshold": q, "marginal_band": config.marginal_band},
+        parameters={**params, "threshold": q, "marginal_band": config.marginal_band},
     )
     return OutputDocument(meta, payload)
 
@@ -257,15 +265,15 @@ def _run_sweep(config: RunConfig, graph: Graph) -> OutputDocument:
     if not all(q > 0 for q in config.q_list) or list(config.q_list) != sorted(config.q_list):
         raise ConfigError("--q-list must hold positive thresholds in ascending order")
     op = build_walk_operator(graph, _coin_kind(config.coin))
-    mode, _, norm = _average_matrices(config, graph, op)
-    result = sweep(norm, graph, config.q_list, source=mode)
+    params, _, norm = _average_matrices(config, graph, op)
+    result = sweep(norm, graph, config.q_list, source=params["mode"])
     payload = {
         "entries": [
             {"q": q, "count": count, "sizes": list(sizes)}
             for q, count, sizes in result.entries
         ]
     }
-    meta = _metadata(config, graph, parameters={"mode": mode, "q_list": list(config.q_list)})
+    meta = _metadata(config, graph, parameters={**params, "q_list": list(config.q_list)})
     return OutputDocument(meta, payload)
 
 

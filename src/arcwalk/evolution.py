@@ -86,13 +86,7 @@ def evolve(op: WalkOperator, state: WalkState, steps: int) -> WalkState:
 
 def node_probability(state: WalkState) -> np.ndarray:
     """p(i; t): squared amplitudes summed over each node's outgoing arcs."""
-    return _node_probability_raw(state.graph, state.amplitudes)
-
-
-def _node_probability_raw(graph: Graph, amplitudes: np.ndarray) -> np.ndarray:
-    # amplitudes of shape (D,) or (D, B); reduces the arc axis 0
-    weights = np.abs(amplitudes) ** 2
-    return np.add.reduceat(weights, graph.arc_offsets[:-1], axis=0)
+    return np.add.reduceat(np.abs(state.amplitudes) ** 2, state.graph.arc_offsets[:-1])
 
 
 def _start_arcs(graph: Graph, node: int) -> np.ndarray:
@@ -107,10 +101,10 @@ def _node_probabilities(op: WalkOperator, arcs: np.ndarray, steps: int):
     started on the basis states of ``arcs``; column b belongs to arcs[b]."""
     psi = np.zeros((op.dimension, len(arcs)), dtype=complex)
     psi[arcs, np.arange(len(arcs))] = 1.0
-    yield _node_probability_raw(op.graph, psi)
+    yield op.fan_sum(np.abs(psi) ** 2)
     for _ in range(steps):
         psi = op.apply(psi)
-        yield _node_probability_raw(op.graph, psi)
+        yield op.fan_sum(np.abs(psi) ** 2)
 
 
 def _window_mean(op: WalkOperator, arcs: np.ndarray, steps: int, include_start: bool):

@@ -21,6 +21,7 @@ __all__ = [
     "load_pajek",
     "betti_number",
     "is_bipartite",
+    "two_coloring",
     "builtin",
     "BUILTIN_NAMES",
 ]
@@ -257,6 +258,12 @@ def betti_number(graph: Graph) -> int:
 
 def is_bipartite(graph: Graph) -> bool:
     """Two-colorability test via BFS."""
+    return two_coloring(graph) is not None
+
+
+def two_coloring(graph: Graph) -> np.ndarray | None:
+    """0/1 color of every node with no edge inside a color, or None when the
+    graph is not bipartite."""
     n = graph.node_count
     color = np.full(n, -1, dtype=np.int8)
     for start in range(n):
@@ -271,8 +278,8 @@ def is_bipartite(graph: Graph) -> bool:
                     color[j] = 1 - color[i]
                     queue.append(j)
                 elif color[j] == color[i]:
-                    return False
-    return True
+                    return None
+    return color
 
 
 def _three_community() -> Graph:

@@ -28,6 +28,7 @@ __all__ = [
     "WalkOperator",
     "build_walk_operator",
     "materialize_dense",
+    "check_dense_cap",
     "verify_shift_equivalence",
     "DEFAULT_DENSE_CAP",
     "DenseCapExceeded",
@@ -111,6 +112,14 @@ class WalkOperator:
             out[dst] = np.matmul(block, batch[arcs])
         return out.reshape(psi.shape)
 
+    def fan_sum(self, values: np.ndarray) -> np.ndarray:
+        """Sum of (D,) or (D, B) values over each node's arc fan: (N,) or (N, B)."""
+        g = self.graph
+        out = np.empty((g.node_count,) + values.shape[1:], dtype=values.dtype)
+        for _, arcs, _ in self._classes:
+            out[g.arc_tail[arcs[:, 0]]] = values[arcs].sum(axis=1)
+        return out
+
     def apply_amplitudes(self, psi: np.ndarray) -> np.ndarray:
         """Apply U to amplitude vector(s) of shape (..., D)."""
         return np.moveaxis(self.apply(np.moveaxis(psi, -1, 0)), 0, -1)
@@ -120,26 +129,22 @@ def build_walk_operator(graph: Graph, coin: CoinKind) -> WalkOperator:
     return WalkOperator(graph, coin)
 
 
-def _dense_cap(override: int | None) -> int:
-    if override is not None:
-        return override
-    env = os.environ.get(_DENSE_CAP_ENV)
-    try:
-        return int(env) if env else DEFAULT_DENSE_CAP
-    except ValueError:  # refuse to materialize under a guard that cannot be read
-        raise DenseCapExceeded(f"{_DENSE_CAP_ENV} must be an integer, got {env!r}") from None
+def check_dense_cap(dimension: int, cap: int | None = None) -> None:
+    """Refuse a dense D x D array above ``cap`` (default 6000, overridable
+    via ARCWALK_DENSE_CAP)."""
+    if cap is None:
+        env = os.environ.get(_DENSE_CAP_ENV)
+        try:
+            cap = int(env) if env else DEFAULT_DENSE_CAP
+        except ValueError:  # refuse to materialize under a guard that cannot be read
+            raise DenseCapExceeded(f"{_DENSE_CAP_ENV} must be an integer, got {env!r}") from None
+    if dimension > cap:
+        raise DenseCapExceeded(f"D={dimension} exceeds dense materialization cap {cap}")
 
 
 def materialize_dense(op: WalkOperator, cap: int | None = None) -> np.ndarray:
-    """Dense D x D matrix of the walk unitary.
-
-    Guarded by ``cap`` (default 6000, overridable via ARCWALK_DENSE_CAP).
-    """
-    limit = _dense_cap(cap)
-    if op.dimension > limit:
-        raise DenseCapExceeded(
-            f"D={op.dimension} exceeds dense materialization cap {limit}"
-        )
+    """Dense D x D matrix of the walk unitary, guarded by :func:`check_dense_cap`."""
+    check_dense_cap(op.dimension, cap)
     return op.apply(np.eye(op.dimension, dtype=complex))
 
 

@@ -1,9 +1,26 @@
 """Eigendecomposition of the walk unitary and spectrally exact time averages.
 
-The complex Schur form is used as the eigensolver: for a unitary (normal)
-matrix its triangular factor is numerically diagonal and the Schur vectors
-form an exactly orthonormal eigenbasis, which a raw nonsymmetric eigensolver
-does not guarantee inside degenerate eigenspaces.
+Two eigensolvers produce the same :class:`SpectralDecomposition`
+(unit-modulus eigenvalues, orthonormal eigenvector columns, groups of
+degenerate eigenvalues):
+
+* :func:`decompose` takes any dense unitary and uses the complex Schur
+  form: for a unitary (normal) matrix its triangular factor is numerically
+  diagonal and the Schur vectors form an exactly orthonormal eigenbasis,
+  which a raw nonsymmetric eigensolver does not guarantee inside degenerate
+  eigenspaces.  It serves the Fourier coin and the ``spectrum`` census.
+* :func:`grover_decompose` builds the Grover walk's eigenbasis from the
+  graph by the spectral mapping theorem (Szegedy 2004; Higuchi, Konno, Sato
+  and Segawa 2014), with no dense U and no D x D eigensolver.  With
+  (d* f)_a = f(tail a) / sqrt(k_tail), U = S(2 d*d - I) and
+  T = d S d* = K^-1/2 A K^-1/2.  One N x N ``eigh`` of T gives every
+  eigenvalue off +-1: each eigenpair (cos theta, f) of T with |cos theta| < 1
+  yields (I - e^{+-i theta} S) d*f / (sqrt2 sin theta).  T's eigenvalue 1,
+  and -1 on a bipartite graph, carry over as the uniform vector and the one
+  signed by the tail's color.  The rest of the +-1 eigenspaces are the
+  "birth" flows on edges, from the null spaces of the signed (+1, dimension
+  b1) and unsigned (-1, dimension b1 - 1, or b1 if bipartite) incidence
+  matrices.  The basis is checked as :func:`decompose` checks its own.
 
 Infinite-time (Cesaro) averages sum |P_g[a, b]|^2 over eigenspace projectors
 P_g and over the arc fans of the start and target nodes, so they stay correct
@@ -23,14 +40,15 @@ import numpy as np
 import scipy.linalg
 
 from .evolution import TransitionRow, WalkState
-from .graph import Graph, GraphError, betti_number, is_bipartite
-from .operators import CoinKind, WalkOperator, build_walk_operator
+from .graph import Graph, GraphError, betti_number, is_bipartite, two_coloring
+from .operators import CoinKind, WalkOperator, build_walk_operator, check_dense_cap
 
 __all__ = [
     "SpectralDecomposition",
     "DegeneracyReport",
     "SpectralError",
     "decompose",
+    "grover_decompose",
     "degeneracy_report",
     "infinite_time_average",
     "infinite_time_average_matrix",
@@ -127,6 +145,94 @@ def decompose(
         raise SpectralError(f"eigenvector residual {residual:.2e} exceeds 1e-8")
     groups = _group_by_argument(eigenvalues, degeneracy_tol)
     return SpectralDecomposition(eigenvalues, z, groups, degeneracy_tol)
+
+
+def grover_decompose(
+    graph: Graph,
+    degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
+    cap: int | None = None,
+) -> SpectralDecomposition:
+    """Eigendecomposition of the Grover walk unitary by the spectral mapping
+    theorem, without forming U or calling a D x D eigensolver.
+
+    The D x D eigenbasis is still held densely, so ``cap`` guards it as in
+    :func:`materialize_dense`.  The basis is checked as :func:`decompose`
+    checks its own: eigenvalues on the unit circle, residual of U V = V diag
+    (through the structured operator) within 1e-8, and V*V = I within 1e-10
+    in place of the unitarity check; a failure raises :class:`SpectralError`.
+    """
+    check_dense_cap(graph.arc_count, cap)
+    eigenvalues, vectors = _grover_eigenbasis(graph)
+    if not np.max(np.abs(np.abs(eigenvalues) - 1.0)) <= 1e-10:
+        raise SpectralError("computed eigenvalues leave the unit circle")
+    op = build_walk_operator(graph, CoinKind.GROVER)
+    residual = np.max(np.linalg.norm(op.apply(vectors) - vectors * eigenvalues, axis=0))
+    if not residual <= 1e-8:
+        raise SpectralError(f"eigenvector residual {residual:.2e} exceeds 1e-8")
+    gram = vectors.conj().T @ vectors
+    gram[np.diag_indices_from(gram)] -= 1.0
+    drift = np.max(np.abs(gram))
+    if not drift <= 1e-10:
+        raise SpectralError(f"eigenvectors are not orthonormal: max|V*V - I| = {drift:.2e}")
+    groups = _group_by_argument(eigenvalues, degeneracy_tol)
+    return SpectralDecomposition(eigenvalues, vectors, groups, degeneracy_tol)
+
+
+def _grover_eigenbasis(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and (D, D) eigenvectors of U = S(2 d*d - I), where
+    (d* f)_a = f(tail a) / sqrt(k_tail) and T = d S d* = K^-1/2 A K^-1/2."""
+    n, d = graph.node_count, graph.arc_count
+    tail, head = graph.arc_tail, graph.arc_head
+    t = np.zeros((n, n))
+    t[tail, head] = 1.0 / np.sqrt(graph.degrees[tail] * graph.degrees[head])
+    lam, f = np.linalg.eigh(t)  # ascending
+    colors = two_coloring(graph)
+    # T's eigenvalue 1 (top) is simple on a connected graph and -1 (bottom)
+    # exists, simple, iff it is bipartite; U inherits them as the uniform
+    # vector and the vector signed by the tail's color
+    inner = slice(0 if colors is None else 1, n - 1)
+    lam, f = lam[inner], f[:, inner]
+    inherited = [(1.0, np.full((d, 1), 1 / np.sqrt(d)))]
+    if colors is not None:
+        inherited.append((-1.0, (1.0 - 2.0 * colors[tail])[:, None] / np.sqrt(d)))
+    # every other (cos theta, f) gives (I - e^{+-i theta} S) d*f / (sqrt2 sin theta)
+    x = f[tail] / np.sqrt(graph.degrees[tail])[:, None]
+    sin = np.sqrt(1.0 - lam**2)
+    mu = lam + 1j * sin
+    pairs = [(m, (x - m * x[graph.reverse_arc]) / (np.sqrt(2) * sin)) for m in (mu, mu.conj())]
+    # birth spaces: arc flows c_e on i->j and -+c_e on j->i, with c in the
+    # null space of the signed (+1 space, dim b1) or unsigned (-1 space,
+    # dim b1 - 1, or b1 when bipartite) edge x node incidence matrix
+    fwd = np.flatnonzero(tail < head)
+    b1 = betti_number(graph)
+    births = []
+    for value, sign, dim in ((1.0, -1.0, b1), (-1.0, 1.0, b1 - (colors is None))):
+        incidence = np.zeros((fwd.size, n))
+        incidence[np.arange(fwd.size), tail[fwd]] = 1.0
+        incidence[np.arange(fwd.size), head[fwd]] = sign
+        c = _left_null_space(incidence, dim) / np.sqrt(2)
+        v = np.zeros((d, dim))
+        v[fwd] = c
+        v[graph.reverse_arc[fwd]] = sign * c
+        births.append((value, v))
+    parts = inherited + births + pairs
+    eigenvalues = np.concatenate(
+        [np.broadcast_to(np.asarray(val, dtype=complex), v.shape[1]) for val, v in parts]
+    )
+    return eigenvalues, np.hstack([v for _, v in parts]).astype(complex)
+
+
+def _left_null_space(matrix: np.ndarray, dim: int) -> np.ndarray:
+    """Orthonormal basis (rows, dim) of the vectors c with c^T matrix = 0,
+    whose dimension ``dim`` is known; raises if the singular values
+    do not show rank rows - dim."""
+    rows, cols = matrix.shape
+    rank = rows - dim
+    u, sv, _ = np.linalg.svd(matrix, full_matrices=True)
+    tol = max(rows, cols) * np.finfo(float).eps * sv[0]
+    if (rank > 0 and not sv[rank - 1] > tol) or np.any(sv[rank:] > tol):
+        raise SpectralError(f"incidence matrix does not have the expected rank {rank}")
+    return u[:, rank:]
 
 
 def degeneracy_report(dec: SpectralDecomposition, graph: Graph) -> DegeneracyReport:

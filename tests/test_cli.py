@@ -251,3 +251,19 @@ def test_internal_value_error_is_not_a_config_error(monkeypatch, capsys):
     with pytest.raises(ValueError, match="internal bug"):
         main(["detect", "--graph", "builtin:karate"])
     assert "config error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("start", [0, 35])
+def test_average_start_out_of_range_is_data_error(start, capsys):
+    assert main(["average", "--graph", "builtin:karate", "--start", str(start)]) == 3
+    assert f"data error: node {start} out of range 1..34" in capsys.readouterr().err
+
+
+def test_average_start_last_node_is_its_row(capsys):
+    assert main(["average", "--graph", "builtin:karate", "--start", "34"]) == 0
+    row = json.loads(capsys.readouterr().out)["payload"]
+    assert main(["average", "--graph", "builtin:karate"]) == 0
+    full = json.loads(capsys.readouterr().out)["payload"]
+    assert row["start"] == 34
+    assert row["probability"] == full["probability"][33]
+    assert row["normalized"] == full["normalized"][33]

@@ -114,11 +114,14 @@ def test_apply_matches_dense(name, kind):
     assert_apply_matches_dense(aw.builtin(name), kind)
 
 
+K4_PENDANT = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4)]
+
+
 @pytest.mark.parametrize("kind", list(aw.CoinKind))
 def test_apply_matches_dense_when_class_size_equals_degree(kind):
     # K4 plus a pendant: three nodes of degree 3, so the degree-3 class is a
     # 3 x 3 fan matrix that a 1-D state could contract on the wrong axis
-    g = aw.Graph.from_edges([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4)])
+    g = aw.Graph.from_edges(K4_PENDANT)
     assert sorted(g.degrees) == [1, 3, 3, 3, 4]
     assert_apply_matches_dense(g, kind)
 
@@ -130,6 +133,28 @@ def test_apply_matches_dense_when_class_size_equals_degree(kind):
 )
 def test_apply_matches_dense_on_random_graphs(graph, kind):
     assert_apply_matches_dense(graph, kind)
+
+
+def assert_fan_sum_matches_reduceat(graph):
+    op = aw.build_walk_operator(graph, aw.CoinKind.FOURIER)
+    rng = np.random.default_rng(11)
+    offsets = graph.arc_offsets[:-1]
+    for shape in [(graph.arc_count,), (graph.arc_count, 9)]:
+        values = rng.random(shape)
+        expected = np.add.reduceat(values, offsets, axis=0)
+        got = op.fan_sum(values)
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-12
+
+
+def test_fan_sum_matches_reduceat_when_class_size_equals_degree():
+    assert_fan_sum_matches_reduceat(aw.Graph.from_edges(K4_PENDANT))
+
+
+@settings(max_examples=20, deadline=None)
+@given(graph=st.booleans().flatmap(lambda bip: connected_graphs(bip)))
+def test_fan_sum_matches_reduceat_on_random_graphs(graph):
+    assert_fan_sum_matches_reduceat(graph)
 
 
 def test_norm_preserved_over_many_applications(karate, rng):
