@@ -34,11 +34,10 @@ def main() -> None:
     g = aw.builtin("three_community")
     print("\nexplicit loop eigenvector on the triangle 1-2-3 (hub 1 plus two "
           "adjacent members of its 6-cycle):")
-    found = aw.loop_eigenvector(g, [1, 2, 3], eigenvalue=1)
-    state, lam = found
-    support = np.flatnonzero(np.abs(state.amplitudes) > 1e-12)
+    amplitudes, lam = aw.loop_eigenvector(g, [1, 2, 3], eigenvalue=1)
+    support = np.flatnonzero(np.abs(amplitudes) > 1e-12)
     print(f"  eigenvalue {lam:+d}, supported on arcs {support.tolist()}, "
-          f"norm {state.norm():.12f}")
+          f"norm {np.linalg.norm(amplitudes):.12f}")
     print("  a triangle (odd cycle) admits only the +1 eigenvector;")
 
     square = aw.builtin("cycle(4)")
@@ -47,11 +46,12 @@ def main() -> None:
         print(f"  the square admits eigenvalue {lam:+d}: {found is not None}")
 
     print("\nFourier walk on karate for contrast:")
-    op = aw.build_walk_operator(aw.builtin("karate"), aw.CoinKind.FOURIER)
+    karate = aw.builtin("karate")
+    op = aw.build_walk_operator(karate, aw.CoinKind.FOURIER)
     dec = aw.decompose(aw.materialize_dense(op))
     print(f"  largest eigenvalue group size: {max(len(grp) for grp in dec.groups)} "
           "(simple spectrum)")
-    values = aw.ipr(dec, aw.builtin("karate"))
+    values = aw.ipr(aw.eigenstate_node_probability(dec, karate))
     print(f"  eigenvector IPR range: {values.min():.4f} .. {values.max():.4f} "
           f"(mean {values.mean():.4f})")
 

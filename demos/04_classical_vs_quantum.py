@@ -40,9 +40,9 @@ def main() -> None:
     print("\nself-return of the T=100 finite-time average (node 1):")
     for kind in aw.CoinKind:
         op = aw.build_walk_operator(g, kind)
-        row = aw.finite_time_average(op, 1, steps=100)
-        print(f"  {kind.value:8s} p(1->1) = {row.probability[0]:.4f}   "
-              f"(row peak at node {int(np.argmax(row.normalized)) + 1})")
+        p = aw.transition_rows(op, 1, 100)[1:].mean(axis=0)
+        print(f"  {kind.value:8s} p(1->1) = {p[0]:.4f}   "
+              f"(row peak at node {int(np.argmax(p / g.degrees)) + 1})")
     print("the Grover walk self-localizes; the Fourier walk explores its community.")
 
 

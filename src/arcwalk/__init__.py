@@ -24,17 +24,7 @@ from .community import (
     margin_report,
     sweep,
 )
-from .evolution import (
-    TransitionRow,
-    WalkState,
-    basis_state,
-    evolve,
-    finite_time_average,
-    finite_time_average_matrix,
-    node_probability,
-    step,
-    transition_probability,
-)
+from .evolution import finite_time_average_matrix, transition_rows
 from .graph import (
     Graph,
     GraphError,
@@ -62,13 +52,11 @@ from .spectral import (
     argument_histogram,
     decompose,
     degeneracy_report,
-    eigenstate_profile,
+    eigenstate_node_probability,
     grover_decompose,
-    infinite_time_average,
     infinite_time_average_matrix,
     ipr,
     loop_eigenvector,
-    participation_ratio,
 )
 
 __all__ = [
@@ -88,14 +76,7 @@ __all__ = [
     "build_walk_operator",
     "materialize_dense",
     "verify_shift_equivalence",
-    "WalkState",
-    "TransitionRow",
-    "basis_state",
-    "step",
-    "evolve",
-    "node_probability",
-    "transition_probability",
-    "finite_time_average",
+    "transition_rows",
     "finite_time_average_matrix",
     "SpectralDecomposition",
     "SpectralError",
@@ -103,11 +84,9 @@ __all__ = [
     "decompose",
     "grover_decompose",
     "degeneracy_report",
-    "infinite_time_average",
     "infinite_time_average_matrix",
+    "eigenstate_node_probability",
     "ipr",
-    "participation_ratio",
-    "eigenstate_profile",
     "loop_eigenvector",
     "argument_histogram",
     "CommunityPartition",

@@ -22,12 +22,7 @@ from .community import (
     margin_report,
     sweep,
 )
-from .evolution import (
-    DEFAULT_AVERAGE_STEPS,
-    _node_probabilities,
-    _start_arcs,
-    finite_time_average_matrix,
-)
+from .evolution import DEFAULT_AVERAGE_STEPS, finite_time_average_matrix, transition_rows
 from .graph import Graph, GraphError, betti_number, builtin, is_bipartite, load_edge_list, load_pajek
 from .io import OutputDocument, emit_heatmap_csv, format_float, write_atomic
 from .operators import CoinKind, DenseCapExceeded, build_walk_operator, materialize_dense
@@ -37,6 +32,7 @@ from .spectral import (
     argument_histogram,
     decompose,
     degeneracy_report,
+    eigenstate_node_probability,
     grover_decompose,
     infinite_time_average_matrix,
     ipr,
@@ -171,15 +167,12 @@ def _run_evolve(config: RunConfig, graph: Graph) -> OutputDocument:
     if config.start is None:
         raise ConfigError("evolve requires --start")
     op = build_walk_operator(graph, _coin_kind(config.coin))
-    arcs = _start_arcs(graph, config.start)
-    if config.slot is not None:
-        if not 0 <= config.slot < len(arcs):
-            raise ConfigError(f"slot {config.slot} out of range for node {config.start}")
-        arcs = arcs[config.slot : config.slot + 1]
-    rows = []
-    for t, probs in enumerate(_node_probabilities(op, arcs, config.steps)):
-        p = probs.mean(axis=1)
-        rows.append({"t": t, "probability": p, "normalized": p / graph.degrees})
+    if config.slot is not None and not 0 <= config.slot < graph.degree(config.start):
+        raise ConfigError(f"slot {config.slot} out of range for node {config.start}")
+    rows = [
+        {"t": t, "probability": p, "normalized": p / graph.degrees}
+        for t, p in enumerate(transition_rows(op, config.start, config.steps, config.slot))
+    ]
     payload = {"start": config.start, "rows": rows}
     meta = _metadata(config, graph, parameters={"start": config.start, "steps": config.steps})
     return OutputDocument(meta, payload)
@@ -224,7 +217,7 @@ def _run_spectrum(config: RunConfig, graph: Graph) -> OutputDocument:
             "predicted_minus_one": report.predicted_minus_one,
         },
         "histogram": {"counts": counts, "bin_edges": edges},
-        "ipr": ipr(dec, graph),
+        "ipr": ipr(eigenstate_node_probability(dec, graph)),
     }
     meta = _metadata(
         config, graph, parameters={"bins": config.bins, "degeneracy_tol": config.degeneracy_tol}

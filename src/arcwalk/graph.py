@@ -38,7 +38,10 @@ class Graph:
     The arc basis enumerates directed arcs (i -> j) grouped by tail node:
     arc ``arc_offsets[i] + s`` is the arc from node ``i`` to its ``s``-th
     neighbor in sorted order.  ``reverse_arc`` is the involutive permutation
-    sending each arc to its reverse.
+    sending each arc to its reverse.  ``fan_classes`` groups the arc fans by
+    degree: per distinct degree k, ascending, the (n_k, k) flat indices of
+    the arcs leaving the n_k nodes of degree k, one row per node, so that a
+    per-node operation is one array operation per class.
     """
 
     adjacency: tuple[tuple[int, ...], ...]
@@ -47,6 +50,9 @@ class Graph:
     arc_tail: np.ndarray = field(init=False, repr=False)
     arc_head: np.ndarray = field(init=False, repr=False)
     reverse_arc: np.ndarray = field(init=False, repr=False)
+    fan_classes: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    # (tail, head) -> flat arc index, both 0-based
+    _arc_lookup: dict[tuple[int, int], int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         degrees = np.array([len(nbrs) for nbrs in self.adjacency], dtype=np.intp)
@@ -55,10 +61,18 @@ class Graph:
         head = np.fromiter(
             (j for nbrs in self.adjacency for j in nbrs), dtype=np.intp, count=offsets[-1]
         )
-        slot = {(i, j): s for i, nbrs in enumerate(self.adjacency) for s, j in enumerate(nbrs)}
-        reverse = np.array(
-            [offsets[j] + slot[(j, i)] for i, j in zip(tail, head)], dtype=np.intp
+        lookup = {
+            (i, j): int(offsets[i]) + s
+            for i, nbrs in enumerate(self.adjacency)
+            for s, j in enumerate(nbrs)
+        }
+        reverse = np.array([lookup[(j, i)] for i, j in zip(tail, head)], dtype=np.intp)
+        fans = tuple(
+            offsets[np.flatnonzero(degrees == k)][:, None] + np.arange(k)
+            for k in sorted(set(degrees.tolist()))
         )
+        for arcs in fans:
+            arcs.setflags(write=False)
         for name, value in [
             ("degrees", degrees),
             ("arc_offsets", offsets),
@@ -68,6 +82,8 @@ class Graph:
         ]:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "fan_classes", fans)
+        object.__setattr__(self, "_arc_lookup", lookup)
 
     @property
     def node_count(self) -> int:
@@ -84,6 +100,8 @@ class Graph:
 
     def degree(self, node: int) -> int:
         """Degree of a node (1-based id)."""
+        if not 1 <= node <= self.node_count:
+            raise GraphError(f"node {node} out of range 1..{self.node_count}")
         return int(self.degrees[node - 1])
 
     def neighbors(self, node: int) -> tuple[int, ...]:
@@ -104,6 +122,20 @@ class Graph:
             raise GraphError(f"arc index {arc} out of range")
         tail = int(self.arc_tail[arc])
         return tail, int(arc - self.arc_offsets[tail])
+
+    def arc_between(self, tail: int, head: int) -> int:
+        """Flat index of the arc from 0-based ``tail`` to 0-based ``head``."""
+        arc = self._arc_lookup.get((tail, head))
+        if arc is None:
+            raise GraphError(f"nodes {tail + 1} and {head + 1} are not adjacent")
+        return arc
+
+    def fan_sum(self, values: np.ndarray) -> np.ndarray:
+        """Sum of (D, ...) values over each node's outgoing arcs: (N, ...)."""
+        out = np.empty((self.node_count,) + values.shape[1:], dtype=values.dtype)
+        for arcs in self.fan_classes:
+            out[self.arc_tail[arcs[:, 0]]] = values[arcs].sum(axis=1)
+        return out
 
     @classmethod
     def from_edges(cls, edges, node_count: int | None = None) -> "Graph":

@@ -5,9 +5,10 @@ form: one coin block per degree value plus the reverse-arc permutation.
 Applying it costs O(sum of k_i^2) and never materializes the D x D matrix.
 
 States are arcs-first, shape (D,) or (D, B) for a batch of B walks.  A step
-loops once over the degree classes: gather each node's arc fan as an
-(n_k, k, B) array, apply the k x k coin block as one batched GEMM, and
-scatter to the reversed arcs, which applies the shift without a second copy.
+loops once over the graph's degree classes (``Graph.fan_classes``): gather
+each node's arc fan as an (n_k, k, B) array, apply the k x k coin block as
+one batched GEMM, and scatter to the reversed arcs, which applies the shift
+without a second copy.
 """
 
 from __future__ import annotations
@@ -71,25 +72,18 @@ class WalkOperator:
     """Structured form of the walk unitary U = SC on a graph.
 
     ``blocks`` holds one coin matrix per distinct degree (all nodes of equal
-    degree share a block); ``shift`` is the reverse-arc permutation.
-    Immutable and reentrant: one operator may drive many walks concurrently.
+    degree share a block), applied to the graph's ``fan_classes``; ``shift``
+    is the reverse-arc permutation.  Immutable and reentrant: one operator
+    may drive many walks concurrently.
     """
 
     graph: Graph
     coin: CoinKind
     blocks: dict[int, np.ndarray] = field(init=False, repr=False)
-    # per distinct degree k: (block, arcs, reverse_arc[arcs]), with arcs the
-    # (n_k, k) flat arc indices of the nodes of degree k, one row per node
-    _classes: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        g = self.graph
-        classes = []
-        for k in sorted(set(int(d) for d in g.degrees)):
-            arcs = g.arc_offsets[np.flatnonzero(g.degrees == k)][:, None] + np.arange(k)
-            classes.append((coin_matrix(self.coin, k), arcs, g.reverse_arc[arcs]))
-        object.__setattr__(self, "blocks", {len(c[0]): c[0] for c in classes})
-        object.__setattr__(self, "_classes", tuple(classes))
+        degrees = (arcs.shape[1] for arcs in self.graph.fan_classes)
+        object.__setattr__(self, "blocks", {k: coin_matrix(self.coin, k) for k in degrees})
 
     @property
     def shift(self) -> np.ndarray:
@@ -108,17 +102,10 @@ class WalkOperator:
         # would contract against the block on the wrong axis
         batch = psi.reshape(self.dimension, -1)
         out = np.empty(batch.shape, dtype=complex)
-        for block, arcs, dst in self._classes:
-            out[dst] = np.matmul(block, batch[arcs])
+        for arcs in self.graph.fan_classes:
+            # the scatter to the reversed arcs applies the shift
+            out[self.shift[arcs]] = np.matmul(self.blocks[arcs.shape[1]], batch[arcs])
         return out.reshape(psi.shape)
-
-    def fan_sum(self, values: np.ndarray) -> np.ndarray:
-        """Sum of (D,) or (D, B) values over each node's arc fan: (N,) or (N, B)."""
-        g = self.graph
-        out = np.empty((g.node_count,) + values.shape[1:], dtype=values.dtype)
-        for _, arcs, _ in self._classes:
-            out[g.arc_tail[arcs[:, 0]]] = values[arcs].sum(axis=1)
-        return out
 
     def apply_amplitudes(self, psi: np.ndarray) -> np.ndarray:
         """Apply U to amplitude vector(s) of shape (..., D)."""
@@ -168,15 +155,9 @@ def verify_shift_equivalence(n: int) -> bool:
     # standard shift: |x -> y>  ->  |2x - y -> x (mod n)>; movers keep their
     # direction while the walker advances one site
     s_std = np.zeros((d, d))
-    slot = {
-        (i, j): s_
-        for i, nbrs in enumerate(graph.adjacency)
-        for s_, j in enumerate(nbrs)
-    }
     for arc in range(d):
         x, y = int(graph.arc_tail[arc]), int(graph.arc_head[arc])
-        z = (2 * x - y) % n
-        s_std[graph.arc_offsets[z] + slot[(z, x)], arc] = 1.0
+        s_std[graph.arc_between((2 * x - y) % n, x), arc] = 1.0
     if not np.array_equal(s @ flip, s_std):
         return False
     # S is an involution, so S U is the block-diagonal coin C

@@ -29,6 +29,12 @@ eigenvalue P_g = v v^*, so |P_g[a, b]|^2 = |v_a|^2 |v_b|^2 and its fan sum is
 the product of two node probabilities of v: all simple groups together are
 one N x N GEMM of fan-summed |v|^2.  Only degenerate groups build D x D
 projectors.
+
+Every quantity comes back as an array: the (p, P) matrices indexed [start,
+target], the (D, N) eigenstate node probabilities (a row over the degrees
+is an eigenstate's normalized profile), the IPR of any probability rows, and
+a loop eigenvector's amplitudes.  Sums over a node's arcs are
+``Graph.fan_sum``.
 """
 
 from __future__ import annotations
@@ -39,9 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .evolution import TransitionRow, WalkState
 from .graph import Graph, GraphError, betti_number, is_bipartite, two_coloring
-from .operators import CoinKind, WalkOperator, build_walk_operator, check_dense_cap
+from .operators import CoinKind, build_walk_operator, check_dense_cap
 
 __all__ = [
     "SpectralDecomposition",
@@ -50,12 +55,9 @@ __all__ = [
     "decompose",
     "grover_decompose",
     "degeneracy_report",
-    "infinite_time_average",
     "infinite_time_average_matrix",
     "ipr",
-    "participation_ratio",
     "eigenstate_node_probability",
-    "eigenstate_profile",
     "loop_eigenvector",
     "argument_histogram",
     "DEFAULT_DEGENERACY_TOL",
@@ -131,17 +133,18 @@ def decompose(
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise SpectralError("input must be a square matrix")
     d = u.shape[0]
-    if np.max(np.abs(u.conj().T @ u - np.eye(d))) > 1e-10:
+    # written as "not x <= bound" so that a NaN fails the check
+    if not np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-10:
         raise SpectralError("input matrix is not unitary within 1e-10")
     try:
         t, z = scipy.linalg.schur(u, output="complex")
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise SpectralError(f"eigensolver failed to converge: {exc}") from exc
     eigenvalues = np.diag(t).copy()
-    if np.max(np.abs(np.abs(eigenvalues) - 1.0)) > 1e-10:
+    if not np.max(np.abs(np.abs(eigenvalues) - 1.0)) <= 1e-10:
         raise SpectralError("computed eigenvalues leave the unit circle")
     residual = np.max(np.linalg.norm(u @ z - z * eigenvalues, axis=0))
-    if residual > 1e-8:
+    if not residual <= 1e-8:
         raise SpectralError(f"eigenvector residual {residual:.2e} exceeds 1e-8")
     groups = _group_by_argument(eigenvalues, degeneracy_tol)
     return SpectralDecomposition(eigenvalues, z, groups, degeneracy_tol)
@@ -258,17 +261,6 @@ def degeneracy_report(dec: SpectralDecomposition, graph: Graph) -> DegeneracyRep
     )
 
 
-def infinite_time_average(
-    dec: SpectralDecomposition, graph: Graph, node: int
-) -> TransitionRow:
-    """Cesaro-limit transition row from ``node`` (1-based): one row of
-    :func:`infinite_time_average_matrix`."""
-    if not 1 <= node <= graph.node_count:
-        raise GraphError(f"node {node} out of range 1..{graph.node_count}")
-    p, norm = infinite_time_average_matrix(dec, graph)
-    return TransitionRow(node, p[node - 1], norm[node - 1], (0, None))
-
-
 def infinite_time_average_matrix(
     dec: SpectralDecomposition, graph: Graph
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -280,7 +272,6 @@ def infinite_time_average_matrix(
     simple group enters through one N x N GEMM W_s^T W_s; only degenerate
     groups build a D x D projector.
     """
-    offsets = graph.arc_offsets[:-1]
     simple = [int(g[0]) for g in dec.groups if g.size == 1]
     w = eigenstate_node_probability(dec, graph)[simple]
     block = w.T @ w  # [target, start]
@@ -288,39 +279,23 @@ def infinite_time_average_matrix(
         if group.size > 1:
             v = dec.eigenvectors[:, group]
             kernel = np.abs(v @ v.conj().T) ** 2
-            block += np.add.reduceat(
-                np.add.reduceat(kernel, offsets, axis=0), offsets, axis=1
-            )
+            block += graph.fan_sum(graph.fan_sum(kernel).T).T
     p = block.T / graph.degrees[:, None]
     return p, p / graph.degrees[None, :]
 
 
-def participation_ratio(node_prob: np.ndarray) -> float:
-    """Inverse participation ratio of one probability vector: sum of squares."""
-    p = np.asarray(node_prob, dtype=float)
-    total = p.sum()
-    return float(np.sum(p**2) / total**2)
-
-
 def eigenstate_node_probability(dec: SpectralDecomposition, graph: Graph) -> np.ndarray:
-    """p_mu(l) for all eigenvectors: (D, N) array of per-node probabilities."""
-    weights = np.abs(dec.eigenvectors) ** 2  # [arc, mu]
-    return np.add.reduceat(weights, graph.arc_offsets[:-1], axis=0).T
+    """p_mu(l) for all eigenvectors: (D, N) array of per-node probabilities.
+    Row mu divided by ``graph.degrees`` is the degree-normalized profile."""
+    return graph.fan_sum(np.abs(dec.eigenvectors) ** 2).T
 
 
-def ipr(dec: SpectralDecomposition, graph: Graph) -> np.ndarray:
-    """Inverse participation ratio of every eigenvector."""
-    node_prob = eigenstate_node_probability(dec, graph)
-    return np.sum(node_prob**2, axis=1) / np.sum(node_prob, axis=1) ** 2
-
-
-def eigenstate_profile(dec: SpectralDecomposition, graph: Graph, mu: int) -> np.ndarray:
-    """Degree-normalized node probability P_mu(l) of eigenvector ``mu`` (0-based)."""
-    if not 0 <= mu < dec.dimension:
-        raise IndexError(f"eigenstate index {mu} out of range")
-    weights = np.abs(dec.eigenvectors[:, mu]) ** 2
-    p = np.add.reduceat(weights, graph.arc_offsets[:-1])
-    return p / graph.degrees
+def ipr(node_prob: np.ndarray) -> np.ndarray:
+    """Inverse participation ratio sum(p^2) / sum(p)^2 over the last axis:
+    a scalar for one probability vector, one value per row of
+    :func:`eigenstate_node_probability`."""
+    p = np.asarray(node_prob, dtype=float)
+    return np.sum(p**2, axis=-1) / np.sum(p, axis=-1) ** 2
 
 
 def _cycle_arcs(graph: Graph, cycle: list[int]) -> np.ndarray:
@@ -330,18 +305,11 @@ def _cycle_arcs(graph: Graph, cycle: list[int]) -> np.ndarray:
         raise GraphError("a cycle needs at least three nodes")
     if len(set(cycle)) != n:
         raise GraphError("cycle nodes must be distinct")
-    slot = {
-        (i, j): s for i, nbrs in enumerate(graph.adjacency) for s, j in enumerate(nbrs)
-    }
-    arcs = []
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        key = (a - 1, b - 1)
-        if key not in slot:
-            raise GraphError(f"nodes {a} and {b} are not adjacent; not a cycle")
-        arcs.append(graph.arc_offsets[a - 1] + slot[key])
-    for b, a in zip(cycle[1:] + cycle[:1], cycle):
-        arcs.append(graph.arc_offsets[b - 1] + slot[(b - 1, a - 1)])
-    return np.array(arcs, dtype=np.intp)
+    try:
+        forward = [graph.arc_between(a - 1, b - 1) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+    except GraphError as exc:
+        raise GraphError(f"{exc}; not a cycle") from None
+    return np.concatenate([forward, graph.reverse_arc[forward]])
 
 
 def loop_eigenvector(
@@ -349,13 +317,13 @@ def loop_eigenvector(
     cycle: list[int],
     sign_pattern: list[int] | None = None,
     eigenvalue: int | None = None,
-) -> tuple[WalkState, int] | None:
+) -> tuple[np.ndarray, int] | None:
     """Search for a Grover-walk eigenvector supported on a node cycle.
 
     Amplitudes are ±1/sqrt(2n) on the 2n arcs of the cycle and zero
     elsewhere.  With no explicit ``sign_pattern`` all 2^(2n) patterns are
     tried (cycle length capped at 6); ``eigenvalue`` restricts the accepted
-    eigenvalue to +1 or -1.  Returns (state, eigenvalue) or None.
+    eigenvalue to +1 or -1.  Returns (amplitudes, eigenvalue) or None.
     """
     arcs = _cycle_arcs(graph, cycle)
     n = len(cycle)
@@ -377,7 +345,7 @@ def loop_eigenvector(
         image = op.apply(amplitudes)
         for lam in targets:
             if np.max(np.abs(image - lam * amplitudes)) < 1e-10:
-                return WalkState(graph, amplitudes, 0), lam
+                return amplitudes, lam
     return None
 
 

@@ -230,6 +230,8 @@ def test_average_csv_matrix(capsys):
         ["sweep", "--graph", "builtin:karate", "--q-list", "0.1,0.01"],
         ["sweep", "--graph", "builtin:karate", "--q-list", "0,0.01"],
         ["detect", "--graph", "builtin:karate", "--threshold", "nan"],
+        ["evolve", "--graph", "builtin:karate", "--start", "1", "--slot", "16"],
+        ["evolve", "--graph", "builtin:karate", "--start", "1", "--slot", "-1"],
     ],
 )
 def test_bad_inputs_are_config_errors(argv, capsys):
@@ -257,6 +259,12 @@ def test_internal_value_error_is_not_a_config_error(monkeypatch, capsys):
 def test_average_start_out_of_range_is_data_error(start, capsys):
     assert main(["average", "--graph", "builtin:karate", "--start", str(start)]) == 3
     assert f"data error: node {start} out of range 1..34" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("slot", [[], ["--slot", "0"]])
+def test_evolve_start_out_of_range_is_data_error(slot, capsys):
+    assert main(["evolve", "--graph", "builtin:karate", "--start", "35", *slot]) == 3
+    assert "data error: node 35 out of range 1..34" in capsys.readouterr().err
 
 
 def test_average_start_last_node_is_its_row(capsys):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_cesaro_kernel import connected_graphs
 
 import arcwalk as aw
 from arcwalk.cli import RunConfig, run
@@ -7,51 +10,52 @@ from arcwalk.graph import GraphError
 
 
 def test_basis_state(karate, three_community):
-    state = aw.basis_state(karate, 1, 0)
-    assert state.norm() == 1.0
-    assert aw.node_probability(state)[0] == 1.0
-    state = aw.basis_state(three_community, 13, 2)
-    assert aw.node_probability(state)[12] == 1.0
+    # a walk started on one arc is the delta on its tail at t = 0
+    op = aw.build_walk_operator(karate, aw.CoinKind.FOURIER)
+    assert aw.transition_rows(op, 1, 0, slot=0)[0, 0] == 1.0
+    op = aw.build_walk_operator(three_community, aw.CoinKind.FOURIER)
+    assert aw.transition_rows(op, 13, 0, slot=2)[0, 12] == 1.0
 
 
 def test_basis_state_rejects_bad_arc(karate):
+    op = aw.build_walk_operator(karate, aw.CoinKind.FOURIER)
     with pytest.raises(GraphError):
-        aw.basis_state(karate, 1, 99)
+        aw.transition_rows(op, 1, 0, slot=99)
     with pytest.raises(GraphError):
-        aw.basis_state(karate, 0, 0)
+        aw.transition_rows(op, 0, 0, slot=0)
+    with pytest.raises(GraphError, match="out of range 1..34"):
+        aw.transition_rows(op, 35, 0)
 
 
 def test_uniform_state_probability(karate):
     d = karate.arc_count
-    state = aw.WalkState(karate, np.full(d, 1 / np.sqrt(d), dtype=complex))
-    assert np.allclose(aw.node_probability(state), karate.degrees / d, atol=1e-12)
+    psi = np.full(d, 1 / np.sqrt(d), dtype=complex)
+    assert np.allclose(karate.fan_sum(np.abs(psi) ** 2), karate.degrees / d, atol=1e-12)
 
 
 def test_node_probability_sums_to_one(three_community, rng):
     psi = rng.normal(size=78) + 1j * rng.normal(size=78)
     psi /= np.linalg.norm(psi)
-    state = aw.WalkState(three_community, psi)
-    assert abs(aw.node_probability(state).sum() - 1.0) < 1e-10
+    assert abs(three_community.fan_sum(np.abs(psi) ** 2).sum() - 1.0) < 1e-10
 
 
 def test_one_step_matches_dense_oracle():
     g = aw.builtin("cycle(3)")
     op = aw.build_walk_operator(g, aw.CoinKind.FOURIER)
     u = aw.materialize_dense(op)
-    state = aw.basis_state(g, 1, 0)
-    stepped = aw.step(op, state)
-    assert stepped.time == 1
-    oracle = u @ state.amplitudes
+    oracle = u[:, g.arc_index(0, 0)]
     expected = np.add.reduceat(np.abs(oracle) ** 2, g.arc_offsets[:-1])
-    assert np.allclose(aw.node_probability(stepped), expected, atol=1e-12)
+    rows = aw.transition_rows(op, 1, 1, slot=0)
+    assert rows.shape == (2, 3)
+    assert np.allclose(rows[1], expected, atol=1e-12)
 
 
 def test_transition_row_t0_is_identity(karate):
     op = aw.build_walk_operator(karate, aw.CoinKind.FOURIER)
-    row = aw.transition_probability(op, 5, 0)
-    expected = np.zeros(34)
-    expected[4] = 1.0
-    assert np.array_equal(row.probability, expected)
+    rows = aw.transition_rows(op, 5, 0)
+    expected = np.zeros((1, 34))
+    expected[0, 4] = 1.0
+    assert np.array_equal(rows, expected)
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 7])
@@ -65,24 +69,22 @@ def test_transition_matches_matrix_power(t):
     for j in range(k):
         col = ut[:, g.arc_index(0, j)]
         expected += np.add.reduceat(np.abs(col) ** 2, g.arc_offsets[:-1]) / k
-    row = aw.transition_probability(op, 1, t)
-    assert np.abs(row.probability - expected).max() < 1e-12
-    assert np.allclose(row.normalized, row.probability / g.degrees)
+    rows = aw.transition_rows(op, 1, t)
+    assert rows.shape == (t + 1, 4)
+    assert np.abs(rows[t] - expected).max() < 1e-12
 
 
 def test_rows_sum_to_one(three_community):
     op = aw.build_walk_operator(three_community, aw.CoinKind.FOURIER)
-    for t in (1, 5, 40):
-        for node in (1, 7, 13):
-            row = aw.transition_probability(op, node, t)
-            assert abs(row.probability.sum() - 1.0) < 1e-10
+    for node in (1, 7, 13):
+        rows = aw.transition_rows(op, node, 40)
+        assert np.abs(rows[[1, 5, 40]].sum(axis=1) - 1.0).max() < 1e-10
 
 
 def test_fourier_spreads_over_first_community(three_community):
     op = aw.build_walk_operator(three_community, aw.CoinKind.FOURIER)
-    for t in range(3, 16):
-        row = aw.transition_probability(op, 1, t)
-        assert row.probability[:7].sum() > 0.5
+    rows = aw.transition_rows(op, 1, 15)
+    assert np.all(rows[3:, :7].sum(axis=1) > 0.5)
 
 
 def test_finite_average_path2_hand_computed():
@@ -90,60 +92,57 @@ def test_finite_average_path2_hand_computed():
     g = aw.builtin("path(2)")
     for kind in aw.CoinKind:
         op = aw.build_walk_operator(g, kind)
-        row = aw.finite_time_average(op, 1, steps=2)
-        assert np.allclose(row.probability, [0.5, 0.5])
-        assert np.allclose(row.normalized, [0.5, 0.5])
-        row0 = aw.finite_time_average(op, 1, steps=2, include_start=True)
-        assert np.allclose(row0.probability, [2 / 3, 1 / 3])
+        p, norm = aw.finite_time_average_matrix(op, steps=2)
+        assert np.allclose(p[0], [0.5, 0.5])
+        assert np.allclose(norm[0], [0.5, 0.5])
+        p0, _ = aw.finite_time_average_matrix(op, steps=2, include_start=True)
+        assert np.allclose(p0[0], [2 / 3, 1 / 3])
 
 
 def test_finite_average_matches_per_step_mean(three_community):
     op = aw.build_walk_operator(three_community, aw.CoinKind.FOURIER)
     steps = 12
-    manual = np.mean(
-        [aw.transition_probability(op, 4, t).probability for t in range(1, steps + 1)],
-        axis=0,
-    )
-    row = aw.finite_time_average(op, 4, steps=steps)
-    assert np.abs(row.probability - manual).max() < 1e-12
-    assert row.time == (1, steps)
+    manual = aw.transition_rows(op, 4, steps)[1:].mean(axis=0)
+    p, _ = aw.finite_time_average_matrix(op, steps=steps)
+    assert np.abs(p[3] - manual).max() < 1e-12
 
 
 def test_average_matrix_matches_rows(three_community):
     op = aw.build_walk_operator(three_community, aw.CoinKind.GROVER)
     p, norm = aw.finite_time_average_matrix(op, steps=20, chunk_arcs=13)
     for node in (1, 9, 21):
-        row = aw.finite_time_average(op, node, steps=20)
-        assert np.abs(p[node - 1] - row.probability).max() < 1e-12
-        assert np.abs(norm[node - 1] - row.normalized).max() < 1e-12
+        row = aw.transition_rows(op, node, 20)[1:].mean(axis=0)
+        assert np.abs(p[node - 1] - row).max() < 1e-12
+        assert np.abs(norm[node - 1] - row / three_community.degrees).max() < 1e-12
 
 
 def test_light_cone_on_long_cycle():
     g = aw.builtin("cycle(51)")
     op = aw.build_walk_operator(g, aw.CoinKind.FOURIER)
     start = 26
+    rows = aw.transition_rows(op, start, 25)
     for t in (1, 5, 12, 25):
-        row = aw.transition_probability(op, start, t)
-        support = np.flatnonzero(row.probability > 1e-15) + 1
+        support = np.flatnonzero(rows[t] > 1e-15) + 1
         ring_dist = np.minimum(np.abs(support - start), 51 - np.abs(support - start))
         assert ring_dist.max() <= t
 
 
 def test_determinism(karate):
     op = aw.build_walk_operator(karate, aw.CoinKind.FOURIER)
-    a = aw.finite_time_average(op, 3, steps=30)
-    b = aw.finite_time_average(op, 3, steps=30)
-    assert np.array_equal(a.probability, b.probability)
+    a = aw.transition_rows(op, 3, 30)
+    b = aw.transition_rows(op, 3, 30)
+    assert np.array_equal(a, b)
 
 
 def test_norm_conserved_on_all_builtins(rng):
     for name in ["three_community", "karate", "cycle(5)", "path(4)", "complete(4)", "square_triangle"]:
         g = aw.builtin(name)
         op = aw.build_walk_operator(g, aw.CoinKind.FOURIER)
-        state = aw.basis_state(g, 1, 0)
-        final = aw.evolve(op, state, 1000)
-        assert abs(final.norm() - 1.0) < 1e-10
-        assert final.time == 1000
+        psi = np.zeros(g.arc_count, dtype=complex)
+        psi[0] = 1.0
+        for _ in range(1000):
+            psi = op.apply(psi)
+        assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
 
 
 def row_layout_steps(graph, u, arcs, steps):
@@ -191,8 +190,9 @@ def test_average_matrix_matches_row_layout_oracle(three_community, kind, include
     assert np.abs(p - p_ref).max() <= 1e-12
     assert np.abs(norm - norm_ref).max() <= 1e-12
     for node in (1, 13):
-        row = aw.finite_time_average(op, node, steps=15, include_start=include_start)
-        assert np.abs(row.probability - p_ref[node - 1]).max() <= 1e-12
+        rows = aw.transition_rows(op, node, 15)
+        row = (rows if include_start else rows[1:]).mean(axis=0)
+        assert np.abs(row - p_ref[node - 1]).max() <= 1e-12
 
 
 @pytest.mark.parametrize("t", [0, 1, 7])
@@ -201,8 +201,8 @@ def test_transition_matches_row_layout_oracle(karate, t):
     u = aw.materialize_dense(op)
     for node in (1, 12, 34):
         expected = row_layout_steps(karate, u, node_arcs(karate, node), t)[t].mean(axis=0)
-        row = aw.transition_probability(op, node, t)
-        assert np.abs(row.probability - expected).max() <= 1e-12
+        rows = aw.transition_rows(op, node, t)
+        assert np.abs(rows[t] - expected).max() <= 1e-12
 
 
 @pytest.mark.parametrize("slot", [None, 2])
@@ -218,3 +218,25 @@ def test_cli_evolve_matches_row_layout_oracle(karate, slot):
     for row, probs in zip(rows, expected):
         assert np.abs(row["probability"] - probs.mean(axis=0)).max() <= 1e-12
         assert np.abs(row["normalized"] - probs.mean(axis=0) / karate.degrees).max() <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    graph=st.booleans().flatmap(lambda bip: connected_graphs(bip)),
+    kind=st.sampled_from(list(aw.CoinKind)),
+    data=st.data(),
+)
+def test_transition_rows_properties(graph, kind, data):
+    op = aw.build_walk_operator(graph, kind)
+    node = data.draw(st.integers(1, graph.node_count), label="node")
+    steps = data.draw(st.integers(1, 12), label="steps")
+    rows = aw.transition_rows(op, node, steps)
+    assert rows.shape == (steps + 1, graph.node_count)
+    assert np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-12
+    delta = np.zeros(graph.node_count)
+    delta[node - 1] = 1.0
+    assert np.array_equal(rows[0], delta)
+    for include_start in (False, True):
+        p, _ = aw.finite_time_average_matrix(op, steps=steps, include_start=include_start)
+        window = rows if include_start else rows[1:]
+        assert np.abs(window.mean(axis=0) - p[node - 1]).max() <= 1e-12

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_cesaro_kernel import connected_graphs
+from test_operators import K4_PENDANT
 
 import arcwalk as aw
 from arcwalk.graph import GraphError
@@ -154,3 +158,43 @@ def test_reverse_is_involution(name):
 def test_graph_is_immutable(karate):
     with pytest.raises(ValueError):
         karate.degrees[0] = 99
+
+
+@pytest.mark.parametrize("name", ["three_community", "karate", "square_triangle"])
+def test_arc_between_inverts_the_arc_layout(name):
+    g = aw.builtin(name)
+    for arc in range(g.arc_count):
+        assert g.arc_between(int(g.arc_tail[arc]), int(g.arc_head[arc])) == arc
+
+
+def test_arc_between_rejects_non_adjacent_nodes(three_community):
+    with pytest.raises(GraphError, match="nodes 1 and 9 are not adjacent"):
+        three_community.arc_between(0, 8)
+
+
+def test_degree_rejects_out_of_range_node(karate):
+    assert karate.degree(34) == 17
+    for node in (0, 35):
+        with pytest.raises(GraphError, match="out of range 1..34"):
+            karate.degree(node)
+
+
+def assert_fan_sum_matches_reduceat(graph):
+    rng = np.random.default_rng(11)
+    offsets = graph.arc_offsets[:-1]
+    for shape in [(graph.arc_count,), (graph.arc_count, 9)]:
+        values = rng.random(shape)
+        expected = np.add.reduceat(values, offsets, axis=0)
+        got = graph.fan_sum(values)
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-12
+
+
+def test_fan_sum_matches_reduceat_when_class_size_equals_degree():
+    assert_fan_sum_matches_reduceat(aw.Graph.from_edges(K4_PENDANT))
+
+
+@settings(max_examples=20, deadline=None)
+@given(graph=st.booleans().flatmap(lambda bip: connected_graphs(bip)))
+def test_fan_sum_matches_reduceat_on_random_graphs(graph):
+    assert_fan_sum_matches_reduceat(graph)

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import arcwalk as aw
-from arcwalk.spectral import (
-    SpectralError,
-    eigenstate_node_probability,
-)
+from arcwalk.cli import RunConfig, run
+from arcwalk.spectral import SpectralError, _cycle_arcs, eigenstate_node_probability
 
 
 def grover_dec(name):
@@ -26,6 +25,34 @@ def test_decompose_rejects_non_unitary():
         aw.decompose(np.diag([1.0, 2.0]))
     with pytest.raises(SpectralError, match="square"):
         aw.decompose(np.ones((2, 3)))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decompose_rejects_nan_and_inf(bad):
+    with pytest.raises(SpectralError, match="not unitary"):
+        aw.decompose(np.full((2, 2), bad))
+    u = np.eye(3, dtype=complex)
+    u[1, 2] = bad
+    with pytest.raises(SpectralError, match="not unitary"):
+        aw.decompose(u)
+
+
+@pytest.mark.parametrize("corrupt,match", [("eigenvalue", "unit circle"), ("vector", "residual")])
+def test_decompose_rejects_nan_from_the_eigensolver(monkeypatch, corrupt, match):
+    schur = scipy.linalg.schur
+
+    def nan_schur(u, output):
+        t, z = schur(u, output=output)
+        if corrupt == "eigenvalue":
+            t[0, 0] = np.nan
+        else:
+            z[0, 0] = np.nan
+        return t, z
+
+    monkeypatch.setattr(scipy.linalg, "schur", nan_schur)
+    with pytest.raises(SpectralError, match=match):
+        aw.decompose(np.eye(3))
 
 
 def test_decomposition_invariants(three_fourier_dec, three_community):
@@ -92,15 +119,16 @@ def test_spectral_reconstruction(name, kind):
     assert np.abs(rebuilt - u).max() < 1e-8
 
 
-def test_infinite_average_row_matches_matrix(three_fourier_dec, three_community, three_fourier_avg):
+def test_infinite_average_row_matches_matrix(three_fourier_avg):
+    # the CLI's single-start document is one row of the matrix
     p, norm = three_fourier_avg
     for node in (1, 8, 21):
-        row = aw.infinite_time_average(three_fourier_dec, three_community, node)
-        assert np.abs(row.probability - p[node - 1]).max() < 1e-12
-        assert np.abs(row.normalized - norm[node - 1]).max() < 1e-12
-        assert row.start == node and row.time == (0, None)
+        doc = run(RunConfig(command="average", graph_source="builtin:three_community", start=node))
+        assert doc.payload["start"] == node
+        assert np.abs(doc.payload["probability"] - p[node - 1]).max() < 1e-12
+        assert np.abs(doc.payload["normalized"] - norm[node - 1]).max() < 1e-12
     with pytest.raises(aw.GraphError, match="out of range"):
-        aw.infinite_time_average(three_fourier_dec, three_community, 22)
+        run(RunConfig(command="average", graph_source="builtin:three_community", start=22))
 
 
 def test_infinite_average_conservation_and_symmetry(three_fourier_avg):
@@ -145,26 +173,26 @@ def test_karate_marginal_values(karate_fourier_avg):
 def test_participation_ratio_extremes():
     delta = np.zeros(21)
     delta[3] = 1.0
-    assert aw.participation_ratio(delta) == 1.0
+    assert aw.ipr(delta) == 1.0
     uniform = np.full(21, 1 / 21)
-    assert aw.participation_ratio(uniform) == pytest.approx(1 / 21)
+    assert aw.ipr(uniform) == pytest.approx(1 / 21)
     community = np.zeros(21)
     community[:7] = 1 / 7
-    assert aw.participation_ratio(community) == pytest.approx(1 / 7)
+    assert aw.ipr(community) == pytest.approx(1 / 7)
+    assert np.allclose(aw.ipr(np.stack([delta, uniform, community])), [1, 1 / 21, 1 / 7])
 
 
 def test_ipr_bounds(three_fourier_dec, three_community):
-    values = aw.ipr(three_fourier_dec, three_community)
+    values = aw.ipr(eigenstate_node_probability(three_fourier_dec, three_community))
     n = three_community.node_count
     assert np.all(values >= 1 / n - 1e-12)
     assert np.all(values <= 1.0 + 1e-12)
 
 
 def test_eigenstate_profile_normalization(three_fourier_dec, three_community):
-    g = three_community
-    for mu in (0, 10, 77):
-        profile = aw.eigenstate_profile(three_fourier_dec, g, mu)
-        assert abs(np.sum(profile * g.degrees) - 1.0) < 1e-10
+    node_prob = eigenstate_node_probability(three_fourier_dec, three_community)
+    assert node_prob.shape == (78, 21)
+    assert np.abs(node_prob.sum(axis=1) - 1.0).max() < 1e-10
 
 
 def test_fourier_eigenstate_localizes_in_community(three_fourier_dec, three_community):
@@ -192,9 +220,10 @@ def test_grover_pm_one_eigenstate_localizes_on_few_nodes(three_grover_dec, three
 def test_loop_eigenvector_triangle(three_community):
     found = aw.loop_eigenvector(three_community, [1, 2, 3], eigenvalue=1)
     assert found is not None
-    state, lam = found
+    amplitudes, lam = found
     assert lam == 1
-    assert abs(state.norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(amplitudes) - 1.0) < 1e-12
+    assert np.count_nonzero(amplitudes) == 6
     assert aw.loop_eigenvector(three_community, [1, 2, 3], eigenvalue=-1) is None
 
 
@@ -210,6 +239,13 @@ def test_loop_eigenvector_explicit_pattern(three_community):
     # alternating signs around the triangle: forward arcs +, reverse arcs -
     found = aw.loop_eigenvector(three_community, [1, 2, 3], sign_pattern=[1, 1, 1, -1, -1, -1])
     assert found is not None and found[1] == 1
+
+
+def test_cycle_arcs_run_forward_then_back(three_community):
+    g = three_community
+    pairs = [(1, 2), (2, 3), (3, 1), (2, 1), (3, 2), (1, 3)]
+    expected = [g.arc_between(a - 1, b - 1) for a, b in pairs]
+    assert _cycle_arcs(g, [1, 2, 3]).tolist() == expected
 
 
 def test_loop_eigenvector_rejects_non_cycle(three_community):
