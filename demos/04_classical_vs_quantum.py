@@ -19,11 +19,11 @@ def main() -> None:
     d = g.arc_count
     q = 1.0 / d
 
-    flat = aw.stationary(g).probabilities / g.degrees
+    flat = aw.stationary(g) / g.degrees
     print(f"classical normalized stationary: min {flat.min():.8f}, "
           f"max {flat.max():.8f} (1/D = {q:.8f}) -- flat to machine precision")
 
-    trace, tv = aw.relaxation_trace(g, 1, 200)
+    _, tv = aw.relaxation_trace(g, 1, 200)
     first = int(np.argmax(tv < 0.01)) + 1
     print(f"classical walk from node 1 relaxes below TV=0.01 after {first} steps")
 

@@ -42,9 +42,8 @@ def main() -> None:
     dec = aw.decompose(aw.materialize_dense(op, cap=5000))
     _, norm = aw.infinite_time_average_matrix(dec, g)
 
-    result = aw.sweep(norm, g, Q_LIST)
     print("\nthreshold sweep:")
-    for q, count, sizes in result.entries:
+    for q, count, sizes in aw.sweep(norm, g, Q_LIST):
         print(f"  q = {q:.10f}: {count} communities, sizes {sizes}")
 
 

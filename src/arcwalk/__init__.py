@@ -9,21 +9,8 @@ for comparison.
 
 __version__ = "0.1.0"
 
-from .classical import (
-    ClassicalDistribution,
-    classical_step,
-    relaxation_trace,
-    stationary,
-    total_variation,
-)
-from .community import (
-    CommunityPartition,
-    MarginEntry,
-    SweepResult,
-    detect,
-    margin_report,
-    sweep,
-)
+from .classical import relaxation_trace, stationary
+from .community import CommunityPartition, MarginEntry, detect, margin_report, sweep
 from .evolution import finite_time_average_matrix, transition_rows
 from .graph import (
     Graph,
@@ -43,7 +30,6 @@ from .operators import (
     fourier_coin,
     grover_coin,
     materialize_dense,
-    verify_shift_equivalence,
 )
 from .spectral import (
     DegeneracyReport,
@@ -75,7 +61,6 @@ __all__ = [
     "grover_coin",
     "build_walk_operator",
     "materialize_dense",
-    "verify_shift_equivalence",
     "transition_rows",
     "finite_time_average_matrix",
     "SpectralDecomposition",
@@ -90,16 +75,12 @@ __all__ = [
     "loop_eigenvector",
     "argument_histogram",
     "CommunityPartition",
-    "SweepResult",
     "MarginEntry",
     "detect",
     "sweep",
     "margin_report",
-    "ClassicalDistribution",
-    "classical_step",
     "stationary",
     "relaxation_trace",
-    "total_variation",
     "OutputDocument",
     "emit_heatmap_csv",
 ]

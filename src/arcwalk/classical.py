@@ -2,7 +2,8 @@
 
 Distributions are pushed forward deterministically through the transition
 kernel p'(l) = sum over neighbors i of p(i)/k_i, so every trace is exact and
-directly comparable to the quantum probability rows.  The degree-normalized
+directly comparable to the quantum probability rows.  Both functions return
+plain arrays over the nodes (column l - 1 is node l).  The degree-normalized
 stationary distribution is flat at 1/D, which is what motivates the
 community threshold q = 1/D: the classical average carries no community
 signal at all.
@@ -10,68 +11,23 @@ signal at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graph import Graph, GraphError
 
-__all__ = [
-    "ClassicalDistribution",
-    "classical_step",
-    "stationary",
-    "relaxation_trace",
-    "total_variation",
-    "TV_CONVERGENCE_THRESHOLD",
-]
-
-# reporting threshold for the relaxation time; arbitrary but fixed
-TV_CONVERGENCE_THRESHOLD = 0.01
+__all__ = ["stationary", "relaxation_trace"]
 
 
-@dataclass(frozen=True)
-class ClassicalDistribution:
-    """Probability vector over nodes at time t."""
-
-    graph: Graph
-    probabilities: np.ndarray
-    time: int = 0
+def stationary(graph: Graph) -> np.ndarray:
+    """Stationary distribution k_l / D, shape (N,); its degree-normalized
+    form is 1/D."""
+    return graph.degrees / graph.arc_count
 
 
-def _validate(graph: Graph, p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if p.shape != (graph.node_count,):
-        raise ValueError(
-            f"distribution length {p.shape} does not match N={graph.node_count}"
-        )
-    return p
-
-
-def classical_step(graph: Graph, dist: ClassicalDistribution) -> ClassicalDistribution:
-    """One step of the simple random walk: mass splits evenly over links."""
-    p = _validate(graph, dist.probabilities)
-    outflow = p / graph.degrees
-    arriving = outflow[graph.arc_tail]  # contribution carried by each arc
-    nxt = np.bincount(graph.arc_head, weights=arriving, minlength=graph.node_count)
-    return ClassicalDistribution(graph, nxt, dist.time + 1)
-
-
-def stationary(graph: Graph) -> ClassicalDistribution:
-    """Stationary distribution k_l / D; its degree-normalized form is 1/D."""
-    p = graph.degrees / graph.arc_count
-    return ClassicalDistribution(graph, p, 0)
-
-
-def total_variation(p: np.ndarray, q: np.ndarray) -> float:
-    return float(0.5 * np.sum(np.abs(np.asarray(p) - np.asarray(q))))
-
-
-def relaxation_trace(
-    graph: Graph, start: int, steps: int
-) -> tuple[list[ClassicalDistribution], np.ndarray]:
+def relaxation_trace(graph: Graph, start: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Evolve a delta distribution and track distance to stationarity.
 
-    Returns the ``steps`` successive distributions (t = 1..steps) and the
+    Returns the (steps, N) distributions at t = 1..steps and the (steps,)
     total-variation distance to the stationary distribution at each step.
     Convergence claims only make sense on non-bipartite graphs, where the
     walk is aperiodic.
@@ -80,14 +36,13 @@ def relaxation_trace(
         raise ValueError("trace needs at least one step")
     if not 1 <= start <= graph.node_count:
         raise GraphError(f"node {start} out of range 1..{graph.node_count}")
-    target = stationary(graph).probabilities
-    p = np.zeros(graph.node_count)
+    n = graph.node_count
+    trace = np.empty((steps, n))
+    p = np.zeros(n)
     p[start - 1] = 1.0
-    dist = ClassicalDistribution(graph, p, 0)
-    trace = []
-    tv = np.empty(steps)
     for t in range(steps):
-        dist = classical_step(graph, dist)
-        trace.append(dist)
-        tv[t] = total_variation(dist.probabilities, target)
+        # mass splits evenly over a node's links: each arc carries p(tail)/k
+        p = np.bincount(graph.arc_head, weights=(p / graph.degrees)[graph.arc_tail], minlength=n)
+        trace[t] = p
+    tv = 0.5 * np.abs(trace - stationary(graph)).sum(axis=1)
     return trace, tv

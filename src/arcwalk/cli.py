@@ -54,7 +54,7 @@ class RunConfig:
     command: str
     graph_source: str
     coin: str = "fourier"
-    mode: str | None = None
+    mode: str = "average-infinite"
     start: int | None = None
     slot: int | None = None
     steps: int = DEFAULT_AVERAGE_STEPS
@@ -95,10 +95,7 @@ def _coin_kind(name: str) -> CoinKind:
 
 
 def _resolve_mode(config: RunConfig) -> str:
-    mode = config.mode
-    if mode is None:
-        return "average-infinite"
-    mode = {"finite": "average-finite", "infinite": "average-infinite"}.get(mode, mode)
+    mode = {"finite": "average-finite", "infinite": "average-infinite"}.get(config.mode, config.mode)
     if mode not in ("average-finite", "average-infinite"):
         raise ConfigError(f"unknown averaging mode {config.mode!r}")
     return mode
@@ -259,11 +256,10 @@ def _run_sweep(config: RunConfig, graph: Graph) -> OutputDocument:
         raise ConfigError("--q-list must hold positive thresholds in ascending order")
     op = build_walk_operator(graph, _coin_kind(config.coin))
     params, _, norm = _average_matrices(config, graph, op)
-    result = sweep(norm, graph, config.q_list, source=params["mode"])
+    entries = sweep(norm, graph, config.q_list, source=params["mode"])
     payload = {
         "entries": [
-            {"q": q, "count": count, "sizes": list(sizes)}
-            for q, count, sizes in result.entries
+            {"q": q, "count": count, "sizes": list(sizes)} for q, count, sizes in entries
         ]
     }
     meta = _metadata(config, graph, parameters={**params, "q_list": list(config.q_list)})
@@ -279,11 +275,11 @@ def _run_classical(config: RunConfig, graph: Graph) -> OutputDocument:
     flat = stationary(graph)
     payload = {
         "start": config.start,
-        "stationary": flat.probabilities,
-        "normalized_stationary": flat.probabilities / graph.degrees,
+        "stationary": flat,
+        "normalized_stationary": flat / graph.degrees,
         "trace": [
-            {"t": d.time, "probability": d.probabilities, "tv_to_stationary": float(v)}
-            for d, v in zip(trace, tv)
+            {"t": t, "probability": p, "tv_to_stationary": float(v)}
+            for t, (p, v) in enumerate(zip(trace, tv), start=1)
         ],
     }
     meta = _metadata(config, graph, parameters={"start": config.start, "steps": config.steps})
@@ -308,6 +304,11 @@ def run(config: RunConfig) -> OutputDocument:
         raise ConfigError(f"unknown output format {config.format!r}")
     if config.steps < 0:
         raise ConfigError("steps must be non-negative")
+    if not (np.isfinite(config.degeneracy_tol) and config.degeneracy_tol > 0):
+        raise ConfigError(f"--deg-tol must be finite and positive, got {config.degeneracy_tol}")
+    # written as "not x >= 0" so that a NaN fails the check
+    if not config.marginal_band >= 0:
+        raise ConfigError(f"--marginal-band must be non-negative, got {config.marginal_band}")
     graph = _load_graph(config.graph_source)
     return _RUNNERS[config.command](config, graph)
 
@@ -395,82 +396,67 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"arcwalk {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--graph", required=True, help="builtin:NAME | edgelist:PATH | pajek:PATH")
-        p.add_argument("--coin", default="fourier", choices=["fourier", "grover"])
-        p.add_argument("--output", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", default="json", choices=["json", "csv"])
-        p.add_argument("--dense-cap", type=int, default=None)
-        p.add_argument("--deg-tol", type=float, default=DEFAULT_DEGENERACY_TOL)
+    # dests are RunConfig field names, and a flag left unset stays out of the
+    # namespace, so RunConfig alone holds the defaults
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        p.add_argument(
+            "--graph",
+            dest="graph_source",
+            required=True,
+            help="builtin:NAME | edgelist:PATH | pajek:PATH",
+        )
+        p.add_argument("--coin", choices=["fourier", "grover"])
+        p.add_argument("--output", help="output path (default: stdout)")
+        p.add_argument("--format", choices=["json", "csv"])
+        p.add_argument("--dense-cap", type=int)
+        p.add_argument("--deg-tol", dest="degeneracy_tol", type=float)
+        return p
 
     def averaging(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--mode",
-            default=None,
             choices=["average-finite", "average-infinite", "finite", "infinite"],
             help="averaging mode (default: exact infinite-time; finite time only on request)",
         )
-        p.add_argument("--steps", type=int, default=DEFAULT_AVERAGE_STEPS)
-        p.add_argument("--include-t0", action="store_true")
+        p.add_argument("--steps", type=int)
+        p.add_argument("--include-t0", dest="include_start", action="store_true")
 
-    p = sub.add_parser("evolve", help="time evolution of a transition row")
-    common(p)
+    p = command("evolve", "time evolution of a transition row")
     p.add_argument("--start", type=int, required=True)
-    p.add_argument("--slot", type=int, default=None)
+    p.add_argument("--slot", type=int)
     p.add_argument("--steps", type=int, default=15)
 
-    p = sub.add_parser("average", help="time-averaged transition probabilities")
-    common(p)
+    p = command("average", "time-averaged transition probabilities")
     averaging(p)
-    p.add_argument("--start", type=int, default=None)
+    p.add_argument("--start", type=int)
 
-    p = sub.add_parser("spectrum", help="eigenvalues, degeneracy report, IPR")
-    common(p)
-    p.add_argument("--bins", type=int, default=20)
+    p = command("spectrum", "eigenvalues, degeneracy report, IPR")
+    p.add_argument("--bins", type=int)
 
-    p = sub.add_parser("detect", help="threshold community detection")
-    common(p)
+    p = command("detect", "threshold community detection")
     averaging(p)
-    p.add_argument("--threshold", default="auto")
-    p.add_argument("--marginal-band", type=float, default=DEFAULT_MARGINAL_BAND)
+    p.add_argument("--threshold")
+    p.add_argument("--marginal-band", type=float)
 
-    p = sub.add_parser("sweep", help="community counts over a threshold list")
-    common(p)
+    p = command("sweep", "community counts over a threshold list")
     averaging(p)
     p.add_argument("--q-list", required=True, help="comma-separated ascending thresholds")
 
-    p = sub.add_parser("classical", help="classical random-walk baseline")
-    common(p)
+    p = command("classical", "classical random-walk baseline")
     p.add_argument("--start", type=int, required=True)
-    p.add_argument("--steps", type=int, default=DEFAULT_AVERAGE_STEPS)
+    p.add_argument("--steps", type=int)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    q_list: tuple[float, ...] = ()
-    if getattr(args, "q_list", None):
-        try:
-            q_list = tuple(float(v) for v in args.q_list.split(","))
-        except ValueError:
-            raise ConfigError(f"--q-list must be comma-separated numbers, got {args.q_list!r}")
-    return RunConfig(
-        command=args.command,
-        graph_source=args.graph,
-        coin=args.coin,
-        mode=getattr(args, "mode", None),
-        start=getattr(args, "start", None),
-        slot=getattr(args, "slot", None),
-        steps=getattr(args, "steps", DEFAULT_AVERAGE_STEPS),
-        threshold=getattr(args, "threshold", "auto"),
-        q_list=q_list,
-        bins=getattr(args, "bins", 20),
-        include_start=getattr(args, "include_t0", False),
-        marginal_band=getattr(args, "marginal_band", DEFAULT_MARGINAL_BAND),
-        output=args.output,
-        format=args.format,
-        dense_cap=args.dense_cap,
-        degeneracy_tol=args.deg_tol,
-    )
+    fields = vars(args)
+    text = fields.pop("q_list", "")
+    try:
+        q_list = tuple(float(v) for v in text.split(",")) if text else ()
+    except ValueError:
+        raise ConfigError(f"--q-list must be comma-separated numbers, got {text!r}") from None
+    return RunConfig(**fields, q_list=q_list)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -6,6 +6,10 @@ absorbs every unclassified node whose normalized average exceeds the
 threshold; a candidate that was already absorbed hands its would-be members
 to the community it belongs to.  Nodes exceeding no threshold end up as
 singleton communities, surfacing outliers instead of forcing a fit.
+
+:func:`detect` returns a :class:`CommunityPartition`; :func:`sweep` returns
+plain (q, count, sizes) tuples, one per threshold; :func:`margin_report`
+computes every node's margin against every hub from the same matrix.
 """
 
 from __future__ import annotations
@@ -14,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, GraphError
+from .graph import Graph
 
 __all__ = [
     "CommunityPartition",
-    "SweepResult",
     "MarginEntry",
     "detect",
     "sweep",
@@ -34,13 +37,12 @@ class CommunityPartition:
     """Result of one detection run.
 
     ``hubs`` lists each community's hub in creation order; ``assignment``
-    maps every node (1-based) to a community index; ``margins`` holds
-    P(own hub -> node) - q per node (aligned with node id - 1).
+    maps every node (1-based) to a community index.  Margins against the
+    threshold come from :func:`margin_report`.
     """
 
     hubs: tuple[int, ...]
     assignment: dict[int, int]
-    margins: np.ndarray
     threshold: float
     source: str
 
@@ -58,13 +60,6 @@ class CommunityPartition:
         for c in self.assignment.values():
             counts[c] += 1
         return tuple(counts)
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """Community count and sizes per threshold value."""
-
-    entries: tuple[tuple[float, int, tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -90,7 +85,6 @@ def detect(
     if not threshold > 0:
         raise ValueError("threshold must be positive")
     assignment: dict[int, int] = {}
-    hub_of_node = np.full(n, -1, dtype=np.intp)
     hubs: list[int] = []
     for cand in _candidate_order(graph):
         if cand in assignment:
@@ -99,7 +93,6 @@ def detect(
             community = len(hubs)
             hubs.append(cand)
             assignment[cand] = community
-            hub_of_node[cand] = cand
         members = [
             l
             for l in np.flatnonzero(matrix[cand] > threshold)
@@ -107,14 +100,11 @@ def detect(
         ]
         for l in members:
             assignment[int(l)] = community
-            hub_of_node[l] = hubs[community]
         if len(assignment) == n:
             break
-    margins = matrix[hub_of_node, np.arange(n)] - threshold
     return CommunityPartition(
         hubs=tuple(h + 1 for h in hubs),
         assignment={node + 1: c for node, c in assignment.items()},
-        margins=margins,
         threshold=threshold,
         source=source,
     )
@@ -122,8 +112,11 @@ def detect(
 
 def sweep(
     matrix: np.ndarray, graph: Graph, thresholds, source: str = "average"
-) -> SweepResult:
-    """Run detection per threshold; thresholds must be ascending."""
+) -> tuple[tuple[float, int, tuple[int, ...]], ...]:
+    """Run detection per threshold; thresholds must be ascending.
+
+    Returns one (q, community count, community sizes) entry per threshold.
+    """
     values = [float(q) for q in thresholds]
     if not values:
         raise ValueError("threshold list is empty")
@@ -133,7 +126,7 @@ def sweep(
     for q in values:
         part = detect(matrix, graph, q, source=source)
         entries.append((q, part.community_count, part.sizes()))
-    return SweepResult(tuple(entries))
+    return tuple(entries)
 
 
 def margin_report(

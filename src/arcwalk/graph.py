@@ -23,7 +23,6 @@ __all__ = [
     "is_bipartite",
     "two_coloring",
     "builtin",
-    "BUILTIN_NAMES",
 ]
 
 
@@ -104,10 +103,6 @@ class Graph:
             raise GraphError(f"node {node} out of range 1..{self.node_count}")
         return int(self.degrees[node - 1])
 
-    def neighbors(self, node: int) -> tuple[int, ...]:
-        """Sorted neighbor ids (1-based) of a node (1-based id)."""
-        return tuple(j + 1 for j in self.adjacency[node - 1])
-
     def arc_index(self, tail: int, slot: int) -> int:
         """Flat arc index of the arc leaving 0-based ``tail`` at ``slot``."""
         if not 0 <= tail < self.node_count:
@@ -115,13 +110,6 @@ class Graph:
         if not 0 <= slot < self.degrees[tail]:
             raise GraphError(f"slot {slot} out of range for node of degree {self.degrees[tail]}")
         return int(self.arc_offsets[tail] + slot)
-
-    def arc_endpoints(self, arc: int) -> tuple[int, int]:
-        """(tail, slot) pair of a flat arc index, both 0-based."""
-        if not 0 <= arc < self.arc_count:
-            raise GraphError(f"arc index {arc} out of range")
-        tail = int(self.arc_tail[arc])
-        return tail, int(arc - self.arc_offsets[tail])
 
     def arc_between(self, tail: int, head: int) -> int:
         """Flat index of the arc from 0-based ``tail`` to 0-based ``head``."""
@@ -141,12 +129,14 @@ class Graph:
     def from_edges(cls, edges, node_count: int | None = None) -> "Graph":
         """Build a graph from 0-based undirected edge pairs.
 
-        Rejects self-loops, duplicate edges, isolated nodes, and
-        disconnected graphs.
+        Rejects negative ids, self-loops, duplicate edges, isolated nodes,
+        and disconnected graphs.
         """
         edge_set: set[tuple[int, int]] = set()
         max_node = -1
         for a, b in edges:
+            if a < 0 or b < 0:
+                raise GraphError(f"negative node index in edge ({a}, {b})")
             if a == b:
                 raise GraphError(f"self-loop at node {a + 1}")
             key = (min(a, b), max(a, b))
@@ -354,15 +344,6 @@ def _square_triangle() -> Graph:
     # |V|=5, |E|=6, b1=2, non-bipartite.
     return Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4)])
 
-
-BUILTIN_NAMES = (
-    "three_community",
-    "karate",
-    "square_triangle",
-    "cycle(n)",
-    "path(n)",
-    "complete(n)",
-)
 
 _PARAMETRIC = {"cycle": _cycle, "path": _path, "complete": _complete}
 _FIXED = {

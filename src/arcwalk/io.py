@@ -66,16 +66,14 @@ def _flat(meta: dict, prefix: str = ""):
             yield name, value
 
 
-def emit_heatmap_csv(
-    matrix: np.ndarray, row_ids, col_ids=None, corner: str = "l"
-) -> str:
+def emit_heatmap_csv(matrix: np.ndarray, row_ids, col_ids=None) -> str:
     """Labeled CSV of a matrix: header of target ids, one row per initial node."""
     matrix = np.asarray(matrix, dtype=float)
     if col_ids is None:
         col_ids = row_ids
     if matrix.shape != (len(row_ids), len(col_ids)):
         raise ValueError("matrix shape does not match the id labels")
-    lines = [",".join([corner] + [str(c) for c in col_ids])]
+    lines = [",".join(["l"] + [str(c) for c in col_ids])]
     for rid, row in zip(row_ids, matrix):
         lines.append(",".join([str(rid)] + [format_float(v) for v in row]))
     return "\n".join(lines)

@@ -14,12 +14,11 @@ without a second copy.
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, GraphError, builtin
+from .graph import Graph
 
 __all__ = [
     "CoinKind",
@@ -30,13 +29,11 @@ __all__ = [
     "build_walk_operator",
     "materialize_dense",
     "check_dense_cap",
-    "verify_shift_equivalence",
     "DEFAULT_DENSE_CAP",
     "DenseCapExceeded",
 ]
 
 DEFAULT_DENSE_CAP = 6000
-_DENSE_CAP_ENV = "ARCWALK_DENSE_CAP"
 
 
 class DenseCapExceeded(RuntimeError):
@@ -117,14 +114,9 @@ def build_walk_operator(graph: Graph, coin: CoinKind) -> WalkOperator:
 
 
 def check_dense_cap(dimension: int, cap: int | None = None) -> None:
-    """Refuse a dense D x D array above ``cap`` (default 6000, overridable
-    via ARCWALK_DENSE_CAP)."""
+    """Refuse a dense D x D array above ``cap`` (default :data:`DEFAULT_DENSE_CAP`)."""
     if cap is None:
-        env = os.environ.get(_DENSE_CAP_ENV)
-        try:
-            cap = int(env) if env else DEFAULT_DENSE_CAP
-        except ValueError:  # refuse to materialize under a guard that cannot be read
-            raise DenseCapExceeded(f"{_DENSE_CAP_ENV} must be an integer, got {env!r}") from None
+        cap = DEFAULT_DENSE_CAP
     if dimension > cap:
         raise DenseCapExceeded(f"D={dimension} exceeds dense materialization cap {cap}")
 
@@ -134,32 +126,3 @@ def materialize_dense(op: WalkOperator, cap: int | None = None) -> np.ndarray:
     check_dense_cap(op.dimension, cap)
     return op.apply(np.eye(op.dimension, dtype=complex))
 
-
-def verify_shift_equivalence(n: int) -> bool:
-    """Check the flip-operator identity between the two shift conventions.
-
-    On the n-cycle, the arc-reversal shift S times the per-node flip P equals
-    the standard shift S' (right-movers stay right-movers), and consequently
-    S(PC) = S'C for any coin C; checked here with the Fourier coin.
-    """
-    if n < 3:
-        raise GraphError("shift equivalence check needs a cycle of length >= 3")
-    graph = builtin(f"cycle({n})")
-    d = graph.arc_count
-    s = np.zeros((d, d))
-    s[graph.reverse_arc, np.arange(d)] = 1.0
-    flip = np.zeros((d, d))
-    for i in range(graph.node_count):
-        o = graph.arc_offsets[i]
-        flip[o, o + 1] = flip[o + 1, o] = 1.0
-    # standard shift: |x -> y>  ->  |2x - y -> x (mod n)>; movers keep their
-    # direction while the walker advances one site
-    s_std = np.zeros((d, d))
-    for arc in range(d):
-        x, y = int(graph.arc_tail[arc]), int(graph.arc_head[arc])
-        s_std[graph.arc_between((2 * x - y) % n, x), arc] = 1.0
-    if not np.array_equal(s @ flip, s_std):
-        return False
-    # S is an involution, so S U is the block-diagonal coin C
-    coin = s @ materialize_dense(build_walk_operator(graph, CoinKind.FOURIER), cap=d)
-    return bool(np.max(np.abs(s @ (flip @ coin) - s_std @ coin)) < 1e-15)

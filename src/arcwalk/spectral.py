@@ -109,6 +109,11 @@ class DegeneracyReport:
 
 
 def _group_by_argument(eigenvalues: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
+    # a tolerance that is not > 0 (0, negative, NaN) makes every eigenvalue
+    # its own group, which silently corrupts the Cesaro average of a
+    # degenerate spectrum
+    if not tol > 0:
+        raise ValueError(f"degeneracy tolerance must be positive, got {tol!r}")
     args = np.angle(eigenvalues)
     order = np.argsort(args, kind="stable")
     groups: list[list[int]] = [[int(order[0])]]

@@ -11,6 +11,7 @@ import os
 
 import numpy as np
 import pytest
+from test_operators import verify_shift_equivalence
 
 import arcwalk as aw
 
@@ -151,10 +152,10 @@ def test_criterion_07_airport_hierarchy(capsys):
     op = aw.build_walk_operator(airport, aw.CoinKind.FOURIER)
     dec = aw.decompose(aw.materialize_dense(op, cap=5000))
     _, norm = aw.infinite_time_average_matrix(dec, airport)
-    result = aw.sweep(norm, airport, list(Q_AIRPORT))
+    entries = aw.sweep(norm, airport, list(Q_AIRPORT))
     ok = True
     notes = []
-    for (q, count, sizes), expected in zip(result.entries, AIRPORT_SIZES):
+    for (q, count, sizes), expected in zip(entries, AIRPORT_SIZES):
         big = sorted(sizes, reverse=True)[: len(expected)]
         match = count == len(expected) and all(
             abs(s - e) <= 3 for s, e in zip(sorted(big), sorted(expected))
@@ -191,7 +192,7 @@ def test_criterion_11_classical_baseline(capsys, three_fourier_avg, three_commun
     ok = True
     for name in ["three_community", "karate", "square_triangle", "cycle(5)", "path(4)", "complete(5)"]:
         g = aw.builtin(name)
-        flat = aw.stationary(g).probabilities / g.degrees
+        flat = aw.stationary(g) / g.degrees
         ok = ok and np.abs(flat - 1.0 / g.arc_count).max() < 1e-12
     _, norm = three_fourier_avg
     q = 1.0 / 78
@@ -229,7 +230,7 @@ def test_criterion_12_conservation(capsys, three_community, three_fourier_avg):
 
 
 def test_criterion_13_appendix_validators(capsys, three_community):
-    ok = all(aw.verify_shift_equivalence(n) for n in (3, 4, 10))
+    ok = all(verify_shift_equivalence(n) for n in (3, 4, 10))
     triangle = aw.loop_eigenvector(three_community, [1, 2, 3], eigenvalue=1)
     ok = ok and triangle is not None and triangle[1] == 1
     square = aw.builtin("cycle(4)")

@@ -2,13 +2,9 @@ import numpy as np
 import pytest
 
 import arcwalk as aw
-from arcwalk.classical import TV_CONVERGENCE_THRESHOLD
 
-
-def delta(graph, node):
-    p = np.zeros(graph.node_count)
-    p[node - 1] = 1.0
-    return aw.ClassicalDistribution(graph, p)
+# reporting threshold for the relaxation time; arbitrary but fixed
+TV_CONVERGENCE_THRESHOLD = 0.01
 
 
 def transition_matrix(graph):
@@ -22,56 +18,59 @@ def transition_matrix(graph):
 
 def test_step_on_path2():
     g = aw.builtin("path(2)")
-    out = aw.classical_step(g, delta(g, 1))
-    assert np.array_equal(out.probabilities, [0.0, 1.0])
-    assert out.time == 1
+    trace, _ = aw.relaxation_trace(g, 1, 2)
+    assert trace.shape == (2, 2)
+    assert np.array_equal(trace[0], [0.0, 1.0])
+    assert np.array_equal(trace[1], [1.0, 0.0])
 
 
 def test_stationary_is_fixed_point():
     for name in ["three_community", "karate", "cycle(6)", "path(4)", "complete(5)", "square_triangle"]:
         g = aw.builtin(name)
         pi = aw.stationary(g)
-        out = aw.classical_step(g, pi)
-        assert np.abs(out.probabilities - pi.probabilities).max() < 1e-12
+        assert pi.shape == (g.node_count,)
+        assert np.abs(transition_matrix(g) @ pi - pi).max() < 1e-12
 
 
 def test_step_matches_matrix_power():
-    g = aw.builtin("cycle(4)")
-    t = transition_matrix(g)
-    dist = delta(g, 1)
-    expected = dist.probabilities.copy()
-    for _ in range(50):
-        dist = aw.classical_step(g, dist)
-        expected = t @ expected
-    assert np.abs(dist.probabilities - expected).max() < 1e-12
+    for name in ["cycle(4)", "square_triangle", "karate"]:
+        g = aw.builtin(name)
+        t = transition_matrix(g)
+        for start in (1, g.node_count):
+            trace, _ = aw.relaxation_trace(g, start, 50)
+            expected = np.zeros(g.node_count)
+            expected[start - 1] = 1.0
+            for row in trace:
+                expected = t @ expected
+                assert np.abs(row - expected).max() < 1e-12
 
 
-def test_simplex_preserved(karate, rng):
-    p = rng.random(34)
-    p /= p.sum()
-    dist = aw.ClassicalDistribution(karate, p)
-    for _ in range(100):
-        dist = aw.classical_step(karate, dist)
-        assert abs(dist.probabilities.sum() - 1.0) < 1e-12
-        assert dist.probabilities.min() >= 0
+def test_simplex_preserved(karate):
+    # the walk is linear, so every delta start staying on the simplex covers
+    # every initial distribution
+    for start in range(1, karate.node_count + 1):
+        trace, _ = aw.relaxation_trace(karate, start, 100)
+        assert np.abs(trace.sum(axis=1) - 1.0).max() < 1e-12
+        assert trace.min() >= 0
 
 
 def test_normalized_stationary_is_flat():
     for name in ["three_community", "karate", "cycle(6)", "complete(5)"]:
         g = aw.builtin(name)
-        pi = aw.stationary(g)
-        normalized = pi.probabilities / g.degrees
+        normalized = aw.stationary(g) / g.degrees
         assert np.abs(normalized - 1.0 / g.arc_count).max() < 1e-15
 
 
 def test_karate_threshold_value(karate):
-    pi = aw.stationary(karate)
-    assert np.allclose(pi.probabilities / karate.degrees, 1 / 156)
+    assert np.allclose(aw.stationary(karate) / karate.degrees, 1 / 156)
 
 
 def test_relaxation_three_community(three_community):
     trace, tv = aw.relaxation_trace(three_community, 1, 300)
-    assert len(trace) == 300
+    assert trace.shape == (300, 21)
+    assert tv.shape == (300,)
+    pi = aw.stationary(three_community)
+    assert np.abs(tv - [0.5 * np.abs(row - pi).sum() for row in trace]).max() < 1e-15
     assert tv[-1] < TV_CONVERGENCE_THRESHOLD
     # non-increasing after burn-in
     tail = tv[50:]
@@ -98,3 +97,5 @@ def test_relaxation_rejects_bad_args(karate):
         aw.relaxation_trace(karate, 1, 0)
     with pytest.raises(aw.GraphError):
         aw.relaxation_trace(karate, 99, 5)
+    with pytest.raises(aw.GraphError):
+        aw.relaxation_trace(karate, 0, 5)

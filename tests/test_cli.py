@@ -229,9 +229,17 @@ def test_average_csv_matrix(capsys):
         ["sweep", "--graph", "builtin:karate", "--q-list", ""],
         ["sweep", "--graph", "builtin:karate", "--q-list", "0.1,0.01"],
         ["sweep", "--graph", "builtin:karate", "--q-list", "0,0.01"],
+        ["sweep", "--graph", "builtin:karate", "--q-list", "0.1,x"],
         ["detect", "--graph", "builtin:karate", "--threshold", "nan"],
         ["evolve", "--graph", "builtin:karate", "--start", "1", "--slot", "16"],
         ["evolve", "--graph", "builtin:karate", "--start", "1", "--slot", "-1"],
+        ["detect", "--graph", "builtin:karate", "--deg-tol", "0"],
+        ["detect", "--graph", "builtin:karate", "--deg-tol", "-1"],
+        ["detect", "--graph", "builtin:karate", "--deg-tol", "nan"],
+        ["detect", "--graph", "builtin:karate", "--deg-tol", "inf"],
+        ["spectrum", "--graph", "builtin:karate", "--coin", "grover", "--deg-tol", "0"],
+        ["detect", "--graph", "builtin:karate", "--marginal-band", "-0.1"],
+        ["detect", "--graph", "builtin:karate", "--marginal-band", "nan"],
     ],
 )
 def test_bad_inputs_are_config_errors(argv, capsys):
@@ -239,10 +247,48 @@ def test_bad_inputs_are_config_errors(argv, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_bad_dense_cap_override_is_config_error(monkeypatch, capsys):
-    monkeypatch.setenv("ARCWALK_DENSE_CAP", "lots")
-    assert main(["spectrum", "--graph", "builtin:karate"]) == 2
-    assert "ARCWALK_DENSE_CAP" in capsys.readouterr().err
+KARATE = {"graph_source": "builtin:karate"}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["detect"], dict(command="detect")),
+        (["average"], dict(command="average")),
+        (["spectrum"], dict(command="spectrum")),
+        (["sweep", "--q-list", "0.1,0.2"], dict(command="sweep", q_list=(0.1, 0.2))),
+        (["classical", "--start", "1"], dict(command="classical", start=1)),
+        # the one per-command default: evolve shows 15 steps, not 100
+        (["evolve", "--start", "1"], dict(command="evolve", start=1, steps=15)),
+    ],
+)
+def test_unset_flags_take_the_run_config_defaults(argv, expected):
+    args = cli._build_parser().parse_args([*argv, "--graph", "builtin:karate"])
+    assert cli._config_from_args(args) == RunConfig(**KARATE, **expected)
+
+
+def test_flags_set_the_run_config_fields():
+    argv = [
+        "detect", "--graph", "builtin:karate", "--coin", "grover", "--mode", "finite",
+        "--steps", "7", "--include-t0", "--threshold", "0.01", "--marginal-band", "0.2",
+        "--output", "out.json", "--format", "csv", "--dense-cap", "99", "--deg-tol", "1e-6",
+    ]
+    config = cli._config_from_args(cli._build_parser().parse_args(argv))
+    assert config == RunConfig(
+        command="detect",
+        graph_source="builtin:karate",
+        coin="grover",
+        mode="finite",
+        steps=7,
+        include_start=True,
+        threshold="0.01",
+        marginal_band=0.2,
+        output="out.json",
+        format="csv",
+        dense_cap=99,
+        degeneracy_tol=1e-6,
+    )
+    assert _resolve_mode(config) == "average-finite"
 
 
 def test_internal_value_error_is_not_a_config_error(monkeypatch, capsys):

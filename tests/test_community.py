@@ -78,10 +78,11 @@ def test_extreme_thresholds(three_fourier_avg, three_community):
 
 def test_sweep(three_fourier_avg, three_community):
     _, norm = three_fourier_avg
-    result = aw.sweep(norm, three_community, [1e-4, 1.0 / 78, 1.0])
-    counts = [count for _, count, _ in result.entries]
+    entries = aw.sweep(norm, three_community, [1e-4, 1.0 / 78, 1.0])
+    assert [q for q, _, _ in entries] == [1e-4, 1.0 / 78, 1.0]
+    counts = [count for _, count, _ in entries]
     assert counts == [1, 3, 21]
-    for _, _, sizes in result.entries:
+    for _, _, sizes in entries:
         assert sum(sizes) == 21
 
 

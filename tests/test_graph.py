@@ -27,7 +27,7 @@ def test_edge_list_triangle():
     g = aw.load_edge_list(TRIANGLE)
     assert g.node_count == 3
     assert g.arc_count == 6
-    assert g.neighbors(1) == (2, 3)
+    assert g.adjacency == ((1, 2), (0, 2), (0, 1))
 
 
 def test_edge_list_comments_and_blanks():
@@ -140,7 +140,8 @@ def test_arc_index_bijection(name):
     for i in range(g.node_count):
         for s in range(int(g.degrees[i])):
             flat = g.arc_index(i, s)
-            assert g.arc_endpoints(flat) == (i, s)
+            assert g.arc_tail[flat] == i
+            assert flat - g.arc_offsets[i] == s
             seen.add(flat)
     assert seen == set(range(g.arc_count))
 
@@ -170,6 +171,12 @@ def test_arc_between_inverts_the_arc_layout(name):
 def test_arc_between_rejects_non_adjacent_nodes(three_community):
     with pytest.raises(GraphError, match="nodes 1 and 9 are not adjacent"):
         three_community.arc_between(0, 8)
+
+
+@pytest.mark.parametrize("edges", [[(0, 1), (1, 2), (2, -1)], [(-1, 0), (0, 1)]])
+def test_from_edges_rejects_negative_ids(edges):
+    with pytest.raises(GraphError, match="negative node index"):
+        aw.Graph.from_edges(edges)
 
 
 def test_degree_rejects_out_of_range_node(karate):

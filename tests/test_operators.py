@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from test_cesaro_kernel import connected_graphs
 
 import arcwalk as aw
-from arcwalk.operators import DEFAULT_DENSE_CAP, DenseCapExceeded
+from arcwalk.operators import DEFAULT_DENSE_CAP, DenseCapExceeded, check_dense_cap
 
 
 def unitarity_defect(m):
@@ -171,18 +171,45 @@ def test_dimension_mismatch_rejected(karate):
         op.apply_amplitudes(np.zeros(10, dtype=complex))
 
 
-def test_dense_cap(karate, monkeypatch):
+def test_dense_cap(karate):
     op = aw.build_walk_operator(karate, aw.CoinKind.FOURIER)
-    with pytest.raises(DenseCapExceeded):
-        aw.materialize_dense(op, cap=100)
-    monkeypatch.setenv("ARCWALK_DENSE_CAP", "100")
-    with pytest.raises(DenseCapExceeded):
-        aw.materialize_dense(op)
-    monkeypatch.delenv("ARCWALK_DENSE_CAP")
+    with pytest.raises(DenseCapExceeded, match="D=156 exceeds dense materialization cap 155"):
+        aw.materialize_dense(op, cap=155)
+    assert aw.materialize_dense(op, cap=156).shape == (156, 156)
     assert DEFAULT_DENSE_CAP >= 156
     aw.materialize_dense(op)
+    with pytest.raises(DenseCapExceeded, match=f"cap {DEFAULT_DENSE_CAP}"):
+        check_dense_cap(DEFAULT_DENSE_CAP + 1)
+
+
+def verify_shift_equivalence(n):
+    """Check the flip-operator identity between the two shift conventions.
+
+    On the n-cycle, the arc-reversal shift S times the per-node flip P equals
+    the standard shift S' (right-movers stay right-movers), and consequently
+    S(PC) = S'C for any coin C; checked here with the Fourier coin.
+    """
+    graph = aw.builtin(f"cycle({n})")
+    d = graph.arc_count
+    s = np.zeros((d, d))
+    s[graph.reverse_arc, np.arange(d)] = 1.0
+    flip = np.zeros((d, d))
+    for i in range(graph.node_count):
+        o = graph.arc_offsets[i]
+        flip[o, o + 1] = flip[o + 1, o] = 1.0
+    # standard shift: |x -> y>  ->  |2x - y -> x (mod n)>; movers keep their
+    # direction while the walker advances one site
+    s_std = np.zeros((d, d))
+    for arc in range(d):
+        x, y = int(graph.arc_tail[arc]), int(graph.arc_head[arc])
+        s_std[graph.arc_between((2 * x - y) % n, x), arc] = 1.0
+    if not np.array_equal(s @ flip, s_std):
+        return False
+    # S is an involution, so S U is the block-diagonal coin C
+    coin = s @ aw.materialize_dense(aw.build_walk_operator(graph, aw.CoinKind.FOURIER))
+    return bool(np.max(np.abs(s @ (flip @ coin) - s_std @ coin)) < 1e-15)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 10])
 def test_shift_equivalence(n):
-    assert aw.verify_shift_equivalence(n)
+    assert verify_shift_equivalence(n)

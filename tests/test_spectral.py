@@ -273,3 +273,13 @@ def test_argument_histogram_grover(three_grover_dec):
 def test_argument_histogram_rejects_single_bin(three_fourier_dec):
     with pytest.raises(ValueError):
         aw.argument_histogram(three_fourier_dec, 1)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_degeneracy_tolerance_must_be_positive(three_community, tol):
+    # every eigenvalue its own group would give a wrong "exact" Cesaro average
+    dense = aw.materialize_dense(aw.build_walk_operator(three_community, aw.CoinKind.FOURIER))
+    with pytest.raises(ValueError, match="degeneracy tolerance must be positive"):
+        aw.decompose(dense, degeneracy_tol=tol)
+    with pytest.raises(ValueError, match="degeneracy tolerance must be positive"):
+        aw.grover_decompose(three_community, tol)
