@@ -29,6 +29,7 @@ from .operators import CoinKind, DenseCapExceeded, build_walk_operator, material
 from .spectral import (
     DEFAULT_DEGENERACY_TOL,
     SpectralError,
+    _schur_decompose,
     argument_histogram,
     decompose,
     degeneracy_report,
@@ -123,7 +124,8 @@ def _average_matrices(config: RunConfig, graph: Graph, op) -> tuple[dict, np.nda
         msg = f"{exc}; use --mode average-finite or raise --dense-cap"
         raise DenseCapExceeded(msg) from None
     p, norm = infinite_time_average_matrix(dec, graph)
-    return {"mode": mode, "eigensolver": "grover-spectral-map" if grover else "schur"}, p, norm
+    solver = "grover-spectral-map" if grover else "cayley-mrrr"
+    return {"mode": mode, "eigensolver": solver}, p, norm
 
 
 def _threshold(config: RunConfig, graph: Graph) -> float:
@@ -133,8 +135,8 @@ def _threshold(config: RunConfig, graph: Graph) -> float:
         q = float(config.threshold)
     except ValueError:
         raise ConfigError(f"threshold must be a number or 'auto', got {config.threshold!r}") from None
-    if not q > 0:
-        raise ConfigError("threshold must be positive")
+    if not (np.isfinite(q) and q > 0):
+        raise ConfigError(f"threshold must be finite and positive, got {config.threshold!r}")
     return q
 
 
@@ -199,7 +201,7 @@ def _run_spectrum(config: RunConfig, graph: Graph) -> OutputDocument:
         raise ConfigError("--bins must be at least 2")
     op = build_walk_operator(graph, _coin_kind(config.coin))
     dense = materialize_dense(op, cap=config.dense_cap)
-    dec = decompose(dense, degeneracy_tol=config.degeneracy_tol)
+    dec = _schur_decompose(dense, degeneracy_tol=config.degeneracy_tol)
     report = degeneracy_report(dec, graph)
     counts, edges = argument_histogram(dec, config.bins)
     payload = {
@@ -252,8 +254,9 @@ def _run_detect(config: RunConfig, graph: Graph) -> OutputDocument:
 def _run_sweep(config: RunConfig, graph: Graph) -> OutputDocument:
     if not config.q_list:
         raise ConfigError("sweep requires --q-list")
-    if not all(q > 0 for q in config.q_list) or list(config.q_list) != sorted(config.q_list):
-        raise ConfigError("--q-list must hold positive thresholds in ascending order")
+    qs = list(config.q_list)
+    if not all(np.isfinite(q) and q > 0 for q in qs) or qs != sorted(qs):
+        raise ConfigError("--q-list must hold finite positive thresholds in ascending order")
     op = build_walk_operator(graph, _coin_kind(config.coin))
     params, _, norm = _average_matrices(config, graph, op)
     entries = sweep(norm, graph, config.q_list, source=params["mode"])
@@ -306,9 +309,10 @@ def run(config: RunConfig) -> OutputDocument:
         raise ConfigError("steps must be non-negative")
     if not (np.isfinite(config.degeneracy_tol) and config.degeneracy_tol > 0):
         raise ConfigError(f"--deg-tol must be finite and positive, got {config.degeneracy_tol}")
-    # written as "not x >= 0" so that a NaN fails the check
-    if not config.marginal_band >= 0:
-        raise ConfigError(f"--marginal-band must be non-negative, got {config.marginal_band}")
+    if not (np.isfinite(config.marginal_band) and config.marginal_band >= 0):
+        raise ConfigError(
+            f"--marginal-band must be finite and non-negative, got {config.marginal_band}"
+        )
     graph = _load_graph(config.graph_source)
     return _RUNNERS[config.command](config, graph)
 

@@ -4,11 +4,19 @@ Two eigensolvers produce the same :class:`SpectralDecomposition`
 (unit-modulus eigenvalues, orthonormal eigenvector columns, groups of
 degenerate eigenvalues):
 
-* :func:`decompose` takes any dense unitary and uses the complex Schur
-  form: for a unitary (normal) matrix its triangular factor is numerically
-  diagonal and the Schur vectors form an exactly orthonormal eigenbasis,
-  which a raw nonsymmetric eigensolver does not guarantee inside degenerate
-  eigenspaces.  It serves the Fourier coin and the ``spectrum`` census.
+* :func:`decompose` takes any dense unitary U and diagonalizes its
+  Hermitian Cayley image H = i(I - W)(I + W)^-1, W = e^{i phi} U, which has
+  U's eigenvectors and the eigenvalues tan(theta / 2) for the eigenvalues
+  e^{i theta} of W.  An eigenvalues-only pass finds the widest gap of the
+  spectrum, where phi puts the map's pole (the point of the circle it sends
+  to infinity); then one in-place LU inverse of I + W and one MRRR ``eigh``
+  (LAPACK zheevr; Dhillon and Parlett 2004, Dhillon, Parlett and Voemel
+  2006) give the basis.  Together they cost a fraction of the complex Schur
+  form, and a Hermitian solver returns an orthonormal basis inside
+  degenerate eigenspaces, which a raw nonsymmetric eigensolver does not
+  guarantee.  It serves the Fourier coin.  The ``spectrum`` census keeps
+  the Schur form (``_schur_decompose``), whose last-digit rounding its
+  recorded documents hold.
 * :func:`grover_decompose` builds the Grover walk's eigenbasis from the
   graph by the spectral mapping theorem (Szegedy 2004; Higuchi, Konno, Sato
   and Segawa 2014), with no dense U and no D x D eigensolver.  With
@@ -20,7 +28,9 @@ degenerate eigenvalues):
   signed by the tail's color.  The rest of the +-1 eigenspaces are the
   "birth" flows on edges, from the null spaces of the signed (+1, dimension
   b1) and unsigned (-1, dimension b1 - 1, or b1 if bipartite) incidence
-  matrices.  The basis is checked as :func:`decompose` checks its own.
+  matrices.
+
+Both bases, and the Schur one, pass the same checks (``_check_basis``).
 
 Infinite-time (Cesaro) averages sum |P_g[a, b]|^2 over eigenspace projectors
 P_g and over the arc fans of the start and target nodes, so they stay correct
@@ -40,10 +50,12 @@ a loop eigenvector's amplitudes.  Sums over a node's arcs are
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .graph import Graph, GraphError, betti_number, is_bipartite, two_coloring
 from .operators import CoinKind, build_walk_operator, check_dense_cap
@@ -130,29 +142,147 @@ def _group_by_argument(eigenvalues: np.ndarray, tol: float) -> tuple[np.ndarray,
     return tuple(np.array(g, dtype=np.intp) for g in groups)
 
 
+# The Cayley map sends the unit circle to the real line and one point of it,
+# the pole, to infinity.  With the nearest eigenvalue a distance delta from
+# the pole, ||H|| is about 2/delta, and the eigh's rounding, eps ||H||, makes
+# the basis about 2/delta times less accurate than the Schur form's: on small
+# random graphs a pole 2e-3 from an eigenvalue moved the Cesaro matrices by
+# 8e-12.  So the pole goes in the middle of the widest gap of the spectrum,
+# which an eigenvalues-only pass with the pole at a fixed angle locates.  That
+# angle is one no structured spectrum favours (the Grover walk's exact -1
+# eigenvalues make I + W singular for a pole at pi).  If that pass finds an
+# eigenvalue within _POLE_TRUST of its pole, its spectrum is too perturbed to
+# place a gap, and the pole goes to the opposite point instead.
+_FIRST_POLE = 2.0
+_POLE_TRUST = 1e-6
+# columns per block of U V - V Lambda and of V*V, which are never held whole
+_BLOCK = 128
+
+
 def decompose(
     unitary: np.ndarray, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL
 ) -> SpectralDecomposition:
-    """Eigendecomposition of a unitary matrix with degeneracy grouping."""
-    u = np.asarray(unitary, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise SpectralError("input must be a square matrix")
-    d = u.shape[0]
-    # written as "not x <= bound" so that a NaN fails the check
-    if not np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-10:
-        raise SpectralError("input matrix is not unitary within 1e-10")
+    """Eigendecomposition of a unitary matrix with degeneracy grouping, from
+    the Hermitian ``eigh`` of its Cayley image (see the module docstring).
+    U must be unitary within 1e-10 and the basis must pass
+    :func:`_check_basis`; a failure raises :class:`SpectralError`."""
+    u = _checked_unitary(unitary)
+    first = _cayley_eigh(u, _FIRST_POLE, vectors=False)
+    pole = _FIRST_POLE + np.pi
+    if first is not None:
+        nearest = np.min(np.abs(np.angle(first[0] * np.exp(-1j * _FIRST_POLE))))
+        if nearest >= _POLE_TRUST:
+            pole = _widest_gap_middle(first[0])
+    solved = _cayley_eigh(u, pole)
+    if solved is None:
+        raise SpectralError("I + W is singular at both places of the Cayley pole")
+    eigenvalues, vectors = solved
+    _check_basis(eigenvalues, vectors, u.__matmul__)
+    groups = _group_by_argument(eigenvalues, degeneracy_tol)
+    return SpectralDecomposition(eigenvalues, vectors, groups, degeneracy_tol)
+
+
+def _schur_decompose(
+    unitary: np.ndarray, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL
+) -> SpectralDecomposition:
+    """:func:`decompose` by the complex Schur form, for the ``spectrum``
+    census: its recorded eigenvalues keep Schur's last-digit rounding.  For a
+    unitary (normal) matrix the triangular factor is numerically diagonal
+    and the Schur vectors are an orthonormal eigenbasis."""
+    u = _checked_unitary(unitary)
     try:
         t, z = scipy.linalg.schur(u, output="complex")
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise SpectralError(f"eigensolver failed to converge: {exc}") from exc
     eigenvalues = np.diag(t).copy()
-    if not np.max(np.abs(np.abs(eigenvalues) - 1.0)) <= 1e-10:
-        raise SpectralError("computed eigenvalues leave the unit circle")
-    residual = np.max(np.linalg.norm(u @ z - z * eigenvalues, axis=0))
-    if not residual <= 1e-8:
-        raise SpectralError(f"eigenvector residual {residual:.2e} exceeds 1e-8")
+    _check_basis(eigenvalues, z, u.__matmul__)
     groups = _group_by_argument(eigenvalues, degeneracy_tol)
     return SpectralDecomposition(eigenvalues, z, groups, degeneracy_tol)
+
+
+def _checked_unitary(unitary: np.ndarray) -> np.ndarray:
+    u = np.asarray(unitary, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise SpectralError("input must be a square matrix")
+    # written as "not x <= bound" so that a NaN fails the check
+    if not _gram_drift(u) <= 1e-10:
+        raise SpectralError("input matrix is not unitary within 1e-10")
+    return u
+
+
+def _cayley_eigh(
+    u: np.ndarray, pole: float, vectors: bool = True
+) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """Eigenvalues and orthonormal eigenvectors (None unless ``vectors``) of
+    U from one Hermitian ``eigh`` of H = i(2(I + W)^-1 - I), where
+    W = -e^{-i pole} U puts the map's pole at the eigenvalue e^{i pole} of U;
+    None if I + W is singular."""
+    d = u.shape[0]
+    a = np.multiply(u, -np.exp(-1j * pole))
+    a[np.diag_indices(d)] += 1.0
+    # LAPACK works in place on the Fortran-ordered view a^T, so it inverts
+    # (I + W)^T, and H^T = conj(H) is formed in the same buffer
+    lu, piv, info = lapack.zgetrf(a.T, overwrite_a=True)
+    if info > 0:
+        return None
+    lwork = int(lapack.zgetri_lwork(d)[0].real)
+    h, _ = lapack.zgetri(lu, piv, lwork=lwork, overwrite_lu=True)
+    h *= 2j
+    h[np.diag_indices(d)] -= 1j
+    try:
+        solved = scipy.linalg.eigh(
+            h, eigvals_only=not vectors, overwrite_a=True, check_finite=False, driver="evr"
+        )
+    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        raise SpectralError(f"eigensolver failed to converge: {exc}") from exc
+    lam, v = solved if vectors else (solved, None)
+    if v is not None:
+        # conj(H) has the conjugate eigenvectors of H
+        np.conjugate(v, out=v)
+    return -np.exp(1j * pole) * (1 + 1j * lam) / (1 - 1j * lam), v
+
+
+def _widest_gap_middle(eigenvalues: np.ndarray) -> float:
+    """Angle halfway across the widest gap between eigenvalues on the circle."""
+    args = np.sort(np.angle(eigenvalues))
+    gaps = np.diff(args, append=args[0] + 2 * np.pi)
+    k = int(np.argmax(gaps))
+    return float(args[k] + gaps[k] / 2)
+
+
+def _gram_drift(m: np.ndarray) -> float:
+    """max |M*M - I| over the upper triangle of M*M, formed one block of
+    rows at a time, so that neither M*M nor a conjugated copy of M is held."""
+    drift = 0.0
+    for start in range(0, m.shape[1], _BLOCK):
+        rows = m[:, start : start + _BLOCK].conj().T
+        gram = rows @ m[:, start:]
+        gram[:, : rows.shape[0]] -= np.eye(rows.shape[0])
+        # np.maximum, unlike max, keeps a NaN
+        drift = np.maximum(drift, np.max(np.abs(gram)))
+    return float(drift)
+
+
+def _check_basis(
+    eigenvalues: np.ndarray, vectors: np.ndarray, apply: Callable[[np.ndarray], np.ndarray]
+) -> None:
+    """Raise :class:`SpectralError` unless the eigenvalues lie on the unit
+    circle within 1e-10, every residual |U v - lambda v| is within 1e-8 and
+    V*V = I within 1e-10; ``apply`` computes U @ V for a block of columns."""
+    # written as "not x <= bound" so that a NaN fails the check
+    if not np.max(np.abs(np.abs(eigenvalues) - 1.0)) <= 1e-10:
+        raise SpectralError("computed eigenvalues leave the unit circle")
+    norms = np.empty(eigenvalues.size)
+    for start in range(0, eigenvalues.size, _BLOCK):
+        cols = slice(start, start + _BLOCK)
+        v = vectors[:, cols]
+        norms[cols] = np.linalg.norm(apply(v) - v * eigenvalues[cols], axis=0)
+    residual = np.max(norms)
+    if not residual <= 1e-8:
+        raise SpectralError(f"eigenvector residual {residual:.2e} exceeds 1e-8")
+    drift = _gram_drift(vectors)
+    if not drift <= 1e-10:
+        raise SpectralError(f"eigenvectors are not orthonormal: max|V*V - I| = {drift:.2e}")
 
 
 def grover_decompose(
@@ -164,24 +294,13 @@ def grover_decompose(
     theorem, without forming U or calling a D x D eigensolver.
 
     The D x D eigenbasis is still held densely, so ``cap`` guards it as in
-    :func:`materialize_dense`.  The basis is checked as :func:`decompose`
-    checks its own: eigenvalues on the unit circle, residual of U V = V diag
-    (through the structured operator) within 1e-8, and V*V = I within 1e-10
-    in place of the unitarity check; a failure raises :class:`SpectralError`.
+    :func:`materialize_dense`.  The basis must pass :func:`_check_basis`,
+    with U applied through the structured operator; a failure raises
+    :class:`SpectralError`.
     """
     check_dense_cap(graph.arc_count, cap)
     eigenvalues, vectors = _grover_eigenbasis(graph)
-    if not np.max(np.abs(np.abs(eigenvalues) - 1.0)) <= 1e-10:
-        raise SpectralError("computed eigenvalues leave the unit circle")
-    op = build_walk_operator(graph, CoinKind.GROVER)
-    residual = np.max(np.linalg.norm(op.apply(vectors) - vectors * eigenvalues, axis=0))
-    if not residual <= 1e-8:
-        raise SpectralError(f"eigenvector residual {residual:.2e} exceeds 1e-8")
-    gram = vectors.conj().T @ vectors
-    gram[np.diag_indices_from(gram)] -= 1.0
-    drift = np.max(np.abs(gram))
-    if not drift <= 1e-10:
-        raise SpectralError(f"eigenvectors are not orthonormal: max|V*V - I| = {drift:.2e}")
+    _check_basis(eigenvalues, vectors, build_walk_operator(graph, CoinKind.GROVER).apply)
     groups = _group_by_argument(eigenvalues, degeneracy_tol)
     return SpectralDecomposition(eigenvalues, vectors, groups, degeneracy_tol)
 

@@ -53,14 +53,24 @@ def _cases() -> dict[str, list[str]]:
 CASES = _cases()
 
 
+def _reject_constant(name: str) -> None:
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+def strict_json(text: str):
+    """``json.loads`` without Python's NaN, Infinity and -Infinity extension,
+    which strict parsers reject."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def cli_document(argv: list[str]) -> dict:
-    """Parsed JSON document printed by ``arcwalk <argv>``."""
+    """Parsed JSON document printed by ``arcwalk <argv>``; it must be strict JSON."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
     if code != 0:
         raise RuntimeError(f"arcwalk {' '.join(argv)} exited {code}")
-    return json.loads(out.getvalue())
+    return strict_json(out.getvalue())
 
 
 def record() -> None:

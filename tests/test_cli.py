@@ -240,6 +240,11 @@ def test_average_csv_matrix(capsys):
         ["spectrum", "--graph", "builtin:karate", "--coin", "grover", "--deg-tol", "0"],
         ["detect", "--graph", "builtin:karate", "--marginal-band", "-0.1"],
         ["detect", "--graph", "builtin:karate", "--marginal-band", "nan"],
+        # non-finite values would be written as Infinity, which is not JSON
+        ["detect", "--graph", "builtin:karate", "--threshold", "inf"],
+        ["detect", "--graph", "builtin:karate", "--threshold", "1e400"],
+        ["sweep", "--graph", "builtin:karate", "--q-list", "0.01,inf"],
+        ["detect", "--graph", "builtin:karate", "--marginal-band", "inf"],
     ],
 )
 def test_bad_inputs_are_config_errors(argv, capsys):

@@ -1,6 +1,7 @@
 """Golden-document gate: CLI output must match the documents recorded in
 ``tests/golden/`` (see ``record_golden.py``).
 
+Every document must parse as strict JSON (RFC 8259: no NaN or Infinity).
 Integers, booleans and strings (hubs, assignments, marginal flags,
 multiplicities, counts) must match exactly; floats within 1e-12 absolute.
 Spectrum eigenvalues are compared as a list sorted by argument, and the
@@ -13,7 +14,7 @@ import json
 import math
 
 import pytest
-from record_golden import CASES, GOLDEN_DIR, cli_document
+from record_golden import CASES, GOLDEN_DIR, cli_document, strict_json
 
 FLOAT_ATOL = 1e-12
 
@@ -62,3 +63,9 @@ def test_matches_golden(case):
 
 def test_every_golden_document_has_a_case():
     assert sorted(p.stem for p in GOLDEN_DIR.glob("*.json")) == sorted(CASES)
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_documents_are_parsed_as_strict_json(constant):
+    with pytest.raises(ValueError, match="not JSON"):
+        strict_json(f'{{"threshold": {constant}}}')

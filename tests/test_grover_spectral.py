@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_cayley import schur_decomposition
 from test_cesaro_kernel import connected_graphs
 
 import arcwalk as aw
@@ -43,7 +44,7 @@ GRAPHS = {
 
 def schur_oracle(graph):
     op = aw.build_walk_operator(graph, aw.CoinKind.GROVER)
-    return aw.decompose(aw.materialize_dense(op))
+    return schur_decomposition(aw.materialize_dense(op))
 
 
 def assert_matches_schur(graph):
@@ -200,7 +201,7 @@ def test_cli_documents_match_the_schur_path(name, monkeypatch, capsys):
     "coin,mode,solver",
     [
         ("grover", "average-infinite", "grover-spectral-map"),
-        ("fourier", "average-infinite", "schur"),
+        ("fourier", "average-infinite", "cayley-mrrr"),
         ("grover", "average-finite", None),
     ],
 )

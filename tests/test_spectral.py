@@ -38,19 +38,28 @@ def test_decompose_rejects_nan_and_inf(bad):
         aw.decompose(u)
 
 
-@pytest.mark.parametrize("corrupt,match", [("eigenvalue", "unit circle"), ("vector", "residual")])
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "corrupt,match",
+    [("eigenvalue", "unit circle"), ("vector", "residual"), ("basis", "not orthonormal")],
+)
 def test_decompose_rejects_nan_from_the_eigensolver(monkeypatch, corrupt, match):
-    schur = scipy.linalg.schur
+    eigh = scipy.linalg.eigh
 
-    def nan_schur(u, output):
-        t, z = schur(u, output=output)
+    def corrupt_eigh(h, **kwargs):
+        if kwargs.get("eigvals_only"):  # the pass that places the pole
+            return eigh(h, **kwargs)
+        lam, v = eigh(h, **kwargs)
         if corrupt == "eigenvalue":
-            t[0, 0] = np.nan
+            lam[0] = np.nan
+        elif corrupt == "vector":
+            v[0, 0] = np.nan
         else:
-            z[0, 0] = np.nan
-        return t, z
+            # U = I maps every vector to itself: only V*V = I sees a repeat
+            v[:, 1] = v[:, 0]
+        return lam, v
 
-    monkeypatch.setattr(scipy.linalg, "schur", nan_schur)
+    monkeypatch.setattr(scipy.linalg, "eigh", corrupt_eigh)
     with pytest.raises(SpectralError, match=match):
         aw.decompose(np.eye(3))
 
