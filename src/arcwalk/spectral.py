@@ -32,6 +32,13 @@ degenerate eigenvalues):
 
 Both bases, and the Schur one, pass the same checks (``_check_basis``).
 
+Only the two dense solvers use scipy (LAPACK ``zgetrf``/``zgetri``, ``eigh``
+and ``schur``), and each imports it when called.  Importing arcwalk, and
+every path that reaches neither solver, runs on numpy alone: graph loading,
+finite-time averages, evolution, the classical baseline, and the Grover
+basis, which needs only numpy's ``eigh`` and ``svd``.  Importing
+``scipy.linalg`` costs a process about 0.35 s and 27 MB of peak memory.
+
 Infinite-time (Cesaro) averages sum |P_g[a, b]|^2 over eigenspace projectors
 P_g and over the arc fans of the start and target nodes, so they stay correct
 when eigenvalues are degenerate (the Grover walk always is).  For a simple
@@ -54,8 +61,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
 from .graph import Graph, GraphError, betti_number, is_bipartite, two_coloring
 from .operators import CoinKind, build_walk_operator, check_dense_cap
@@ -189,6 +194,8 @@ def _schur_decompose(
     census: its recorded eigenvalues keep Schur's last-digit rounding.  For a
     unitary (normal) matrix the triangular factor is numerically diagonal
     and the Schur vectors are an orthonormal eigenbasis."""
+    import scipy.linalg
+
     u = _checked_unitary(unitary)
     try:
         t, z = scipy.linalg.schur(u, output="complex")
@@ -217,6 +224,9 @@ def _cayley_eigh(
     U from one Hermitian ``eigh`` of H = i(2(I + W)^-1 - I), where
     W = -e^{-i pole} U puts the map's pole at the eigenvalue e^{i pole} of U;
     None if I + W is singular."""
+    import scipy.linalg
+    from scipy.linalg import lapack
+
     d = u.shape[0]
     a = np.multiply(u, -np.exp(-1j * pole))
     a[np.diag_indices(d)] += 1.0

@@ -57,20 +57,20 @@ def _reject_constant(name: str) -> None:
     raise ValueError(f"{name} is not JSON (RFC 8259)")
 
 
-def strict_json(text: str):
+def strict_json(text: str, parse_float=float):
     """``json.loads`` without Python's NaN, Infinity and -Infinity extension,
     which strict parsers reject."""
-    return json.loads(text, parse_constant=_reject_constant)
+    return json.loads(text, parse_constant=_reject_constant, parse_float=parse_float)
 
 
-def cli_document(argv: list[str]) -> dict:
+def cli_document(argv: list[str], parse_float=float) -> dict:
     """Parsed JSON document printed by ``arcwalk <argv>``; it must be strict JSON."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
     if code != 0:
         raise RuntimeError(f"arcwalk {' '.join(argv)} exited {code}")
-    return strict_json(out.getvalue())
+    return strict_json(out.getvalue(), parse_float)
 
 
 def record() -> None:

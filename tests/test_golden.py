@@ -4,19 +4,22 @@
 Every document must parse as strict JSON (RFC 8259: no NaN or Infinity).
 Integers, booleans and strings (hubs, assignments, marginal flags,
 multiplicities, counts) must match exactly; floats within 1e-12 absolute.
+Both documents are parsed to exact decimals, so a field that differs by one
+unit of the 12-significant-digit rendering of a value in [0.1, 1), exactly
+1e-12, passes however the two decimals would round to binary.
 Spectrum eigenvalues are compared as a list sorted by argument, and the
 per-eigenvector IPR is skipped: inside a degenerate eigenspace the basis,
 and so its IPR, is arbitrary.
 """
 
 import cmath
-import json
 import math
+from decimal import Decimal
 
 import pytest
 from record_golden import CASES, GOLDEN_DIR, cli_document, strict_json
 
-FLOAT_ATOL = 1e-12
+FLOAT_ATOL = Decimal("1e-12")
 
 
 def _angle(z: dict) -> float:
@@ -46,7 +49,7 @@ def _diff(ref, got, path: str, out: list[str]) -> None:
             return
         for i, (r, g) in enumerate(zip(ref, got)):
             _diff(r, g, f"{path}[{i}]", out)
-    elif isinstance(ref, float) and type(got) in (int, float):
+    elif isinstance(ref, Decimal) and type(got) in (int, Decimal):
         if not abs(got - ref) <= FLOAT_ATOL:
             out.append(f"{path}: {got!r} differs from {ref!r}")
     elif type(ref) is not type(got) or ref != got:
@@ -55,9 +58,10 @@ def _diff(ref, got, path: str, out: list[str]) -> None:
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_matches_golden(case):
-    reference = json.loads((GOLDEN_DIR / f"{case}.json").read_text())
+    reference = strict_json((GOLDEN_DIR / f"{case}.json").read_text(), Decimal)
+    got = cli_document(CASES[case], Decimal)
     mismatches: list[str] = []
-    _diff(_normalize(reference), _normalize(cli_document(CASES[case])), "doc", mismatches)
+    _diff(_normalize(reference), _normalize(got), "doc", mismatches)
     assert not mismatches, "\n".join(mismatches[:20])
 
 
