@@ -39,7 +39,7 @@ from .spectral import (
     decompose,
     degeneracy_report,
     eigenstate_node_probability,
-    grover_decompose,
+    grover_average_matrix,
     infinite_time_average_matrix,
     ipr,
     loop_eigenvector,
@@ -67,7 +67,7 @@ __all__ = [
     "SpectralError",
     "DegeneracyReport",
     "decompose",
-    "grover_decompose",
+    "grover_average_matrix",
     "degeneracy_report",
     "infinite_time_average_matrix",
     "eigenstate_node_probability",

@@ -34,7 +34,7 @@ from .spectral import (
     decompose,
     degeneracy_report,
     eigenstate_node_probability,
-    grover_decompose,
+    grover_average_matrix,
     infinite_time_average_matrix,
     ipr,
 )
@@ -113,19 +113,16 @@ def _average_matrices(config: RunConfig, graph: Graph, op) -> tuple[dict, np.nda
             op, steps=config.steps, include_start=config.include_start
         )
         return {"mode": mode}, p, norm
-    grover = op.coin is CoinKind.GROVER
+    if op.coin is CoinKind.GROVER:
+        p, norm = grover_average_matrix(graph, config.degeneracy_tol)
+        return {"mode": mode, "eigensolver": "grover-spectral-map"}, p, norm
     try:
-        if grover:
-            dec = grover_decompose(graph, config.degeneracy_tol, cap=config.dense_cap)
-        else:
-            dense = materialize_dense(op, cap=config.dense_cap)
-            dec = decompose(dense, degeneracy_tol=config.degeneracy_tol)
+        dense = materialize_dense(op, cap=config.dense_cap)
     except DenseCapExceeded as exc:
         msg = f"{exc}; use --mode average-finite or raise --dense-cap"
         raise DenseCapExceeded(msg) from None
-    p, norm = infinite_time_average_matrix(dec, graph)
-    solver = "grover-spectral-map" if grover else "cayley-mrrr"
-    return {"mode": mode, "eigensolver": solver}, p, norm
+    p, norm = infinite_time_average_matrix(decompose(dense, config.degeneracy_tol), graph)
+    return {"mode": mode, "eigensolver": "cayley-mrrr"}, p, norm
 
 
 def _threshold(config: RunConfig, graph: Graph) -> float:
@@ -413,7 +410,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--coin", choices=["fourier", "grover"])
         p.add_argument("--output", help="output path (default: stdout)")
         p.add_argument("--format", choices=["json", "csv"])
-        p.add_argument("--dense-cap", type=int)
+        dense = "cap on D for the dense U of Fourier exact averages and spectrum (default 6000)"
+        p.add_argument("--dense-cap", type=int, help=dense)
         p.add_argument("--deg-tol", dest="degeneracy_tol", type=float)
         return p
 

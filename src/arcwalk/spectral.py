@@ -1,42 +1,37 @@
 """Eigendecomposition of the walk unitary and spectrally exact time averages.
 
-Two eigensolvers produce the same :class:`SpectralDecomposition`
-(unit-modulus eigenvalues, orthonormal eigenvector columns, groups of
-degenerate eigenvalues):
-
-* :func:`decompose` takes any dense unitary U and diagonalizes its
-  Hermitian Cayley image H = i(I - W)(I + W)^-1, W = e^{i phi} U, which has
-  U's eigenvectors and the eigenvalues tan(theta / 2) for the eigenvalues
-  e^{i theta} of W.  An eigenvalues-only pass finds the widest gap of the
-  spectrum, where phi puts the map's pole (the point of the circle it sends
-  to infinity); then one in-place LU inverse of I + W and one MRRR ``eigh``
-  (LAPACK zheevr; Dhillon and Parlett 2004, Dhillon, Parlett and Voemel
-  2006) give the basis.  Together they cost a fraction of the complex Schur
-  form, and a Hermitian solver returns an orthonormal basis inside
-  degenerate eigenspaces, which a raw nonsymmetric eigensolver does not
-  guarantee.  It serves the Fourier coin.  The ``spectrum`` census keeps
-  the Schur form (``_schur_decompose``), whose last-digit rounding its
-  recorded documents hold.
-* :func:`grover_decompose` builds the Grover walk's eigenbasis from the
-  graph by the spectral mapping theorem (Szegedy 2004; Higuchi, Konno, Sato
-  and Segawa 2014), with no dense U and no D x D eigensolver.  With
-  (d* f)_a = f(tail a) / sqrt(k_tail), U = S(2 d*d - I) and
-  T = d S d* = K^-1/2 A K^-1/2.  One N x N ``eigh`` of T gives every
-  eigenvalue off +-1: each eigenpair (cos theta, f) of T with |cos theta| < 1
-  yields (I - e^{+-i theta} S) d*f / (sqrt2 sin theta).  T's eigenvalue 1,
-  and -1 on a bipartite graph, carry over as the uniform vector and the one
-  signed by the tail's color.  The rest of the +-1 eigenspaces are the
-  "birth" flows on edges, from the null spaces of the signed (+1, dimension
-  b1) and unsigned (-1, dimension b1 - 1, or b1 if bipartite) incidence
-  matrices.
-
-Both bases, and the Schur one, pass the same checks (``_check_basis``).
+* :func:`decompose` takes any dense unitary U and returns a
+  :class:`SpectralDecomposition` (unit-modulus eigenvalues, orthonormal
+  eigenvector columns, groups of degenerate eigenvalues).  It diagonalizes
+  U's Hermitian Cayley image H = i(I - W)(I + W)^-1, W = e^{i phi} U, which
+  has U's eigenvectors and the eigenvalues tan(theta / 2) for the
+  eigenvalues e^{i theta} of W.  An eigenvalues-only pass finds the widest
+  gap of the spectrum, where phi puts the map's pole (the point of the
+  circle it sends to infinity); then one in-place LU inverse of I + W and
+  one MRRR ``eigh`` (LAPACK zheevr; Dhillon and Parlett 2004, Dhillon,
+  Parlett and Voemel 2006) give the basis.  Together they cost a fraction
+  of the complex Schur form, and a Hermitian solver returns an orthonormal
+  basis inside degenerate eigenspaces, which a raw nonsymmetric eigensolver
+  does not guarantee.  It serves the Fourier coin.  The ``spectrum`` census
+  keeps the Schur form (``_schur_decompose``), whose last-digit rounding its
+  recorded documents hold.  Both bases pass ``_check_basis``.
+* :func:`grover_average_matrix` gives the Grover walk's exact averages in
+  node space by the spectral mapping theorem (Szegedy 2004; Higuchi, Konno,
+  Sato and Segawa 2014), with no D x D array.  With (d* f)_a =
+  f(tail a) / sqrt(k_tail), U = S(2 d*d - I) and T = d S d* = K^-1/2 A K^-1/2.
+  Each eigenvalue cos theta of T in (-1, 1) gives U the pair e^{+-i theta},
+  with eigenvectors (I - e^{+-i theta} S) d*f / (sqrt2 sin theta).  With
+  Q = (I - S)/2 and Q' = (I + S)/2, U's +1 eigenprojector is
+  Q - Q d* [(I - T)/2]^+ d Q + 11^T/D and its -1 one Q' - Q' d* [(I + T)/2]^+
+  d Q' (plus the color-signed vector if bipartite).  So one N x N ``eigh``
+  of T gives every eigenprojector as P[a, b] = alpha[a = b] +
+  beta[a = rev b] + X[tail a, b] + Y[head a, b], with (N, D) arrays X, Y.
 
 Only the two dense solvers use scipy (LAPACK ``zgetrf``/``zgetri``, ``eigh``
 and ``schur``), and each imports it when called.  Importing arcwalk, and
 every path that reaches neither solver, runs on numpy alone: graph loading,
 finite-time averages, evolution, the classical baseline, and the Grover
-basis, which needs only numpy's ``eigh`` and ``svd``.  Importing
+kernel, which needs only numpy's ``eigh``.  Importing
 ``scipy.linalg`` costs a process about 0.35 s and 27 MB of peak memory.
 
 Infinite-time (Cesaro) averages sum |P_g[a, b]|^2 over eigenspace projectors
@@ -44,8 +39,8 @@ P_g and over the arc fans of the start and target nodes, so they stay correct
 when eigenvalues are degenerate (the Grover walk always is).  For a simple
 eigenvalue P_g = v v^*, so |P_g[a, b]|^2 = |v_a|^2 |v_b|^2 and its fan sum is
 the product of two node probabilities of v: all simple groups together are
-one N x N GEMM of fan-summed |v|^2.  Only degenerate groups build D x D
-projectors.
+one N x N GEMM of fan-summed |v|^2.  Only degenerate groups build
+projectors: D x D ones, or the Grover kernel's X and Y.
 
 Every quantity comes back as an array: the (p, P) matrices indexed [start,
 target], the (D, N) eigenstate node probabilities (a row over the degrees
@@ -63,14 +58,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, GraphError, betti_number, is_bipartite, two_coloring
-from .operators import CoinKind, build_walk_operator, check_dense_cap
+from .operators import CoinKind, build_walk_operator
 
 __all__ = [
     "SpectralDecomposition",
     "DegeneracyReport",
     "SpectralError",
     "decompose",
-    "grover_decompose",
+    "grover_average_matrix",
     "degeneracy_report",
     "infinite_time_average_matrix",
     "ipr",
@@ -133,9 +128,9 @@ def _group_by_argument(eigenvalues: np.ndarray, tol: float) -> tuple[np.ndarray,
         raise ValueError(f"degeneracy tolerance must be positive, got {tol!r}")
     args = np.angle(eigenvalues)
     order = np.argsort(args, kind="stable")
-    groups: list[list[int]] = [[int(order[0])]]
-    for idx in order[1:]:
-        if args[idx] - args[groups[-1][-1]] < tol:
+    groups: list[list[int]] = []
+    for idx in order:
+        if groups and args[idx] - args[groups[-1][-1]] < tol:
             groups[-1].append(int(idx))
         else:
             groups.append([int(idx)])
@@ -182,7 +177,7 @@ def decompose(
     if solved is None:
         raise SpectralError("I + W is singular at both places of the Cayley pole")
     eigenvalues, vectors = solved
-    _check_basis(eigenvalues, vectors, u.__matmul__)
+    _check_basis(eigenvalues, vectors, u.__matmul__, np.abs(np.abs(eigenvalues) - 1.0))
     groups = _group_by_argument(eigenvalues, degeneracy_tol)
     return SpectralDecomposition(eigenvalues, vectors, groups, degeneracy_tol)
 
@@ -202,7 +197,7 @@ def _schur_decompose(
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise SpectralError(f"eigensolver failed to converge: {exc}") from exc
     eigenvalues = np.diag(t).copy()
-    _check_basis(eigenvalues, z, u.__matmul__)
+    _check_basis(eigenvalues, z, u.__matmul__, np.abs(np.abs(eigenvalues) - 1.0))
     groups = _group_by_argument(eigenvalues, degeneracy_tol)
     return SpectralDecomposition(eigenvalues, z, groups, degeneracy_tol)
 
@@ -274,13 +269,15 @@ def _gram_drift(m: np.ndarray) -> float:
 
 
 def _check_basis(
-    eigenvalues: np.ndarray, vectors: np.ndarray, apply: Callable[[np.ndarray], np.ndarray]
+    eigenvalues: np.ndarray, vectors: np.ndarray, apply: Callable[[np.ndarray], np.ndarray],
+    off_circle: np.ndarray,
 ) -> None:
-    """Raise :class:`SpectralError` unless the eigenvalues lie on the unit
-    circle within 1e-10, every residual |U v - lambda v| is within 1e-8 and
-    V*V = I within 1e-10; ``apply`` computes U @ V for a block of columns."""
+    """Raise :class:`SpectralError` unless ``off_circle``, how far each
+    eigenvalue puts U's off the unit circle, is within 1e-10, every residual
+    |M v - lambda v| is within 1e-8 and V*V = I within 1e-10; ``apply``
+    computes M @ V for a block of columns."""
     # written as "not x <= bound" so that a NaN fails the check
-    if not np.max(np.abs(np.abs(eigenvalues) - 1.0)) <= 1e-10:
+    if not np.max(off_circle) <= 1e-10:
         raise SpectralError("computed eigenvalues leave the unit circle")
     norms = np.empty(eigenvalues.size)
     for start in range(0, eigenvalues.size, _BLOCK):
@@ -295,81 +292,85 @@ def _check_basis(
         raise SpectralError(f"eigenvectors are not orthonormal: max|V*V - I| = {drift:.2e}")
 
 
-def grover_decompose(
-    graph: Graph,
-    degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
-    cap: int | None = None,
-) -> SpectralDecomposition:
-    """Eigendecomposition of the Grover walk unitary by the spectral mapping
-    theorem, without forming U or calling a D x D eigensolver.
-
-    The D x D eigenbasis is still held densely, so ``cap`` guards it as in
-    :func:`materialize_dense`.  The basis must pass :func:`_check_basis`,
-    with U applied through the structured operator; a failure raises
-    :class:`SpectralError`.
-    """
-    check_dense_cap(graph.arc_count, cap)
-    eigenvalues, vectors = _grover_eigenbasis(graph)
-    _check_basis(eigenvalues, vectors, build_walk_operator(graph, CoinKind.GROVER).apply)
-    groups = _group_by_argument(eigenvalues, degeneracy_tol)
-    return SpectralDecomposition(eigenvalues, vectors, groups, degeneracy_tol)
-
-
-def _grover_eigenbasis(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and (D, D) eigenvectors of U = S(2 d*d - I), where
-    (d* f)_a = f(tail a) / sqrt(k_tail) and T = d S d* = K^-1/2 A K^-1/2."""
+def grover_average_matrix(
+    graph: Graph, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Grover walk's Cesaro-limit (p, P), as from
+    :func:`infinite_time_average_matrix`, in node space (module docstring).
+    Raises :class:`SpectralError` unless T's eigenpairs pass
+    :func:`_check_basis` (|cos theta| <= 1 puts U's eigenvalues on the unit
+    circle), the +-1 projector traces equal the Betti multiplicities and
+    every row of p sums to 1 within 1e-10."""
     n, d = graph.node_count, graph.arc_count
-    tail, head = graph.arc_tail, graph.arc_head
-    t = np.zeros((n, n))
-    t[tail, head] = 1.0 / np.sqrt(graph.degrees[tail] * graph.degrees[head])
+    tail, head, deg = graph.arc_tail, graph.arc_head, graph.degrees
+    adj = np.zeros((n, n))
+    adj[tail, head] = 1.0
+    t = adj / np.sqrt(np.outer(deg, deg))
     lam, f = np.linalg.eigh(t)  # ascending
+    _check_basis(lam, f, t.__matmul__, np.abs(lam) - 1.0)
+    g = f / np.sqrt(deg)[:, None]
     colors = two_coloring(graph)
     # T's eigenvalue 1 (top) is simple on a connected graph and -1 (bottom)
-    # exists, simple, iff it is bipartite; U inherits them as the uniform
-    # vector and the vector signed by the tail's color
-    inner = slice(0 if colors is None else 1, n - 1)
-    lam, f = lam[inner], f[:, inner]
-    inherited = [(1.0, np.full((d, 1), 1 / np.sqrt(d)))]
-    if colors is not None:
-        inherited.append((-1.0, (1.0 - 2.0 * colors[tail])[:, None] / np.sqrt(d)))
-    # every other (cos theta, f) gives (I - e^{+-i theta} S) d*f / (sqrt2 sin theta)
-    x = f[tail] / np.sqrt(graph.degrees[tail])[:, None]
+    # exists, simple, iff it is bipartite
+    low = 0 if colors is None else 1
+    b1 = betti_number(graph)
+    block = np.zeros((n, n))
+    for sign, keep, vec, expected in (
+        (1, slice(0, n - 1), np.ones(n), b1 + 1),
+        (-1, slice(low, n), np.zeros(n) if colors is None else 1 - 2.0 * colors, b1 - 1 + 2 * low),
+    ):
+        # K^-1/2 [(I - sign T)/2]^+ K^-1/2 grows like an effective resistance
+        # (~N on a path), its differences along an arc b stay O(1): squaring
+        # only differences keeps the rounding near eps N, not eps N^2
+        r = (g[:, keep] * (2.0 / (1.0 - sign * lam[keep]))) @ g[:, keep].T
+        h = r[:, tail] - sign * r[:, head]
+        x = np.outer(vec, vec[tail]) / d - h / 4
+        y = sign * h / 4
+        block += _fan_summed_square(graph, adj, x, y, 0.5, -sign / 2)
+        trace = d / 2 + np.sum(x[tail, np.arange(d)] + y[head, np.arange(d)])
+        if not abs(trace - expected) <= 1e-6:
+            msg = f"the {sign:+d} eigenprojector has trace {trace:.6g}, not {expected}"
+            raise SpectralError(msg)
+    lam, g = lam[low : n - 1], g[:, low : n - 1]
     sin = np.sqrt(1.0 - lam**2)
     mu = lam + 1j * sin
-    pairs = [(m, (x - m * x[graph.reverse_arc]) / (np.sqrt(2) * sin)) for m in (mu, mu.conj())]
-    # birth spaces: arc flows c_e on i->j and -+c_e on j->i, with c in the
-    # null space of the signed (+1 space, dim b1) or unsigned (-1 space,
-    # dim b1 - 1, or b1 when bipartite) edge x node incidence matrix
-    fwd = np.flatnonzero(tail < head)
-    b1 = betti_number(graph)
-    births = []
-    for value, sign, dim in ((1.0, -1.0, b1), (-1.0, 1.0, b1 - (colors is None))):
-        incidence = np.zeros((fwd.size, n))
-        incidence[np.arange(fwd.size), tail[fwd]] = 1.0
-        incidence[np.arange(fwd.size), head[fwd]] = sign
-        c = _left_null_space(incidence, dim) / np.sqrt(2)
-        v = np.zeros((d, dim))
-        v[fwd] = c
-        v[graph.reverse_arc[fwd]] = sign * c
-        births.append((value, v))
-    parts = inherited + births + pairs
-    eigenvalues = np.concatenate(
-        [np.broadcast_to(np.asarray(val, dtype=complex), v.shape[1]) for val, v in parts]
-    )
-    return eigenvalues, np.hstack([v for _, v in parts]).astype(complex)
+    # the groups at e^{+-i theta} have conjugate projectors, so one |P|^2
+    # counted twice; a group of m enters as the Gram matrix of its (N, m^2)
+    # fan-summed v_i conj(v_j) (simple: |v|^2) or in the x, y form of
+    # _fan_summed_square, whichever array is smaller
+    groups = _group_by_argument(mu, degeneracy_tol)
+    pairs = [(i, j) for grp in groups if grp.size**2 <= d for i in grp for j in grp]
+    i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    ag = adj @ g
+    gi, gj = g[:, i], g[:, j]
+    fanned = deg[:, None] * gi * gj - mu[j].conj() * gi * ag[:, j] - mu[i] * ag[:, i] * gj
+    fanned += mu[i] * mu[j].conj() * (adj @ (gi * gj))
+    fanned /= 2 * sin[i] * sin[j]
+    block += 2 * (fanned @ fanned.conj().T).real
+    for grp in groups:
+        if grp.size**2 > d:
+            c = g[:, grp] / (2 * sin[grp] ** 2)
+            v = (g[tail[:, None], grp] - mu[grp] * g[head[:, None], grp]).conj().T  # (m, D)
+            block += 2 * _fan_summed_square(graph, adj, c @ v, -(c * mu[grp]) @ v)
+    p = block / deg[:, None]
+    drift = np.max(np.abs(p.sum(axis=1) - 1.0))
+    if not drift <= 1e-10:
+        raise SpectralError(f"rows of p miss 1 by up to {drift:.2e}")
+    return p, p / deg[None, :]
 
 
-def _left_null_space(matrix: np.ndarray, dim: int) -> np.ndarray:
-    """Orthonormal basis (rows, dim) of the vectors c with c^T matrix = 0,
-    whose dimension ``dim`` is known; raises if the singular values
-    do not show rank rows - dim."""
-    rows, cols = matrix.shape
-    rank = rows - dim
-    u, sv, _ = np.linalg.svd(matrix, full_matrices=True)
-    tol = max(rows, cols) * np.finfo(float).eps * sv[0]
-    if (rank > 0 and not sv[rank - 1] > tol) or np.any(sv[rank:] > tol):
-        raise SpectralError(f"incidence matrix does not have the expected rank {rank}")
-    return u[:, rank:]
+def _fan_summed_square(
+    graph: Graph, adj: np.ndarray, x: np.ndarray, y: np.ndarray, alpha=0.0, beta=0.0
+) -> np.ndarray:
+    """(N, N) sums of |P[a, b]|^2 over a leaving u and b leaving v, where
+    P[a, b] = alpha[a = b] + beta[a = rev b] + x[tail a, b] + y[head a, b]."""
+    tail, head, b = graph.arc_tail, graph.arc_head, np.arange(graph.arc_count)
+    s = graph.degrees[:, None] * np.abs(x) ** 2 + adj @ np.abs(y) ** 2
+    s += 2 * np.real(x.conj() * (adj @ y))
+    # a = b leaves u = tail b; a = rev b leaves u = head b
+    s[tail, b] += 2 * alpha * np.real(x[tail, b] + y[head, b]) + alpha**2
+    s[head, b] += 2 * beta * np.real(x[head, b] + y[tail, b]) + beta**2
+    return graph.fan_sum(s.T).T
 
 
 def degeneracy_report(dec: SpectralDecomposition, graph: Graph) -> DegeneracyReport:

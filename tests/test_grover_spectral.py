@@ -1,11 +1,16 @@
-"""The Grover spectral-mapping eigenbasis against the Schur oracle.
+"""The node-space Grover kernel against the Schur and spectral-map oracles.
 
-``grover_decompose`` builds the Grover eigenbasis from an N x N ``eigh`` and
-the incidence null spaces; the dense Schur decomposition of U is kept here
-only as the oracle it must reproduce.
+``grover_average_matrix`` builds the Grover walk's exact averages from the
+N x N ``eigh`` of T alone.  Two oracles are kept here: the complex Schur
+form of the dense U (``test_cayley.schur_decomposition``), and the D x D
+eigenbasis that the spectral mapping theorem builds from that ``eigh`` and
+the incidence null spaces (``grover_decompose``), which scales to graphs
+where Schur is slow.
 """
 
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +22,116 @@ from test_cesaro_kernel import connected_graphs
 import arcwalk as aw
 from arcwalk import cli, spectral
 from arcwalk.cli import main
+from arcwalk.graph import two_coloring
+from arcwalk.spectral import (
+    DEFAULT_DEGENERACY_TOL,
+    SpectralError,
+    _check_basis,
+    _group_by_argument,
+)
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+# the spectral-map oracle: a dense D x D eigenbasis of U
+
+
+def grover_decompose(graph, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
+    """Eigendecomposition of the Grover walk unitary by the spectral mapping
+    theorem, checked with U applied through the structured operator."""
+    eigenvalues, vectors = _grover_eigenbasis(graph)
+    apply = aw.build_walk_operator(graph, aw.CoinKind.GROVER).apply
+    _check_basis(eigenvalues, vectors, apply, np.abs(np.abs(eigenvalues) - 1.0))
+    groups = _group_by_argument(eigenvalues, degeneracy_tol)
+    return aw.SpectralDecomposition(eigenvalues, vectors, groups, degeneracy_tol)
+
+
+def _grover_eigenbasis(graph):
+    """Eigenvalues and (D, D) eigenvectors of U = S(2 d*d - I), where
+    (d* f)_a = f(tail a) / sqrt(k_tail) and T = d S d* = K^-1/2 A K^-1/2."""
+    n, d = graph.node_count, graph.arc_count
+    tail, head = graph.arc_tail, graph.arc_head
+    t = np.zeros((n, n))
+    t[tail, head] = 1.0 / np.sqrt(graph.degrees[tail] * graph.degrees[head])
+    lam, f = np.linalg.eigh(t)  # ascending
+    colors = two_coloring(graph)
+    # T's eigenvalue 1 (top) is simple on a connected graph and -1 (bottom)
+    # exists, simple, iff it is bipartite; U inherits them as the uniform
+    # vector and the vector signed by the tail's color
+    inner = slice(0 if colors is None else 1, n - 1)
+    lam, f = lam[inner], f[:, inner]
+    inherited = [(1.0, np.full((d, 1), 1 / np.sqrt(d)))]
+    if colors is not None:
+        inherited.append((-1.0, (1.0 - 2.0 * colors[tail])[:, None] / np.sqrt(d)))
+    # every other (cos theta, f) gives (I - e^{+-i theta} S) d*f / (sqrt2 sin theta)
+    x = f[tail] / np.sqrt(graph.degrees[tail])[:, None]
+    sin = np.sqrt(1.0 - lam**2)
+    mu = lam + 1j * sin
+    pairs = [(m, (x - m * x[graph.reverse_arc]) / (np.sqrt(2) * sin)) for m in (mu, mu.conj())]
+    # birth spaces: arc flows c_e on i->j and -+c_e on j->i, with c in the
+    # null space of the signed (+1 space, dim b1) or unsigned (-1 space,
+    # dim b1 - 1, or b1 when bipartite) edge x node incidence matrix
+    fwd = np.flatnonzero(tail < head)
+    b1 = aw.betti_number(graph)
+    births = []
+    for value, sign, dim in ((1.0, -1.0, b1), (-1.0, 1.0, b1 - (colors is None))):
+        incidence = np.zeros((fwd.size, n))
+        incidence[np.arange(fwd.size), tail[fwd]] = 1.0
+        incidence[np.arange(fwd.size), head[fwd]] = sign
+        c = _left_null_space(incidence, dim) / np.sqrt(2)
+        v = np.zeros((d, dim))
+        v[fwd] = c
+        v[graph.reverse_arc[fwd]] = sign * c
+        births.append((value, v))
+    parts = inherited + births + pairs
+    eigenvalues = np.concatenate(
+        [np.broadcast_to(np.asarray(val, dtype=complex), v.shape[1]) for val, v in parts]
+    )
+    return eigenvalues, np.hstack([v for _, v in parts]).astype(complex)
+
+
+def _left_null_space(matrix, dim):
+    """Orthonormal basis (rows, dim) of the vectors c with c^T matrix = 0,
+    whose dimension ``dim`` is known; raises if the singular values
+    do not show rank rows - dim."""
+    rows, cols = matrix.shape
+    rank = rows - dim
+    u, sv, _ = np.linalg.svd(matrix, full_matrices=True)
+    tol = max(rows, cols) * np.finfo(float).eps * sv[0]
+    if (rank > 0 and not sv[rank - 1] > tol) or np.any(sv[rank:] > tol):
+        raise SpectralError(f"incidence matrix does not have the expected rank {rank}")
+    return u[:, rank:]
+
+
+def test_null_space_rank_is_checked():
+    # signed incidence of the triangle has rank 2: a one-dimensional null space
+    incidence = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [1.0, 0.0, -1.0]])
+    assert _left_null_space(incidence, 1).shape == (3, 1)
+    for dim in (0, 2):
+        with pytest.raises(aw.SpectralError, match="expected rank"):
+            _left_null_space(incidence, dim)
 
 
 def star(n):
     return aw.Graph.from_edges([(0, i) for i in range(1, n + 1)])
+
+
+def planted(blocks, edges_in, edges_out, seed):
+    """Seeded planted-partition graph with fixed edge counts; a chain through
+    all nodes keeps it connected."""
+    rng = np.random.default_rng(seed)
+    label = np.repeat(np.arange(len(blocks)), blocks)
+    n = label.size
+    chain = {(i, i + 1) for i in range(n - 1)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in chain]
+    inside = [e for e in pairs if label[e[0]] == label[e[1]]]
+    across = [e for e in pairs if label[e[0]] != label[e[1]]]
+    picked = [
+        pool[k]
+        for pool, count in ((inside, edges_in), (across, edges_out))
+        for k in rng.choice(len(pool), count, replace=False)
+    ]
+    return sorted(chain | set(picked))
 
 
 GRAPHS = {
@@ -35,7 +146,8 @@ GRAPHS = {
     "cycle(6)": aw.builtin("cycle(6)"),
     "cycle(7)": aw.builtin("cycle(7)"),
     "cycle(8)": aw.builtin("cycle(8)"),
-    # trees: b1 = 0, bipartite
+    # trees: b1 = 0, bipartite; the star's eigenvalue 0 of T has multiplicity
+    # 4 > sqrt(D), which takes the X, Y form
     "path(2)": aw.builtin("path(2)"),
     "path(5)": aw.builtin("path(5)"),
     "star(5)": star(5),
@@ -47,26 +159,27 @@ def schur_oracle(graph):
     return schur_decomposition(aw.materialize_dense(op))
 
 
-def assert_matches_schur(graph):
-    dec = aw.grover_decompose(graph)
-    ref = schur_oracle(graph)
-    p, norm = aw.infinite_time_average_matrix(dec, graph)
+def assert_matches(graph, ref):
+    p, norm = aw.grover_average_matrix(graph)
     p_ref, norm_ref = aw.infinite_time_average_matrix(ref, graph)
     assert np.abs(p - p_ref).max() <= 1e-12
     assert np.abs(norm - norm_ref).max() <= 1e-12
+    assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-10
+    assert np.abs(norm - norm.T).max() <= 1e-12
+
+
+def assert_matches_schur(graph):
+    ref = schur_oracle(graph)
+    assert_matches(graph, ref)
+    # the spectral-map oracle reproduces Schur and the Betti multiplicities
+    dec = grover_decompose(graph)
+    p, _ = aw.infinite_time_average_matrix(dec, graph)
+    assert np.abs(p - aw.infinite_time_average_matrix(ref, graph)[0]).max() <= 1e-12
     assert sorted(len(g) for g in dec.groups) == sorted(len(g) for g in ref.groups)
-    # residual and orthonormality, recomputed against the dense U
-    u = aw.materialize_dense(aw.build_walk_operator(graph, aw.CoinKind.GROVER))
-    v = dec.eigenvectors
-    assert v.shape == (graph.arc_count, graph.arc_count)
-    assert np.abs(np.abs(dec.eigenvalues) - 1.0).max() <= 1e-10
-    assert np.linalg.norm(u @ v - v * dec.eigenvalues, axis=0).max() <= 1e-8
-    assert np.abs(v.conj().T @ v - np.eye(graph.arc_count)).max() <= 1e-10
     report = aw.degeneracy_report(dec, graph)
     b1 = aw.betti_number(graph)
     expected_minus = b1 + 1 if aw.is_bipartite(graph) else b1 - 1
     assert (report.plus_one, report.minus_one) == (b1 + 1, expected_minus)
-    assert report.matches_prediction
 
 
 @pytest.mark.parametrize("name", list(GRAPHS))
@@ -80,21 +193,31 @@ def test_matches_schur_oracle_on_random_graphs(graph):
     assert_matches_schur(graph)
 
 
-def test_dense_cap_guards_the_eigenbasis(karate):
-    with pytest.raises(aw.DenseCapExceeded, match="D=156 exceeds dense materialization cap 100"):
-        aw.grover_decompose(karate, cap=100)
+@pytest.mark.parametrize(
+    "graph",
+    [
+        aw.Graph.from_edges(planted((27, 27, 26), 280, 72, seed=1)),
+        # R's entries grow like effective resistances (~N here): squaring the
+        # +-1 projectors' N x N terms before differencing lost 1e-11 at
+        # path(300) and put rows of p 2.3e-10 off 1 at path(600)
+        aw.builtin("path(600)"),
+    ],
+    ids=["planted-80", "path(600)"],
+)
+def test_matches_the_spectral_map_oracle_on_larger_graphs(graph):
+    assert_matches(graph, grover_decompose(graph))
 
 
-def corrupt(how):
-    """Wrap the eigenbasis builder so that ``how`` edits its output."""
-    build = spectral._grover_eigenbasis
+def corrupt(monkeypatch, how):
+    """Make ``np.linalg.eigh`` hand ``how``-edited eigenpairs to the kernel."""
+    eigh = np.linalg.eigh
 
-    def corrupted(graph):
-        eigenvalues, vectors = build(graph)
+    def corrupted(matrix):
+        eigenvalues, vectors = eigh(matrix)
         how(eigenvalues, vectors)
         return eigenvalues, vectors
 
-    return corrupted
+    monkeypatch.setattr(np.linalg, "eigh", corrupted)
 
 
 def _swap_two_columns(eigenvalues, vectors):
@@ -108,6 +231,7 @@ def _stretch_column(eigenvalues, vectors):
 
 
 def _leave_the_circle(eigenvalues, vectors):
+    # T's top eigenvalue 1 moves to 1 + 1e-6: its pair leaves the unit circle
     eigenvalues[-1] *= 1 + 1e-6
 
 
@@ -120,37 +244,63 @@ def _leave_the_circle(eigenvalues, vectors):
     ],
 )
 def test_corrupted_basis_raises(karate, monkeypatch, how, message):
-    monkeypatch.setattr(spectral, "_grover_eigenbasis", corrupt(how))
+    corrupt(monkeypatch, how)
     with pytest.raises(aw.SpectralError, match=message):
-        aw.grover_decompose(karate)
+        aw.grover_average_matrix(karate)
 
 
-def test_null_space_rank_is_checked():
-    # signed incidence of the triangle has rank 2: a one-dimensional null space
-    incidence = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [1.0, 0.0, -1.0]])
-    assert spectral._left_null_space(incidence, 1).shape == (3, 1)
-    for dim in (0, 2):
-        with pytest.raises(aw.SpectralError, match="expected rank"):
-            spectral._left_null_space(incidence, dim)
+def test_wrong_bipartition_fails_the_trace_check(monkeypatch):
+    # taken as not bipartite, cycle(6) keeps T's eigenvalue -1 in the
+    # pseudo-inverse of (I + T)/2
+    monkeypatch.setattr(spectral, "two_coloring", lambda graph: None)
+    with pytest.raises(aw.SpectralError, match="-1 eigenprojector has trace"):
+        aw.grover_average_matrix(aw.builtin("cycle(6)"))
+
+
+def test_lost_group_fails_the_row_check(karate, monkeypatch):
+    group = spectral._group_by_argument
+    monkeypatch.setattr(spectral, "_group_by_argument", lambda *args: group(*args)[1:])
+    with pytest.raises(aw.SpectralError, match="rows of p miss 1"):
+        aw.grover_average_matrix(karate)
 
 
 def test_cli_numerical_failure_exits_4_without_a_partition(monkeypatch, capsys):
-    monkeypatch.setattr(spectral, "_grover_eigenbasis", corrupt(_swap_two_columns))
+    corrupt(monkeypatch, _swap_two_columns)
     assert main(["detect", "--graph", "builtin:karate", "--coin", "grover"]) == 4
     out = capsys.readouterr()
     assert out.out == ""
     assert "numerical error" in out.err and "residual" in out.err
 
 
-def test_cli_grover_detect_over_dense_cap(capsys):
+def test_cli_grover_detect_ignores_the_dense_cap(capsys):
     argv = ["detect", "--graph", "builtin:karate", "--coin", "grover", "--dense-cap", "100"]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert "D=156 exceeds dense materialization cap 100" in err
-    assert "--mode average-finite" in err and "--dense-cap" in err
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    golden = json.loads((GOLDEN / "karate-grover-detect.json").read_text())["payload"]
+    assert (payload["hubs"], payload["assignment"]) == (golden["hubs"], golden["assignment"])
 
 
-# golden check: the CLI documents from the spectral map against Schur
+def test_exact_grover_detect_above_the_dense_cap_holds_no_dense_array(tmp_path, capsys):
+    edges = planted((50, 50, 50, 50), 2700, 500, seed=5)
+    path = tmp_path / "planted.txt"
+    path.write_text("".join(f"{a + 1} {b + 1}\n" for a, b in edges))
+    d = 2 * len(edges)
+    assert d > 6000
+    tracemalloc.start()
+    try:
+        code = main(["detect", "--graph", f"edgelist:{path}", "--coin", "grover"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["metadata"]["graph"]["arcs"] == d
+    assert len(doc["payload"]["assignment"]) == 200
+    # below even one real D x D array (a complex one takes 16 D^2 bytes)
+    assert peak < 8 * d**2
+
+
+# golden check: the CLI documents from the node-space kernel against Schur
 
 SWEEP_Q = {"three_community": "0.01,0.0128205128205,0.015", "karate": "0.005,0.00641025641026,0.008"}
 
@@ -188,12 +338,13 @@ def assert_same_document(got, ref, path="doc"):
 def test_cli_documents_match_the_schur_path(name, monkeypatch, capsys):
     new = cli_documents(name, capsys)
     monkeypatch.setattr(
-        cli, "grover_decompose", lambda graph, tol, cap=None: schur_oracle(graph)
+        cli,
+        "grover_average_matrix",
+        lambda graph, tol: aw.infinite_time_average_matrix(schur_oracle(graph), graph),
     )
     ref = cli_documents(name, capsys)
     for key, doc in new.items():
-        assert doc["metadata"]["parameters"].pop("eigensolver") == "grover-spectral-map"
-        ref[key]["metadata"]["parameters"].pop("eigensolver")
+        assert doc["metadata"]["parameters"]["eigensolver"] == "grover-spectral-map"
         assert_same_document(doc, ref[key], key)
 
 

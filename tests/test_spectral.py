@@ -288,4 +288,4 @@ def test_degeneracy_tolerance_must_be_positive(three_community, tol):
     with pytest.raises(ValueError, match="degeneracy tolerance must be positive"):
         aw.decompose(dense, degeneracy_tol=tol)
     with pytest.raises(ValueError, match="degeneracy tolerance must be positive"):
-        aw.grover_decompose(three_community, tol)
+        aw.grover_average_matrix(three_community, tol)
