@@ -25,7 +25,13 @@ from .community import (
 from .evolution import DEFAULT_AVERAGE_STEPS, finite_time_average_matrix, transition_rows
 from .graph import Graph, GraphError, betti_number, builtin, is_bipartite, load_edge_list, load_pajek
 from .io import OutputDocument, emit_heatmap_csv, format_float, write_atomic
-from .operators import CoinKind, DenseCapExceeded, build_walk_operator, materialize_dense
+from .operators import (
+    DEFAULT_DENSE_CAP,
+    CoinKind,
+    DenseCapExceeded,
+    build_walk_operator,
+    materialize_dense,
+)
 from .spectral import (
     DEFAULT_DEGENERACY_TOL,
     SpectralError,
@@ -66,7 +72,7 @@ class RunConfig:
     marginal_band: float = DEFAULT_MARGINAL_BAND
     output: str | None = None
     format: str = "json"
-    dense_cap: int | None = None
+    dense_cap: int = DEFAULT_DENSE_CAP
     degeneracy_tol: float = DEFAULT_DEGENERACY_TOL
 
 
@@ -80,7 +86,7 @@ def _load_graph(source: str) -> Graph:
         try:
             with open(rest, encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise GraphError(f"cannot read {rest}: {exc}") from exc
         return load_edge_list(text) if kind == "edgelist" else load_pajek(text)
     raise ConfigError(
@@ -102,22 +108,25 @@ def _resolve_mode(config: RunConfig) -> str:
     return mode
 
 
-def _average_matrices(config: RunConfig, graph: Graph, op) -> tuple[dict, np.ndarray, np.ndarray]:
+def _average_matrices(config: RunConfig, graph: Graph) -> tuple[dict, np.ndarray, np.ndarray]:
     """The (p, P) matrices and the document parameters that say how they
-    were computed: the mode and, for exact averages, the eigensolver."""
+    were computed: the mode, and the time window of finite averages or the
+    eigensolver of exact ones."""
+    coin = _coin_kind(config.coin)
     mode = _resolve_mode(config)
     if mode == "average-finite":
         if config.steps < 1:
             raise ConfigError("average-finite needs --steps of at least 1")
         p, norm = finite_time_average_matrix(
-            op, steps=config.steps, include_start=config.include_start
+            build_walk_operator(graph, coin), steps=config.steps, include_start=config.include_start
         )
-        return {"mode": mode}, p, norm
-    if op.coin is CoinKind.GROVER:
+        window_start = 0 if config.include_start else 1
+        return {"mode": mode, "steps": config.steps, "window_start": window_start}, p, norm
+    if coin is CoinKind.GROVER:
         p, norm = grover_average_matrix(graph, config.degeneracy_tol)
         return {"mode": mode, "eigensolver": "grover-spectral-map"}, p, norm
     try:
-        dense = materialize_dense(op, cap=config.dense_cap)
+        dense = materialize_dense(build_walk_operator(graph, coin), cap=config.dense_cap)
     except DenseCapExceeded as exc:
         msg = f"{exc}; use --mode average-finite or raise --dense-cap"
         raise DenseCapExceeded(msg) from None
@@ -177,11 +186,7 @@ def _run_evolve(config: RunConfig, graph: Graph) -> OutputDocument:
 def _run_average(config: RunConfig, graph: Graph) -> OutputDocument:
     if config.start is not None and not 1 <= config.start <= graph.node_count:
         raise GraphError(f"node {config.start} out of range 1..{graph.node_count}")
-    op = build_walk_operator(graph, _coin_kind(config.coin))
-    params, p, norm = _average_matrices(config, graph, op)
-    if params["mode"] == "average-finite":
-        params["steps"] = config.steps
-        params["window_start"] = 0 if config.include_start else 1
+    params, p, norm = _average_matrices(config, graph)
     if config.start is not None:
         payload = {
             "start": config.start,
@@ -222,8 +227,7 @@ def _run_spectrum(config: RunConfig, graph: Graph) -> OutputDocument:
 
 
 def _run_detect(config: RunConfig, graph: Graph) -> OutputDocument:
-    op = build_walk_operator(graph, _coin_kind(config.coin))
-    params, _, norm = _average_matrices(config, graph, op)
+    params, _, norm = _average_matrices(config, graph)
     q = _threshold(config, graph)
     partition = detect(norm, graph, q, source=params["mode"])
     margins = margin_report(norm, partition, band=config.marginal_band)
@@ -254,8 +258,7 @@ def _run_sweep(config: RunConfig, graph: Graph) -> OutputDocument:
     qs = list(config.q_list)
     if not all(np.isfinite(q) and q > 0 for q in qs) or qs != sorted(qs):
         raise ConfigError("--q-list must hold finite positive thresholds in ascending order")
-    op = build_walk_operator(graph, _coin_kind(config.coin))
-    params, _, norm = _average_matrices(config, graph, op)
+    params, _, norm = _average_matrices(config, graph)
     entries = sweep(norm, graph, config.q_list, source=params["mode"])
     payload = {
         "entries": [
@@ -410,7 +413,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--coin", choices=["fourier", "grover"])
         p.add_argument("--output", help="output path (default: stdout)")
         p.add_argument("--format", choices=["json", "csv"])
-        dense = "cap on D for the dense U of Fourier exact averages and spectrum (default 6000)"
+        dense = "cap on D for the dense U of Fourier exact averages and spectrum"
+        dense += f" (default {DEFAULT_DENSE_CAP})"
         p.add_argument("--dense-cap", type=int, help=dense)
         p.add_argument("--deg-tol", dest="degeneracy_tol", type=float)
         return p

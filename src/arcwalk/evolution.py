@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 DEFAULT_AVERAGE_STEPS = 100
+_CHUNK_ARCS = 1024  # start arcs stepped together by finite_time_average_matrix
 
 
 def _node_probabilities(op: WalkOperator, arcs: np.ndarray, steps: int):
@@ -71,7 +72,6 @@ def finite_time_average_matrix(
     op: WalkOperator,
     steps: int = DEFAULT_AVERAGE_STEPS,
     include_start: bool = False,
-    chunk_arcs: int = 1024,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Time-averaged (p, P) matrices over all start nodes.
 
@@ -83,8 +83,8 @@ def finite_time_average_matrix(
     graph = op.graph
     d = graph.arc_count
     arc_target_prob = np.empty((d, graph.node_count))
-    for lo in range(0, d, chunk_arcs):
-        hi = min(lo + chunk_arcs, d)
+    for lo in range(0, d, _CHUNK_ARCS):
+        hi = min(lo + _CHUNK_ARCS, d)
         arc_target_prob[lo:hi] = _window_mean(op, np.arange(lo, hi), steps, include_start).T
     # average the rows of each start node's outgoing arcs
     p = graph.fan_sum(arc_target_prob) / graph.degrees[:, None]

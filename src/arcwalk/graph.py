@@ -9,6 +9,7 @@ Node ids are 1-based at the API boundary and 0-based internally.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -21,7 +22,6 @@ __all__ = [
     "load_pajek",
     "betti_number",
     "is_bipartite",
-    "two_coloring",
     "builtin",
 ]
 
@@ -40,7 +40,13 @@ class Graph:
     sending each arc to its reverse.  ``fan_classes`` groups the arc fans by
     degree: per distinct degree k, ascending, the (n_k, k) flat indices of
     the arcs leaving the n_k nodes of degree k, one row per node, so that a
-    per-node operation is one array operation per class.
+    per-node operation is one array operation per class.  ``colors`` is the
+    0/1 color of every node with no edge inside a color (node 0 has color
+    0), or None when the graph is not bipartite.
+
+    Construction raises :class:`GraphError` unless the rows hold ids in
+    0..N-1, strictly ascending, with no self-loop, and the graph has edges,
+    is symmetric and is connected.
     """
 
     adjacency: tuple[tuple[int, ...], ...]
@@ -50,22 +56,52 @@ class Graph:
     arc_head: np.ndarray = field(init=False, repr=False)
     reverse_arc: np.ndarray = field(init=False, repr=False)
     fan_classes: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    # (tail, head) -> flat arc index, both 0-based
-    _arc_lookup: dict[tuple[int, int], int] = field(init=False, repr=False)
+    colors: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        n = len(self.adjacency)
         degrees = np.array([len(nbrs) for nbrs in self.adjacency], dtype=np.intp)
         offsets = np.concatenate([[0], np.cumsum(degrees)])
-        tail = np.repeat(np.arange(len(self.adjacency)), degrees)
+        tail = np.repeat(np.arange(n), degrees)
         head = np.fromiter(
             (j for nbrs in self.adjacency for j in nbrs), dtype=np.intp, count=offsets[-1]
         )
-        lookup = {
-            (i, j): int(offsets[i]) + s
-            for i, nbrs in enumerate(self.adjacency)
-            for s, j in enumerate(nbrs)
-        }
-        reverse = np.array([lookup[(j, i)] for i, j in zip(tail, head)], dtype=np.intp)
+        if not head.size:
+            raise GraphError("graph has no edges")
+        if head.min() < 0 or head.max() >= n:
+            raise GraphError(f"neighbor ids must lie in 0..{n - 1}")
+        loops = np.flatnonzero(tail == head)
+        if loops.size:
+            raise GraphError(f"self-loop at node {tail[loops[0]] + 1}")
+        # arcs in basis order have ascending keys exactly when every row is
+        # strictly ascending; the reverse of each arc is then a binary search
+        keys = tail * n + head
+        unsorted = np.flatnonzero(np.diff(keys) <= 0)
+        if unsorted.size:
+            node = tail[unsorted[0] + 1] + 1
+            raise GraphError(f"neighbors of node {node} are not strictly ascending")
+        reverse_keys = head * n + tail
+        reverse = np.searchsorted(keys, reverse_keys).clip(max=head.size - 1)
+        lone = np.flatnonzero(keys[reverse] != reverse_keys)
+        if lone.size:
+            a, b = tail[lone[0]] + 1, head[lone[0]] + 1
+            raise GraphError(f"adjacency is not symmetric: node {a} lists {b}, not the reverse")
+        # one search from node 0: its tree's parities 2-color the graph
+        # exactly when no arc joins two equal parities
+        parity = [-1] * n
+        parity[0] = 0
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            for j in self.adjacency[i]:
+                if parity[j] < 0:
+                    parity[j] = 1 - parity[i]
+                    stack.append(j)
+        colors = np.array(parity, dtype=np.int8)
+        if colors.min() < 0:
+            raise GraphError("graph is disconnected")
+        if np.any(colors[tail] == colors[head]):
+            colors = None
         fans = tuple(
             offsets[np.flatnonzero(degrees == k)][:, None] + np.arange(k)
             for k in sorted(set(degrees.tolist()))
@@ -78,11 +114,12 @@ class Graph:
             ("arc_tail", tail),
             ("arc_head", head),
             ("reverse_arc", reverse),
+            ("colors", colors),
         ]:
-            value.setflags(write=False)
+            if value is not None:
+                value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "fan_classes", fans)
-        object.__setattr__(self, "_arc_lookup", lookup)
 
     @property
     def node_count(self) -> int:
@@ -113,10 +150,11 @@ class Graph:
 
     def arc_between(self, tail: int, head: int) -> int:
         """Flat index of the arc from 0-based ``tail`` to 0-based ``head``."""
-        arc = self._arc_lookup.get((tail, head))
-        if arc is None:
+        row = self.adjacency[tail] if 0 <= tail < self.node_count else ()
+        slot = bisect_left(row, head)
+        if slot == len(row) or row[slot] != head:
             raise GraphError(f"nodes {tail + 1} and {head + 1} are not adjacent")
-        return arc
+        return int(self.arc_offsets[tail]) + slot
 
     def fan_sum(self, values: np.ndarray) -> np.ndarray:
         """Sum of (D, ...) values over each node's outgoing arcs: (N, ...)."""
@@ -129,23 +167,19 @@ class Graph:
     def from_edges(cls, edges, node_count: int | None = None) -> "Graph":
         """Build a graph from 0-based undirected edge pairs.
 
-        Rejects negative ids, self-loops, duplicate edges, isolated nodes,
-        and disconnected graphs.
+        Rejects negative ids, duplicate edges and isolated nodes, and, through
+        the construction checks, self-loops and disconnected graphs.
         """
         edge_set: set[tuple[int, int]] = set()
         max_node = -1
         for a, b in edges:
             if a < 0 or b < 0:
                 raise GraphError(f"negative node index in edge ({a}, {b})")
-            if a == b:
-                raise GraphError(f"self-loop at node {a + 1}")
             key = (min(a, b), max(a, b))
             if key in edge_set:
                 raise GraphError(f"duplicate edge {key[0] + 1}-{key[1] + 1}")
             edge_set.add(key)
             max_node = max(max_node, a, b)
-        if not edge_set:
-            raise GraphError("graph has no edges")
         n = max_node + 1 if node_count is None else node_count
         adj: list[list[int]] = [[] for _ in range(n)]
         for a, b in edge_set:
@@ -156,24 +190,7 @@ class Graph:
         for i, nbrs in enumerate(adj):
             if not nbrs:
                 raise GraphError(f"node {i + 1} is isolated")
-        graph = cls(tuple(tuple(sorted(nbrs)) for nbrs in adj))
-        if not _is_connected(graph):
-            raise GraphError("graph is disconnected")
-        return graph
-
-
-def _is_connected(graph: Graph) -> bool:
-    n = graph.node_count
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        i = stack.pop()
-        for j in graph.adjacency[i]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(j)
-    return bool(seen.all())
+        return cls(tuple(tuple(sorted(nbrs)) for nbrs in adj))
 
 
 def load_edge_list(text: str) -> Graph:
@@ -272,36 +289,13 @@ def load_pajek(text: str) -> Graph:
 
 
 def betti_number(graph: Graph) -> int:
-    """First Betti number |E| - |V| + 1 of a connected graph."""
-    if not _is_connected(graph):
-        raise GraphError("Betti number requires a connected graph")
+    """First Betti number |E| - |V| + 1 (every Graph is connected)."""
     return graph.edge_count - graph.node_count + 1
 
 
 def is_bipartite(graph: Graph) -> bool:
-    """Two-colorability test via BFS."""
-    return two_coloring(graph) is not None
-
-
-def two_coloring(graph: Graph) -> np.ndarray | None:
-    """0/1 color of every node with no edge inside a color, or None when the
-    graph is not bipartite."""
-    n = graph.node_count
-    color = np.full(n, -1, dtype=np.int8)
-    for start in range(n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            i = queue.pop()
-            for j in graph.adjacency[i]:
-                if color[j] < 0:
-                    color[j] = 1 - color[i]
-                    queue.append(j)
-                elif color[j] == color[i]:
-                    return None
-    return color
+    """Whether the graph is two-colorable (``Graph.colors`` is set)."""
+    return graph.colors is not None
 
 
 def _three_community() -> Graph:

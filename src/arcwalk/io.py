@@ -80,12 +80,17 @@ def emit_heatmap_csv(matrix: np.ndarray, row_ids, col_ids=None) -> str:
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write via a temp file in the target directory plus rename."""
+    """Write via a temp file in the target directory plus rename.  The file
+    gets the mode ``open(path, "w")`` would create it with, 0o666 less the
+    umask, not the 0o600 of the temp file."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    umask = os.umask(0)  # reading the umask means setting it
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -28,7 +28,6 @@ __all__ = [
     "WalkOperator",
     "build_walk_operator",
     "materialize_dense",
-    "check_dense_cap",
     "DEFAULT_DENSE_CAP",
     "DenseCapExceeded",
 ]
@@ -113,16 +112,9 @@ def build_walk_operator(graph: Graph, coin: CoinKind) -> WalkOperator:
     return WalkOperator(graph, coin)
 
 
-def check_dense_cap(dimension: int, cap: int | None = None) -> None:
-    """Refuse a dense D x D array above ``cap`` (default :data:`DEFAULT_DENSE_CAP`)."""
-    if cap is None:
-        cap = DEFAULT_DENSE_CAP
-    if dimension > cap:
-        raise DenseCapExceeded(f"D={dimension} exceeds dense materialization cap {cap}")
-
-
-def materialize_dense(op: WalkOperator, cap: int | None = None) -> np.ndarray:
-    """Dense D x D matrix of the walk unitary, guarded by :func:`check_dense_cap`."""
-    check_dense_cap(op.dimension, cap)
+def materialize_dense(op: WalkOperator, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
+    """Dense D x D matrix of the walk unitary; refused above ``cap`` arcs."""
+    if op.dimension > cap:
+        raise DenseCapExceeded(f"D={op.dimension} exceeds dense materialization cap {cap}")
     return op.apply(np.eye(op.dimension, dtype=complex))
 

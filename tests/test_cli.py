@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -326,3 +328,42 @@ def test_average_start_last_node_is_its_row(capsys):
     assert row["start"] == 34
     assert row["probability"] == full["probability"][33]
     assert row["normalized"] == full["normalized"][33]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o002, 0o664), (0o077, 0o600)])
+def test_output_file_takes_the_mode_open_would_give_it(tmp_path, umask, mode):
+    out = tmp_path / "partition.json"
+    old = os.umask(umask)
+    try:
+        assert main(["detect", "--graph", "builtin:square_triangle", "--output", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == mode
+    assert json.loads(out.read_text())["metadata"]["command"] == "detect"
+
+
+@pytest.mark.parametrize(
+    "kind, text",
+    [
+        ("edgelist", b"1 2\n2 3\n# caf\xe9\n1 3\n"),
+        ("pajek", b'*Vertices 2\n1 "\xe9"\n*Edges\n1 2\n'),
+    ],
+)
+def test_non_utf8_graph_file_is_a_data_error(tmp_path, capsys, kind, text):
+    path = tmp_path / "graph.txt"
+    path.write_bytes(text)
+    assert main(["detect", "--graph", f"{kind}:{path}"]) == 3
+    err = capsys.readouterr().err
+    assert f"data error: cannot read {path}" in err and "utf-8" in err
+
+
+@pytest.mark.parametrize("window", [[], ["--include-t0"]])
+def test_finite_documents_record_their_window(window, capsys):
+    finite = ["--graph", "builtin:three_community", "--mode", "finite", "--steps", "7", *window]
+    params = []
+    for command in (["average"], ["detect"], ["sweep", "--q-list", "0.01,0.02"]):
+        assert main([*command, *finite]) == 0
+        params.append(json.loads(capsys.readouterr().out)["metadata"]["parameters"])
+    expected = {"mode": "average-finite", "steps": 7, "window_start": 0 if window else 1}
+    for record in params:
+        assert {key: record[key] for key in expected} == expected

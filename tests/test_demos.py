@@ -1,4 +1,5 @@
-"""Smoke test: each narrative demo runs to completion in its own process.
+"""Smoke test: each narrative demo runs to completion in its own process,
+and the README's library tour runs as written.
 
 Demo 05 needs the USAir97 Pajek file, which is not in the repository (with
 it, it diagonalizes a 4252 x 4252 unitary for minutes).  It runs here on
@@ -7,6 +8,7 @@ degeneracy check and threshold sweep in well under a second.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -59,3 +61,13 @@ def test_airport_demo_runs_on_a_pajek_stand_in(tmp_path):
         f"q = {q}: 1 communities, sizes (21,)"
         for q in ("0.0002351834", "0.0002354634", "0.0002355834")
     ]
+
+
+def test_readme_library_tour_runs():
+    # a renamed or removed name fails here, not first in a reader's session
+    readme = (ROOT / "README.md").read_text()
+    tour = readme.split("## Library tour", 1)[1]
+    code = re.search(r"```python\n(.*?)```", tour, re.DOTALL).group(1)
+    namespace: dict = {}
+    exec(compile(code, "README.md (library tour)", "exec"), namespace)
+    assert namespace["part"].hubs == (34, 1)

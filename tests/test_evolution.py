@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from test_cesaro_kernel import connected_graphs
 
 import arcwalk as aw
+from arcwalk import evolution
 from arcwalk.cli import RunConfig, run
 from arcwalk.graph import GraphError
 
@@ -107,9 +108,10 @@ def test_finite_average_matches_per_step_mean(three_community):
     assert np.abs(p[3] - manual).max() < 1e-12
 
 
-def test_average_matrix_matches_rows(three_community):
+def test_average_matrix_matches_rows(three_community, monkeypatch):
+    monkeypatch.setattr(evolution, "_CHUNK_ARCS", 13)
     op = aw.build_walk_operator(three_community, aw.CoinKind.GROVER)
-    p, norm = aw.finite_time_average_matrix(op, steps=20, chunk_arcs=13)
+    p, norm = aw.finite_time_average_matrix(op, steps=20)
     for node in (1, 9, 21):
         row = aw.transition_rows(op, node, 20)[1:].mean(axis=0)
         assert np.abs(p[node - 1] - row).max() < 1e-12
@@ -179,13 +181,14 @@ def node_arcs(graph, node):
 @pytest.mark.parametrize("kind", list(aw.CoinKind))
 @pytest.mark.parametrize("include_start", [False, True])
 @pytest.mark.parametrize("chunk_arcs", [1024, 17])
-def test_average_matrix_matches_row_layout_oracle(three_community, kind, include_start, chunk_arcs):
+def test_average_matrix_matches_row_layout_oracle(
+    three_community, kind, include_start, chunk_arcs, monkeypatch
+):
     # D = 78, so chunks of 17 leave a short last chunk
+    monkeypatch.setattr(evolution, "_CHUNK_ARCS", chunk_arcs)
     op = aw.build_walk_operator(three_community, kind)
     u = aw.materialize_dense(op)
-    p, norm = aw.finite_time_average_matrix(
-        op, steps=15, include_start=include_start, chunk_arcs=chunk_arcs
-    )
+    p, norm = aw.finite_time_average_matrix(op, steps=15, include_start=include_start)
     p_ref, norm_ref = average_matrix_oracle(three_community, u, 15, include_start, chunk_arcs)
     assert np.abs(p - p_ref).max() <= 1e-12
     assert np.abs(norm - norm_ref).max() <= 1e-12

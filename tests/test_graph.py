@@ -171,6 +171,10 @@ def test_arc_between_inverts_the_arc_layout(name):
 def test_arc_between_rejects_non_adjacent_nodes(three_community):
     with pytest.raises(GraphError, match="nodes 1 and 9 are not adjacent"):
         three_community.arc_between(0, 8)
+    # node 21 is adjacent to node 1, but index -1 names no node
+    for tail in (-1, 21):
+        with pytest.raises(GraphError, match="not adjacent"):
+            three_community.arc_between(tail, 0)
 
 
 @pytest.mark.parametrize("edges", [[(0, 1), (1, 2), (2, -1)], [(-1, 0), (0, 1)]])
@@ -205,3 +209,109 @@ def test_fan_sum_matches_reduceat_when_class_size_equals_degree():
 @given(graph=st.booleans().flatmap(lambda bip: connected_graphs(bip)))
 def test_fan_sum_matches_reduceat_on_random_graphs(graph):
     assert_fan_sum_matches_reduceat(graph)
+
+
+@pytest.mark.parametrize(
+    "adjacency,fragment",
+    [
+        (((1,), (0,), (3,), (2,)), "disconnected"),
+        (((1, 2), (0,), (1,)), "not symmetric: node 1 lists 3"),
+        (((1, 2), (0, 2), (1, 0)), "node 3 are not strictly ascending"),
+        (((1, 1), (0, 0)), "node 1 are not strictly ascending"),
+        (((0, 1), (0,)), "self-loop at node 1"),
+        (((1,), (2,)), "must lie in 0..1"),
+        (((), ()), "no edges"),
+    ],
+)
+def test_graph_checks_its_invariants_at_construction(adjacency, fragment):
+    with pytest.raises(GraphError, match=fragment):
+        aw.Graph(adjacency)
+
+
+# the dict-and-search oracle: reverse arcs from a (tail, head) lookup, and
+# connectivity, 2-coloring and Betti number each from their own search
+
+
+def arc_lookup_oracle(graph):
+    return {
+        (i, j): int(graph.arc_offsets[i]) + s
+        for i, nbrs in enumerate(graph.adjacency)
+        for s, j in enumerate(nbrs)
+    }
+
+
+def is_connected_oracle(graph):
+    seen = np.zeros(graph.node_count, dtype=bool)
+    stack = [0]
+    seen[0] = True
+    while stack:
+        i = stack.pop()
+        for j in graph.adjacency[i]:
+            if not seen[j]:
+                seen[j] = True
+                stack.append(j)
+    return bool(seen.all())
+
+
+def two_coloring_oracle(graph):
+    color = np.full(graph.node_count, -1, dtype=np.int8)
+    for start in range(graph.node_count):
+        if color[start] >= 0:
+            continue
+        color[start] = 0
+        queue = [start]
+        while queue:
+            i = queue.pop()
+            for j in graph.adjacency[i]:
+                if color[j] < 0:
+                    color[j] = 1 - color[i]
+                    queue.append(j)
+                elif color[j] == color[i]:
+                    return None
+    return color
+
+
+def betti_oracle(graph):
+    assert is_connected_oracle(graph)
+    return graph.edge_count - graph.node_count + 1
+
+
+def assert_matches_graph_oracle(graph):
+    lookup = arc_lookup_oracle(graph)
+    reverse = [lookup[(j, i)] for i, j in zip(graph.arc_tail, graph.arc_head)]
+    assert graph.reverse_arc.tolist() == reverse
+    for i in range(graph.node_count):
+        for j in range(graph.node_count):
+            if (i, j) in lookup:
+                assert graph.arc_between(i, j) == lookup[(i, j)]
+            else:
+                with pytest.raises(GraphError, match="not adjacent"):
+                    graph.arc_between(i, j)
+    colors = two_coloring_oracle(graph)
+    assert aw.is_bipartite(graph) == (colors is not None)
+    if colors is None:
+        assert graph.colors is None
+    else:
+        assert graph.colors.tolist() == colors.tolist()
+    assert aw.betti_number(graph) == betti_oracle(graph)
+
+
+@settings(max_examples=30, deadline=None)
+@given(graph=st.booleans().flatmap(lambda bip: connected_graphs(bip)))
+def test_stored_facts_match_the_oracle_on_random_graphs(graph):
+    assert_matches_graph_oracle(graph)
+
+
+class Unsearchable:
+    def __iter__(self):
+        raise AssertionError("the adjacency rows were searched again")
+
+
+def test_graph_facts_need_no_further_search():
+    # with rows that cannot be read, a graph still answers from its arrays
+    # and the coloring it stored at construction
+    graph = aw.builtin("cycle(6)")
+    object.__setattr__(graph, "adjacency", tuple(Unsearchable() for _ in graph.adjacency))
+    assert (aw.betti_number(graph), aw.is_bipartite(graph)) == (1, True)
+    p, _ = aw.grover_average_matrix(graph)
+    assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-10

@@ -22,7 +22,6 @@ from test_cesaro_kernel import connected_graphs
 import arcwalk as aw
 from arcwalk import cli, spectral
 from arcwalk.cli import main
-from arcwalk.graph import two_coloring
 from arcwalk.spectral import (
     DEFAULT_DEGENERACY_TOL,
     SpectralError,
@@ -54,7 +53,7 @@ def _grover_eigenbasis(graph):
     t = np.zeros((n, n))
     t[tail, head] = 1.0 / np.sqrt(graph.degrees[tail] * graph.degrees[head])
     lam, f = np.linalg.eigh(t)  # ascending
-    colors = two_coloring(graph)
+    colors = graph.colors
     # T's eigenvalue 1 (top) is simple on a connected graph and -1 (bottom)
     # exists, simple, iff it is bipartite; U inherits them as the uniform
     # vector and the vector signed by the tail's color
@@ -249,12 +248,13 @@ def test_corrupted_basis_raises(karate, monkeypatch, how, message):
         aw.grover_average_matrix(karate)
 
 
-def test_wrong_bipartition_fails_the_trace_check(monkeypatch):
+def test_wrong_bipartition_fails_the_trace_check():
     # taken as not bipartite, cycle(6) keeps T's eigenvalue -1 in the
     # pseudo-inverse of (I + T)/2
-    monkeypatch.setattr(spectral, "two_coloring", lambda graph: None)
+    graph = aw.builtin("cycle(6)")
+    object.__setattr__(graph, "colors", None)
     with pytest.raises(aw.SpectralError, match="-1 eigenprojector has trace"):
-        aw.grover_average_matrix(aw.builtin("cycle(6)"))
+        aw.grover_average_matrix(graph)
 
 
 def test_lost_group_fails_the_row_check(karate, monkeypatch):

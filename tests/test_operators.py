@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from test_cesaro_kernel import connected_graphs
 
 import arcwalk as aw
-from arcwalk.operators import DEFAULT_DENSE_CAP, DenseCapExceeded, check_dense_cap
+from arcwalk.operators import DEFAULT_DENSE_CAP, DenseCapExceeded
 
 
 def unitarity_defect(m):
@@ -178,8 +180,10 @@ def test_dense_cap(karate):
     assert aw.materialize_dense(op, cap=156).shape == (156, 156)
     assert DEFAULT_DENSE_CAP >= 156
     aw.materialize_dense(op)
+    # the default cap refuses before any array is built
+    too_large = SimpleNamespace(dimension=DEFAULT_DENSE_CAP + 1)
     with pytest.raises(DenseCapExceeded, match=f"cap {DEFAULT_DENSE_CAP}"):
-        check_dense_cap(DEFAULT_DENSE_CAP + 1)
+        aw.materialize_dense(too_large)
 
 
 def verify_shift_equivalence(n):
