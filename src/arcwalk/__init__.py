@@ -43,6 +43,7 @@ from .spectral import (
     infinite_time_average_matrix,
     ipr,
     loop_eigenvector,
+    walk_decompose,
 )
 
 __all__ = [
@@ -67,6 +68,7 @@ __all__ = [
     "SpectralError",
     "DegeneracyReport",
     "decompose",
+    "walk_decompose",
     "grover_average_matrix",
     "degeneracy_report",
     "infinite_time_average_matrix",

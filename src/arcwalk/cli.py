@@ -35,7 +35,6 @@ from .operators import (
 from .spectral import (
     DEFAULT_DEGENERACY_TOL,
     SpectralError,
-    _schur_decompose,
     argument_histogram,
     decompose,
     degeneracy_report,
@@ -43,6 +42,7 @@ from .spectral import (
     grover_average_matrix,
     infinite_time_average_matrix,
     ipr,
+    walk_decompose,
 )
 
 __all__ = ["RunConfig", "ConfigError", "run", "main"]
@@ -122,16 +122,19 @@ def _average_matrices(config: RunConfig, graph: Graph) -> tuple[dict, np.ndarray
         )
         window_start = 0 if config.include_start else 1
         return {"mode": mode, "steps": config.steps, "window_start": window_start}, p, norm
+    if config.include_start:
+        raise ConfigError("--include-t0 applies only to --mode average-finite")
     if coin is CoinKind.GROVER:
         p, norm = grover_average_matrix(graph, config.degeneracy_tol)
         return {"mode": mode, "eigensolver": "grover-spectral-map"}, p, norm
+    op = build_walk_operator(graph, coin)
     try:
-        dense = materialize_dense(build_walk_operator(graph, coin), cap=config.dense_cap)
+        dec = walk_decompose(op, config.degeneracy_tol, config.dense_cap)
     except DenseCapExceeded as exc:
         msg = f"{exc}; use --mode average-finite or raise --dense-cap"
         raise DenseCapExceeded(msg) from None
-    p, norm = infinite_time_average_matrix(decompose(dense, config.degeneracy_tol), graph)
-    return {"mode": mode, "eigensolver": "cayley-mrrr"}, p, norm
+    p, norm = infinite_time_average_matrix(dec, graph)
+    return {"mode": mode, "eigensolver": "cayley-real-evd"}, p, norm
 
 
 def _threshold(config: RunConfig, graph: Graph) -> float:
@@ -201,9 +204,13 @@ def _run_average(config: RunConfig, graph: Graph) -> OutputDocument:
 def _run_spectrum(config: RunConfig, graph: Graph) -> OutputDocument:
     if config.bins < 2:
         raise ConfigError("--bins must be at least 2")
-    op = build_walk_operator(graph, _coin_kind(config.coin))
-    dense = materialize_dense(op, cap=config.dense_cap)
-    dec = _schur_decompose(dense, degeneracy_tol=config.degeneracy_tol)
+    coin = _coin_kind(config.coin)
+    op = build_walk_operator(graph, coin)
+    if coin is CoinKind.FOURIER:
+        dec = walk_decompose(op, config.degeneracy_tol, config.dense_cap)
+    else:
+        # the Schur form puts the -1 group where the recorded Grover censuses do
+        dec = decompose(materialize_dense(op, cap=config.dense_cap), config.degeneracy_tol)
     report = degeneracy_report(dec, graph)
     counts, edges = argument_histogram(dec, config.bins)
     payload = {
@@ -413,8 +420,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--coin", choices=["fourier", "grover"])
         p.add_argument("--output", help="output path (default: stdout)")
         p.add_argument("--format", choices=["json", "csv"])
-        dense = "cap on D for the dense U of Fourier exact averages and spectrum"
-        dense += f" (default {DEFAULT_DENSE_CAP})"
+        dense = "cap on the arc count D of the dense D x D arrays of exact Fourier averages"
+        dense += f" and of spectrum (default {DEFAULT_DENSE_CAP})"
         p.add_argument("--dense-cap", type=int, help=dense)
         p.add_argument("--deg-tol", dest="degeneracy_tol", type=float)
         return p

@@ -1,21 +1,25 @@
 """Eigendecomposition of the walk unitary and spectrally exact time averages.
 
-* :func:`decompose` takes any dense unitary U and returns a
-  :class:`SpectralDecomposition` (unit-modulus eigenvalues, orthonormal
-  eigenvector columns, groups of degenerate eigenvalues).  It diagonalizes
-  U's Hermitian Cayley image H = i(I - W)(I + W)^-1, W = e^{i phi} U, which
-  has U's eigenvectors and the eigenvalues tan(theta / 2) for the
-  eigenvalues e^{i theta} of W.  An eigenvalues-only pass finds the widest
-  gap of the spectrum, where phi puts the map's pole (the point of the
-  circle it sends to infinity); then one in-place LU inverse of I + W and
-  one MRRR ``eigh`` (LAPACK zheevr; Dhillon and Parlett 2004, Dhillon,
-  Parlett and Voemel 2006) give the basis.  Together they cost a fraction
-  of the complex Schur form, and a Hermitian solver returns an orthonormal
-  basis inside degenerate eigenspaces, which a raw nonsymmetric eigensolver
-  does not guarantee.  It serves the Fourier coin.  The ``spectrum`` census
-  keeps the Schur form (``_schur_decompose``), which is faster on the Grover
-  walk's clusters of about b1 equal eigenvalues.  Both bases pass
-  ``_check_basis``.
+* :func:`walk_decompose` returns the :class:`SpectralDecomposition`
+  (unit-modulus eigenvalues, orthonormal eigenvector columns, groups of
+  degenerate eigenvalues) of a walk operator's U = SC in real arithmetic.
+  Both coins are symmetric and S is a real involution, so with
+  Q = [[1, i], [1, -i]] / sqrt2 on each arc pair (a, rev a), S = Q Q^T and
+  U' = Q* U Q = Q^T C Q is a symmetric unitary (Dyson's circular orthogonal
+  ensemble, J. Math. Phys. 3, 1962; Takagi's factorization, Horn and
+  Johnson, Matrix Analysis 4.4).  Its real and imaginary parts commute, so
+  for W = -e^{-i phi} U' = A + iB the Cayley image H = (I + A)^-1 B is real
+  symmetric, with the eigenvectors of U' and the eigenvalues tan(theta / 2)
+  for those e^{i theta} of W.  An eigenvalues-only pass puts the map's pole
+  (the point of the circle it sends to infinity) in the widest gap of the
+  spectrum; then one real LU solve and one real divide-and-conquer ``eigh``
+  (numpy's; LAPACK syevd) give a real orthonormal O, and V = Q O, so
+  |V_a|^2 = |V_{rev a}|^2 = (O_a^2 + O_{rev a}^2) / 2.  A symmetric solver
+  keeps the basis orthonormal inside degenerate eigenspaces too.  It serves
+  the Fourier averages and ``spectrum`` census.
+* :func:`decompose` takes any dense unitary U and returns its
+  :class:`SpectralDecomposition` from the complex Schur form.  It serves the
+  Grover ``spectrum`` census.  Both bases pass ``_check_basis``.
 * :func:`grover_average_matrix` gives the Grover walk's exact averages in
   node space by the spectral mapping theorem (Szegedy 2004; Higuchi, Konno,
   Sato and Segawa 2014), with no D x D array.  With (d* f)_a =
@@ -28,12 +32,13 @@
   of T gives every eigenprojector as P[a, b] = alpha[a = b] +
   beta[a = rev b] + X[tail a, b] + Y[head a, b], with (N, D) arrays X, Y.
 
-Only the two dense solvers use scipy (LAPACK ``zgetrf``/``zgetri``, ``eigh``
-and ``schur``), and each imports it when called.  Importing arcwalk, and
-every path that reaches neither solver, runs on numpy alone: graph loading,
-finite-time averages, evolution, the classical baseline, and the Grover
-kernel, which needs only numpy's ``eigh``.  Importing
-``scipy.linalg`` costs a process about 0.35 s and 27 MB of peak memory.
+Only :func:`decompose` uses scipy (``schur``), and it imports it when
+called.  Importing arcwalk, and every path that does not reach it, runs on
+numpy alone: graph loading, finite-time averages, evolution, the classical
+baseline, exact Fourier averages and the Fourier ``spectrum`` census
+(``walk_decompose``), and the Grover kernel, which needs only numpy's
+``eigh``.  Importing ``scipy.linalg`` costs a process about 0.2-0.35 s and
+27 MB of peak memory.
 
 Infinite-time (Cesaro) averages sum |P_g[a, b]|^2 over eigenspace projectors
 P_g and over the arc fans of the start and target nodes, so they stay correct
@@ -59,13 +64,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, GraphError, betti_number, is_bipartite
-from .operators import CoinKind, build_walk_operator
+from .operators import (
+    DEFAULT_DENSE_CAP, CoinKind, WalkOperator, build_walk_operator, materialize_dense
+)
 
 __all__ = [
     "SpectralDecomposition",
     "DegeneracyReport",
     "SpectralError",
     "decompose",
+    "walk_decompose",
     "grover_average_matrix",
     "degeneracy_report",
     "infinite_time_average_matrix",
@@ -144,16 +152,21 @@ def _group_by_argument(eigenvalues: np.ndarray, tol: float) -> tuple[np.ndarray,
 
 
 # The Cayley map sends the unit circle to the real line and one point of it,
-# the pole, to infinity.  With the nearest eigenvalue a distance delta from
-# the pole, ||H|| is about 2/delta, and the eigh's rounding, eps ||H||, makes
-# the basis about 2/delta times less accurate than the Schur form's: on small
-# random graphs a pole 2e-3 from an eigenvalue moved the Cesaro matrices by
-# 8e-12.  So the pole goes in the middle of the widest gap of the spectrum,
-# which an eigenvalues-only pass with the pole at a fixed angle locates.  That
-# angle is one no structured spectrum favours (the Grover walk's exact -1
-# eigenvalues make I + W singular for a pole at pi).  If that pass finds an
-# eigenvalue within _POLE_TRUST of its pole, its spectrum is too perturbed to
-# place a gap, and the pole goes to the opposite point instead.
+# the pole, to infinity: the eigenvalue e^{i theta} of W goes to
+# tan(theta / 2) = sin theta / (1 + cos theta).  With the nearest eigenvalue a
+# distance delta from the pole, I + A has an eigenvalue of about delta^2 / 2,
+# and the rounding of the solve makes the basis less accurate than the Schur
+# form's by a factor that grows as delta shrinks.  So the pole goes in the
+# middle of the widest gap of the spectrum, which an eigenvalues-only pass
+# with the pole at a fixed angle locates.  That angle is one no structured
+# spectrum favours (the Grover walk's exact -1 eigenvalues make I + A
+# singular for a pole at pi).  Within about 1e-7 of that pole, 1 + cos theta
+# sinks to the rounding of I + A, and the solve then spoils every eigenvalue
+# of the pass, not only the nearest one (their sum missed tr U' by 3e-3 to 1
+# for an eigenvalue 1e-7 to 1e-9 from the pole).  So the pass places the gap
+# only if no eigenvalue lies within _POLE_TRUST of its pole and its
+# eigenvalues sum to tr U' within _POLE_TRUST; otherwise the pole goes to
+# the opposite point.
 _FIRST_POLE = 2.0
 _POLE_TRUST = 1e-6
 # columns per block of U V - V Lambda and of V*V, which are never held whole
@@ -163,33 +176,12 @@ _BLOCK = 128
 def decompose(
     unitary: np.ndarray, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL
 ) -> SpectralDecomposition:
-    """Eigendecomposition of a unitary matrix with degeneracy grouping, from
-    the Hermitian ``eigh`` of its Cayley image (see the module docstring).
-    U must be unitary within 1e-10 and the basis must pass
-    :func:`_check_basis`; a failure raises :class:`SpectralError`."""
-    u = _checked_unitary(unitary)
-    first = _cayley_eigh(u, _FIRST_POLE, vectors=False)
-    pole = _FIRST_POLE + np.pi
-    if first is not None:
-        nearest = np.min(np.abs(np.angle(first[0] * np.exp(-1j * _FIRST_POLE))))
-        if nearest >= _POLE_TRUST:
-            pole = _widest_gap_middle(first[0])
-    solved = _cayley_eigh(u, pole)
-    if solved is None:
-        raise SpectralError("I + W is singular at both places of the Cayley pole")
-    eigenvalues, vectors = solved
-    _check_basis(eigenvalues, vectors, u.__matmul__, np.abs(np.abs(eigenvalues) - 1.0))
-    groups = _group_by_argument(eigenvalues, degeneracy_tol)
-    return SpectralDecomposition(eigenvalues, vectors, groups, degeneracy_tol)
-
-
-def _schur_decompose(
-    unitary: np.ndarray, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL
-) -> SpectralDecomposition:
-    """:func:`decompose` by the complex Schur form, for the ``spectrum``
-    census, where it beats MRRR on the Grover walk's large degenerate groups.
-    For a unitary (normal) matrix the triangular factor is numerically diagonal
-    and the Schur vectors are an orthonormal eigenbasis."""
+    """Eigendecomposition of a dense unitary matrix with degeneracy grouping,
+    from its complex Schur form: for a unitary (normal) matrix the triangular
+    factor is numerically diagonal and the Schur vectors are an orthonormal
+    eigenbasis.  U must be unitary within 1e-10 and the basis must pass
+    :func:`_check_basis`; a failure raises :class:`SpectralError`.  Imports
+    scipy when called."""
     import scipy.linalg
 
     u = _checked_unitary(unitary)
@@ -213,39 +205,117 @@ def _checked_unitary(unitary: np.ndarray) -> np.ndarray:
     return u
 
 
-def _cayley_eigh(
-    u: np.ndarray, pole: float, vectors: bool = True
-) -> tuple[np.ndarray, np.ndarray | None] | None:
-    """Eigenvalues and orthonormal eigenvectors (None unless ``vectors``) of
-    U from one Hermitian ``eigh`` of H = i(2(I + W)^-1 - I), where
-    W = -e^{-i pole} U puts the map's pole at the eigenvalue e^{i pole} of U;
-    None if I + W is singular."""
-    import scipy.linalg
-    from scipy.linalg import lapack
+def walk_decompose(
+    op: WalkOperator,
+    degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
+    cap: int = DEFAULT_DENSE_CAP,
+) -> SpectralDecomposition:
+    """Eigendecomposition of the walk unitary U = SC with degeneracy grouping,
+    in real arithmetic from the walk's time-reversal symmetry (module
+    docstring).  Every coin block must be symmetric within 1e-12 and unitary
+    within 1e-10, and the basis must pass :func:`_check_basis` against
+    ``op.apply``; a failure raises :class:`SpectralError`.  Above ``cap`` arcs
+    :func:`materialize_dense` raises :class:`DenseCapExceeded`."""
+    for k, block in op.blocks.items():
+        # written as "not x <= bound" so that a NaN fails the check
+        if not np.max(np.abs(block - block.T)) <= 1e-12:
+            raise SpectralError(f"the degree-{k} coin is not symmetric within 1e-12")
+        if not np.max(np.abs(block.conj().T @ block - np.eye(k))) <= 1e-10:
+            raise SpectralError(f"the degree-{k} coin is not unitary within 1e-10")
+    # U' and O keep the two components of the arc pair (a, rev a), a < rev a,
+    # at the indices a and rev a
+    fwd = np.flatnonzero(np.arange(op.dimension) < op.shift)
+    rev = op.shift[fwd]
+    # U' is passed as a temporary, so that _symmetric_eigh can free it
+    eigenvalues, o = _symmetric_eigh(_symmetric_unitary(op, cap, fwd, rev))
 
-    d = u.shape[0]
-    a = np.multiply(u, -np.exp(-1j * pole))
-    a[np.diag_indices(d)] += 1.0
-    # LAPACK works in place on the Fortran-ordered view a^T, so it inverts
-    # (I + W)^T, and H^T = conj(H) is formed in the same buffer
-    lu, piv, info = lapack.zgetrf(a.T, overwrite_a=True)
-    if info > 0:
-        return None
-    lwork = int(lapack.zgetri_lwork(d)[0].real)
-    h, _ = lapack.zgetri(lu, piv, lwork=lwork, overwrite_lu=True)
-    h *= 2j
-    h[np.diag_indices(d)] -= 1j
+    def arcs(o: np.ndarray) -> np.ndarray:  # Q o
+        v = np.empty(o.shape, dtype=complex)
+        v.real[fwd] = v.real[rev] = o[fwd] / np.sqrt(2)
+        v.imag[fwd] = o[rev] / np.sqrt(2)
+        v.imag[rev] = -v.imag[fwd]
+        return v
+
+    def apply(o: np.ndarray) -> np.ndarray:  # U' o = Q* U Q o
+        return _combine_pairs(op.apply(arcs(o)), fwd, rev, -1j) / np.sqrt(2)
+
+    # Q is unitary: U'O = O Lambda and O^T O = I say UV = V Lambda and V*V = I
+    _check_basis(eigenvalues, o, apply, np.abs(np.abs(eigenvalues) - 1.0))
+    groups = _group_by_argument(eigenvalues, degeneracy_tol)
+    return SpectralDecomposition(eigenvalues, arcs(o), groups, degeneracy_tol)
+
+
+def _symmetric_unitary(
+    op: WalkOperator, cap: int, fwd: np.ndarray, rev: np.ndarray
+) -> np.ndarray:
+    """U' = Q* U Q, formed in the buffer of the dense U."""
+    u = materialize_dense(op, cap)
+    _combine_pairs(u.T, fwd, rev, 1j)  # U Q
+    _combine_pairs(u, fwd, rev, -1j)  # Q* (U Q)
+    u /= 2
+    return u
+
+
+def _combine_pairs(
+    m: np.ndarray, fwd: np.ndarray, rev: np.ndarray, phase: complex
+) -> np.ndarray:
+    """In place over the rows of m: row a <- row a + row rev a and row rev a
+    <- phase (row a - row rev a), for the arcs a in ``fwd``.  With phase -i
+    that makes m sqrt2 Q* m, and on the columns (m.T) with phase +i sqrt2 m Q."""
+    a, b = m[fwd], m[rev]
+    m[fwd] = a + b
+    a -= b
+    a *= phase
+    m[rev] = a
+    return m
+
+
+def _symmetric_eigh(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and a real orthonormal eigenbasis O of a symmetric unitary
+    U', from the real Cayley image with its pole placed by an
+    eigenvalues-only pass (see above).  u serves as scratch space and holds U'
+    again, to rounding, on return."""
+
+    def circle(lam: np.ndarray, pole: float) -> np.ndarray:  # tan(theta / 2) -> U'
+        return -np.exp(1j * pole) * (1 + 1j * lam) / (1 - 1j * lam)
+
+    trace = np.trace(u)
+    pole = _FIRST_POLE + np.pi
     try:
-        solved = scipy.linalg.eigh(
-            h, eigvals_only=not vectors, overwrite_a=True, check_finite=False, driver="evr"
-        )
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        h = _cayley_image(u, _FIRST_POLE)
+        first = None if h is None else circle(np.linalg.eigvalsh(h), _FIRST_POLE)
+        del h  # before the next image is formed
+        if first is not None:
+            nearest = np.min(np.abs(np.angle(first * np.exp(-1j * _FIRST_POLE))))
+            if nearest >= _POLE_TRUST and abs(np.sum(first) - trace) <= _POLE_TRUST:
+                pole = _widest_gap_middle(first)
+        h = _cayley_image(u, pole)
+        # frees U' before the eigh when the caller passed it as a temporary
+        del u
+        if h is None:
+            raise SpectralError("I + A is singular at both places of the Cayley pole")
+        lam, o = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise SpectralError(f"eigensolver failed to converge: {exc}") from exc
-    lam, v = solved if vectors else (solved, None)
-    if v is not None:
-        # conj(H) has the conjugate eigenvectors of H
-        np.conjugate(v, out=v)
-    return -np.exp(1j * pole) * (1 + 1j * lam) / (1 - 1j * lam), v
+    return circle(lam, pole), o
+
+
+def _cayley_image(u: np.ndarray, pole: float) -> np.ndarray | None:
+    """The real Cayley image H = (I + A)^-1 B of a symmetric unitary U', where
+    A + iB = W = -e^{-i pole} U' puts the map's pole at the eigenvalue
+    e^{i pole} of U'; None if I + A is singular.  I + A and B are formed in
+    place in u, and u holds U' again, to rounding, on return."""
+    rotation = -np.exp(-1j * pole)
+    diagonal = np.diag_indices_from(u)
+    u *= rotation
+    u.real[diagonal] += 1.0
+    try:
+        return np.linalg.solve(u.real, u.imag)
+    except np.linalg.LinAlgError:
+        return None
+    finally:
+        u.real[diagonal] -= 1.0
+        u /= rotation
 
 
 def _widest_gap_middle(eigenvalues: np.ndarray) -> float:

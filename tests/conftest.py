@@ -16,8 +16,7 @@ def karate():
 
 @pytest.fixture(scope="session")
 def three_fourier_dec(three_community):
-    op = aw.build_walk_operator(three_community, aw.CoinKind.FOURIER)
-    return aw.decompose(aw.materialize_dense(op))
+    return aw.walk_decompose(aw.build_walk_operator(three_community, aw.CoinKind.FOURIER))
 
 
 @pytest.fixture(scope="session")
@@ -28,8 +27,7 @@ def three_grover_dec(three_community):
 
 @pytest.fixture(scope="session")
 def karate_fourier_dec(karate):
-    op = aw.build_walk_operator(karate, aw.CoinKind.FOURIER)
-    return aw.decompose(aw.materialize_dense(op))
+    return aw.walk_decompose(aw.build_walk_operator(karate, aw.CoinKind.FOURIER))
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,11 @@
-"""The Cayley-map eigensolver behind ``decompose`` against the Schur oracle.
+"""The real Cayley eigensolver behind ``walk_decompose`` against the Schur oracle.
 
-``decompose`` diagonalizes the Hermitian Cayley image of U with an MRRR
-``eigh``, the map's pole placed by an eigenvalues-only pass.  The complex
-Schur form of U itself, from ``scipy.linalg.schur``, is kept here only as
-the oracle whose Cesaro averages and degeneracy groups it must reproduce.
+``walk_decompose`` turns the walk unitary U into the symmetric unitary
+U' = Q*UQ, one real 2 x 2 rotation per arc pair, and diagonalizes the real
+Cayley image of U' with numpy's ``eigh``, the map's pole placed by an
+eigenvalues-only pass.  The complex Schur form of U itself, from
+``scipy.linalg.schur``, is kept here as the oracle whose Cesaro averages and
+degeneracy groups it must reproduce.
 """
 
 import numpy as np
@@ -15,7 +17,8 @@ from test_cesaro_kernel import BUILTINS, COINS, connected_graphs
 
 import arcwalk as aw
 from arcwalk import spectral
-from arcwalk.spectral import DEFAULT_DEGENERACY_TOL, _group_by_argument
+from arcwalk.cli import main
+from arcwalk.spectral import DEFAULT_DEGENERACY_TOL, SpectralError, _group_by_argument
 
 
 def schur_decomposition(u, tol=DEFAULT_DEGENERACY_TOL):
@@ -46,9 +49,9 @@ def separation(dec):
 
 
 def assert_matches_schur(graph, coin):
-    u = aw.materialize_dense(aw.build_walk_operator(graph, coin))
-    dec = aw.decompose(u)
-    ref = schur_decomposition(u)
+    op = aw.build_walk_operator(graph, coin)
+    dec = aw.walk_decompose(op)
+    ref = schur_decomposition(aw.materialize_dense(op))
     p, norm = aw.infinite_time_average_matrix(dec, graph)
     p_ref, norm_ref = aw.infinite_time_average_matrix(ref, graph)
     # groups closer than 1e-3 leave every solver's eigenvectors, and so the
@@ -58,6 +61,10 @@ def assert_matches_schur(graph, coin):
     assert np.abs(p - p_ref).max() <= tol
     assert np.abs(norm - norm_ref).max() <= tol
     assert_same_groups(dec, ref)
+    # the returned basis is U's, in the arc basis
+    v = dec.eigenvectors
+    assert np.abs(op.apply(v) - v * dec.eigenvalues).max() <= 1e-10
+    assert np.abs(v.conj().T @ v - np.eye(op.dimension)).max() <= 1e-10
     return dec
 
 
@@ -83,26 +90,34 @@ def test_matches_schur_on_random_graphs(graph, coin):
 
 
 def spectrum_with(angles, seed=None):
-    """A unitary with eigenvalues e^{i angles}: diagonal, or in the basis of a
-    seeded random unitary."""
+    """A symmetric unitary O diag(e^{i angles}) O^T: diagonal, or with O a
+    seeded random real orthogonal matrix."""
+    phases = np.exp(1j * np.asarray(angles))
     if seed is None:
-        return np.diag(np.exp(1j * np.asarray(angles)))
+        return np.diag(phases)
     rng = np.random.default_rng(seed)
-    d = len(angles)
-    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    return (q * np.exp(1j * np.asarray(angles))) @ q.conj().T
+    o, _ = np.linalg.qr(rng.normal(size=(len(angles), len(angles))))
+    return (o * phases) @ o.T
 
 
 def solve_recording_poles(u, monkeypatch):
+    """The core solver on U', the poles it tried, and its result as a
+    SpectralDecomposition of U'."""
     poles = []
-    solve = spectral._cayley_eigh
+    image = spectral._cayley_image
 
-    def recording(u, pole, vectors=True):
+    def recording(u, pole):
         poles.append(pole)
-        return solve(u, pole, vectors)
+        return image(u, pole)
 
-    monkeypatch.setattr(spectral, "_cayley_eigh", recording)
-    return aw.decompose(u), poles
+    monkeypatch.setattr(spectral, "_cayley_image", recording)
+    scratch = u.copy()
+    eigenvalues, o = spectral._symmetric_eigh(scratch)
+    # the solver forms its real pencils in place and puts U' back
+    assert np.abs(scratch - u).max() <= 1e-15
+    assert o.dtype == np.float64
+    groups = _group_by_argument(eigenvalues, DEFAULT_DEGENERACY_TOL)
+    return aw.SpectralDecomposition(eigenvalues, o, groups, DEFAULT_DEGENERACY_TOL), poles
 
 
 def assert_kernel_matches_schur(u, dec):
@@ -134,8 +149,9 @@ def test_cluster_straddling_the_first_pole(monkeypatch):
 
 
 def test_full_solve_puts_the_pole_in_the_widest_gap(monkeypatch):
-    # 1e-4 from the first pole the eigenvalues-only pass is off by about
-    # 1e-10, which still places the widest gap: from 0.6 to the near one
+    # 1e-4 from the first pole I + A has an eigenvalue of about 5e-9, and the
+    # eigenvalues-only pass is still off by far less than 1e-6, which places
+    # the widest gap: from 0.6 to the near one
     near = spectral._FIRST_POLE + 1e-4
     u = spectrum_with([near, *np.linspace(-2.8, 0.6, 12), 3.1], seed=3)
     dec, poles = solve_recording_poles(u, monkeypatch)
@@ -145,16 +161,75 @@ def test_full_solve_puts_the_pole_in_the_widest_gap(monkeypatch):
 
 
 def test_singular_first_lu_moves_the_pole(monkeypatch):
-    getrf = scipy.linalg.lapack.zgetrf
+    solve = np.linalg.solve
     calls = []
 
-    def singular_once(a, overwrite_a=0):
-        lu, piv, info = getrf(a, overwrite_a=overwrite_a)
-        calls.append(info)
-        return lu, piv, 1 if len(calls) == 1 else info
+    def singular_once(a, b):
+        calls.append(a.shape)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "zgetrf", singular_once)
+    monkeypatch.setattr(np.linalg, "solve", singular_once)
     u = spectrum_with(AWAY, seed=5)
     dec, poles = solve_recording_poles(u, monkeypatch)
     assert poles == [spectral._FIRST_POLE, spectral._FIRST_POLE + np.pi]
+    assert len(calls) == 2
     assert_kernel_matches_schur(u, dec)
+
+
+def test_singular_at_both_poles_is_a_spectral_error(monkeypatch):
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(SpectralError, match="singular at both places"):
+        spectral._symmetric_eigh(spectrum_with(AWAY, seed=5))
+
+
+@pytest.mark.parametrize(
+    "corrupt,match",
+    [
+        (lambda b: np.roll(b, 1, axis=0), "degree-4 coin is not symmetric within 1e-12"),
+        (lambda b: 1.01 * b, "degree-4 coin is not unitary within 1e-10"),
+        (lambda b: np.where(np.eye(len(b)), np.nan, b), "degree-4 coin is not symmetric"),
+    ],
+    ids=["row-rotated", "scaled", "nan"],
+)
+def test_bad_coin_block_is_a_spectral_error(corrupt, match):
+    op = aw.build_walk_operator(aw.builtin("karate"), aw.CoinKind.FOURIER)
+    op.blocks[4] = corrupt(op.blocks[4])
+    with pytest.raises(SpectralError, match=match):
+        aw.walk_decompose(op)
+
+
+def corrupt_eigh(monkeypatch, how):
+    eigh = np.linalg.eigh
+
+    def corrupted(h):
+        lam, o = eigh(h)
+        if how == "swapped":
+            o[:, [0, 1]] = o[:, [1, 0]]
+        elif how == "stretched":
+            o[:, 0] *= 1 + 1e-6
+        else:
+            o[0, 0] = np.nan
+        return lam, o
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupted)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "how,match",
+    [("swapped", "residual"), ("stretched", "not orthonormal"), ("nan", "residual")],
+)
+def test_corrupted_eigh_is_a_spectral_error(how, match, monkeypatch, capsys):
+    corrupt_eigh(monkeypatch, how)
+    op = aw.build_walk_operator(aw.builtin("three_community"), aw.CoinKind.FOURIER)
+    with pytest.raises(SpectralError, match=match):
+        aw.walk_decompose(op)
+    assert main(["detect", "--graph", "builtin:karate", "--coin", "fourier"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "arcwalk: numerical error:" in err and match in err

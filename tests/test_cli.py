@@ -367,3 +367,16 @@ def test_finite_documents_record_their_window(window, capsys):
     expected = {"mode": "average-finite", "steps": 7, "window_start": 0 if window else 1}
     for record in params:
         assert {key: record[key] for key in expected} == expected
+
+
+@pytest.mark.parametrize("coin", ["fourier", "grover"])
+@pytest.mark.parametrize(
+    "command", [["average"], ["detect"], ["sweep", "--q-list", "0.01,0.02"]], ids=lambda c: c[0]
+)
+def test_include_t0_needs_finite_mode(command, coin, capsys):
+    # the exact Cesaro limit has no time window for t = 0 to join
+    argv = [*command, "--graph", "builtin:karate", "--coin", coin, "--include-t0"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "config error: --include-t0 applies only to --mode average-finite" in err

@@ -352,7 +352,7 @@ def test_cli_documents_match_the_schur_path(name, monkeypatch, capsys):
     "coin,mode,solver",
     [
         ("grover", "average-infinite", "grover-spectral-map"),
-        ("fourier", "average-infinite", "cayley-mrrr"),
+        ("fourier", "average-infinite", "cayley-real-evd"),
         ("grover", "average-finite", None),
     ],
 )

@@ -1,10 +1,11 @@
-"""Import boundary: scipy loads only with the two dense eigensolvers.
+"""Import boundary: scipy loads only with the Schur form of ``decompose``.
 
 Importing arcwalk, graph loading, finite-time averages, ``evolve``,
-``classical`` and every exact Grover command run on numpy alone; the Fourier
-Cayley solver and the ``spectrum`` Schur census load scipy at their first
-solve.  Each case runs in a fresh interpreter, because this process has
-already imported scipy.
+``classical``, every exact Grover and Fourier average and the Fourier
+``spectrum`` census run on numpy alone; only the Grover ``spectrum`` census
+and the public dense ``decompose`` load scipy, at their first solve.  Each
+case runs in a fresh interpreter, because this process has already imported
+scipy.
 """
 
 import os
@@ -54,6 +55,10 @@ def test_import_loads_numpy_only():
 @pytest.mark.parametrize(
     "argv",
     [
+        ["detect", *KARATE, "--coin", "fourier"],
+        ["average", *KARATE, "--start", "1"],
+        ["sweep", *KARATE, "--q-list", "0.005,0.01"],
+        ["spectrum", *KARATE],
         ["detect", *KARATE, "--coin", "grover"],
         ["average", *KARATE, "--coin", "grover", "--start", "1"],
         ["sweep", *KARATE, "--coin", "grover", "--q-list", "0.005,0.01"],
@@ -68,10 +73,5 @@ def test_command_runs_on_numpy_alone(argv):
     assert not loads_scipy(*argv)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["detect", *KARATE, "--coin", "fourier"], ["spectrum", *KARATE]],
-    ids=" ".join,
-)
-def test_dense_eigensolver_loads_scipy(argv):
-    assert loads_scipy(*argv)
+def test_grover_spectrum_loads_scipy():
+    assert loads_scipy("spectrum", *KARATE, "--coin", "grover")

@@ -44,22 +44,20 @@ def test_decompose_rejects_nan_and_inf(bad):
     [("eigenvalue", "unit circle"), ("vector", "residual"), ("basis", "not orthonormal")],
 )
 def test_decompose_rejects_nan_from_the_eigensolver(monkeypatch, corrupt, match):
-    eigh = scipy.linalg.eigh
+    schur = scipy.linalg.schur
 
-    def corrupt_eigh(h, **kwargs):
-        if kwargs.get("eigvals_only"):  # the pass that places the pole
-            return eigh(h, **kwargs)
-        lam, v = eigh(h, **kwargs)
+    def corrupt_schur(u, **kwargs):
+        t, z = schur(u, **kwargs)
         if corrupt == "eigenvalue":
-            lam[0] = np.nan
+            t[0, 0] = np.nan
         elif corrupt == "vector":
-            v[0, 0] = np.nan
+            z[0, 0] = np.nan
         else:
             # U = I maps every vector to itself: only V*V = I sees a repeat
-            v[:, 1] = v[:, 0]
-        return lam, v
+            z[:, 1] = z[:, 0]
+        return t, z
 
-    monkeypatch.setattr(scipy.linalg, "eigh", corrupt_eigh)
+    monkeypatch.setattr(scipy.linalg, "schur", corrupt_schur)
     with pytest.raises(SpectralError, match=match):
         aw.decompose(np.eye(3))
 
@@ -284,8 +282,10 @@ def test_argument_histogram_rejects_single_bin(three_fourier_dec):
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
 def test_degeneracy_tolerance_must_be_positive(three_community, tol):
     # every eigenvalue its own group would give a wrong "exact" Cesaro average
-    dense = aw.materialize_dense(aw.build_walk_operator(three_community, aw.CoinKind.FOURIER))
+    op = aw.build_walk_operator(three_community, aw.CoinKind.FOURIER)
     with pytest.raises(ValueError, match="degeneracy tolerance must be positive"):
-        aw.decompose(dense, degeneracy_tol=tol)
+        aw.decompose(aw.materialize_dense(op), degeneracy_tol=tol)
+    with pytest.raises(ValueError, match="degeneracy tolerance must be positive"):
+        aw.walk_decompose(op, degeneracy_tol=tol)
     with pytest.raises(ValueError, match="degeneracy tolerance must be positive"):
         aw.grover_average_matrix(three_community, tol)
