@@ -18,7 +18,7 @@ def main() -> None:
     print(f"graph: N={g.node_count} nodes, D={g.arc_count} directed arcs")
 
     op = aw.build_walk_operator(g, aw.CoinKind.FOURIER)
-    dec = aw.decompose(aw.materialize_dense(op))
+    dec = aw.walk_decompose(op)
     p, norm = aw.infinite_time_average_matrix(dec, g)
 
     q = 1.0 / g.arc_count

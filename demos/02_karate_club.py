@@ -16,7 +16,7 @@ FACTION_34 = {9, 10, 15, 16, 19, 21, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33,
 def main() -> None:
     g = aw.builtin("karate")
     op = aw.build_walk_operator(g, aw.CoinKind.FOURIER)
-    dec = aw.decompose(aw.materialize_dense(op))
+    dec = aw.walk_decompose(op)
     _, norm = aw.infinite_time_average_matrix(dec, g)
 
     q = 1.0 / g.arc_count

@@ -16,7 +16,7 @@ import arcwalk as aw
 def census(name: str) -> None:
     g = aw.builtin(name)
     op = aw.build_walk_operator(g, aw.CoinKind.GROVER)
-    dec = aw.decompose(aw.materialize_dense(op))
+    dec = aw.walk_decompose(op)
     r = aw.degeneracy_report(dec, g)
     b1 = aw.betti_number(g)
     print(f"{name:16s} b1={b1:2d} bipartite={aw.is_bipartite(g)!s:5s} "
@@ -48,7 +48,7 @@ def main() -> None:
     print("\nFourier walk on karate for contrast:")
     karate = aw.builtin("karate")
     op = aw.build_walk_operator(karate, aw.CoinKind.FOURIER)
-    dec = aw.decompose(aw.materialize_dense(op))
+    dec = aw.walk_decompose(op)
     print(f"  largest eigenvalue group size: {max(len(grp) for grp in dec.groups)} "
           "(simple spectrum)")
     values = aw.ipr(aw.eigenstate_node_probability(dec, karate))

@@ -28,7 +28,7 @@ def main() -> None:
     print(f"classical walk from node 1 relaxes below TV=0.01 after {first} steps")
 
     op_f = aw.build_walk_operator(g, aw.CoinKind.FOURIER)
-    dec = aw.decompose(aw.materialize_dense(op_f))
+    dec = aw.walk_decompose(op_f)
     _, norm = aw.infinite_time_average_matrix(dec, g)
     intra = norm[np.ix_(range(7), range(7))]
     off = intra[~np.eye(7, dtype=bool)]

@@ -32,14 +32,14 @@ def main() -> None:
 
     op = aw.build_walk_operator(g, aw.CoinKind.GROVER)
     print("checking Grover degeneracies (prediction b1+1, b1-1)...")
-    dec = aw.decompose(aw.materialize_dense(op, cap=5000))
+    dec = aw.walk_decompose(op, cap=5000)
     r = aw.degeneracy_report(dec, g)
     print(f"  observed (+1,-1) = ({r.plus_one},{r.minus_one}), "
           f"predicted ({r.predicted_plus_one},{r.predicted_minus_one})")
 
     print("computing Fourier infinite-time averages...")
     op = aw.build_walk_operator(g, aw.CoinKind.FOURIER)
-    dec = aw.decompose(aw.materialize_dense(op, cap=5000))
+    dec = aw.walk_decompose(op, cap=5000)
     _, norm = aw.infinite_time_average_matrix(dec, g)
 
     print("\nthreshold sweep:")

@@ -30,13 +30,11 @@ from .operators import (
     CoinKind,
     DenseCapExceeded,
     build_walk_operator,
-    materialize_dense,
 )
 from .spectral import (
     DEFAULT_DEGENERACY_TOL,
     SpectralError,
     argument_histogram,
-    decompose,
     degeneracy_report,
     eigenstate_node_probability,
     grover_average_matrix,
@@ -204,14 +202,13 @@ def _run_average(config: RunConfig, graph: Graph) -> OutputDocument:
 def _run_spectrum(config: RunConfig, graph: Graph) -> OutputDocument:
     if config.bins < 2:
         raise ConfigError("--bins must be at least 2")
-    coin = _coin_kind(config.coin)
-    op = build_walk_operator(graph, coin)
-    if coin is CoinKind.FOURIER:
-        dec = walk_decompose(op, config.degeneracy_tol, config.dense_cap)
-    else:
-        # the Schur form puts the -1 group where the recorded Grover censuses do
-        dec = decompose(materialize_dense(op, cap=config.dense_cap), config.degeneracy_tol)
+    op = build_walk_operator(graph, _coin_kind(config.coin))
+    dec = walk_decompose(op, config.degeneracy_tol, config.dense_cap)
     report = degeneracy_report(dec, graph)
+    # a degenerate group's basis is arbitrary, its mean node profile is not
+    profiles = eigenstate_node_probability(dec, graph)
+    for group in dec.groups:
+        profiles[group] = profiles[group].mean(axis=0)
     counts, edges = argument_histogram(dec, config.bins)
     payload = {
         "eigenvalues": [complex(v) for v in dec.eigenvalues],
@@ -225,7 +222,7 @@ def _run_spectrum(config: RunConfig, graph: Graph) -> OutputDocument:
             "predicted_minus_one": report.predicted_minus_one,
         },
         "histogram": {"counts": counts, "bin_edges": edges},
-        "ipr": ipr(eigenstate_node_probability(dec, graph)),
+        "ipr": ipr(profiles),
     }
     meta = _metadata(
         config, graph, parameters={"bins": config.bins, "degeneracy_tol": config.degeneracy_tol}

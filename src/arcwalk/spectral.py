@@ -16,10 +16,11 @@
   (numpy's; LAPACK syevd) give a real orthonormal O, and V = Q O, so
   |V_a|^2 = |V_{rev a}|^2 = (O_a^2 + O_{rev a}^2) / 2.  A symmetric solver
   keeps the basis orthonormal inside degenerate eigenspaces too.  It serves
-  the Fourier averages and ``spectrum`` census.
+  the Fourier averages and the ``spectrum`` census of both coins.
 * :func:`decompose` takes any dense unitary U and returns its
-  :class:`SpectralDecomposition` from the complex Schur form.  It serves the
-  Grover ``spectrum`` census.  Both bases pass ``_check_basis``.
+  :class:`SpectralDecomposition` from the same pole-placed core on the
+  complex Cayley image i(I - W)(I + W)^-1, which is Hermitian with U's
+  eigenvectors.  Both bases pass ``_check_basis``.
 * :func:`grover_average_matrix` gives the Grover walk's exact averages in
   node space by the spectral mapping theorem (Szegedy 2004; Higuchi, Konno,
   Sato and Segawa 2014), with no D x D array.  With (d* f)_a =
@@ -32,13 +33,7 @@
   of T gives every eigenprojector as P[a, b] = alpha[a = b] +
   beta[a = rev b] + X[tail a, b] + Y[head a, b], with (N, D) arrays X, Y.
 
-Only :func:`decompose` uses scipy (``schur``), and it imports it when
-called.  Importing arcwalk, and every path that does not reach it, runs on
-numpy alone: graph loading, finite-time averages, evolution, the classical
-baseline, exact Fourier averages and the Fourier ``spectrum`` census
-(``walk_decompose``), and the Grover kernel, which needs only numpy's
-``eigh``.  Importing ``scipy.linalg`` costs a process about 0.2-0.35 s and
-27 MB of peak memory.
+Every eigensolver here is numpy's ``eigh`` or ``eigvalsh``.
 
 Infinite-time (Cesaro) averages sum |P_g[a, b]|^2 over eigenspace projectors
 P_g and over the arc fans of the start and target nodes, so they stay correct
@@ -154,19 +149,19 @@ def _group_by_argument(eigenvalues: np.ndarray, tol: float) -> tuple[np.ndarray,
 # The Cayley map sends the unit circle to the real line and one point of it,
 # the pole, to infinity: the eigenvalue e^{i theta} of W goes to
 # tan(theta / 2) = sin theta / (1 + cos theta).  With the nearest eigenvalue a
-# distance delta from the pole, I + A has an eigenvalue of about delta^2 / 2,
-# and the rounding of the solve makes the basis less accurate than the Schur
-# form's by a factor that grows as delta shrinks.  So the pole goes in the
-# middle of the widest gap of the spectrum, which an eigenvalues-only pass
-# with the pole at a fixed angle locates.  That angle is one no structured
-# spectrum favours (the Grover walk's exact -1 eigenvalues make I + A
-# singular for a pole at pi).  Within about 1e-7 of that pole, 1 + cos theta
-# sinks to the rounding of I + A, and the solve then spoils every eigenvalue
-# of the pass, not only the nearest one (their sum missed tr U' by 3e-3 to 1
-# for an eigenvalue 1e-7 to 1e-9 from the pole).  So the pass places the gap
-# only if no eigenvalue lies within _POLE_TRUST of its pole and its
-# eigenvalues sum to tr U' within _POLE_TRUST; otherwise the pole goes to
-# the opposite point.
+# distance delta from the pole, I + A has an eigenvalue of about delta^2 / 2
+# (I + W of the complex image, about delta), and the rounding of the solve
+# makes the basis less accurate by a factor that grows as delta shrinks.  So
+# the pole goes in the middle of the widest gap of the spectrum, which an
+# eigenvalues-only pass with the pole at a fixed angle locates.  That angle
+# is one no structured spectrum favours (the Grover walk's exact -1
+# eigenvalues make I + A singular for a pole at pi).  Within about 1e-7 of
+# that pole, 1 + cos theta sinks to the rounding of I + A, and the solve then
+# spoils every eigenvalue of the pass, not only the nearest one (their sum
+# missed tr U' by 3e-3 to 1 for an eigenvalue 1e-7 to 1e-9 from the pole).
+# So the pass places the gap only if no eigenvalue lies within _POLE_TRUST of
+# its pole and its eigenvalues sum to tr U' within _POLE_TRUST; otherwise the
+# pole goes to the opposite point.
 _FIRST_POLE = 2.0
 _POLE_TRUST = 1e-6
 # columns per block of U V - V Lambda and of V*V, which are never held whole
@@ -177,19 +172,12 @@ def decompose(
     unitary: np.ndarray, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL
 ) -> SpectralDecomposition:
     """Eigendecomposition of a dense unitary matrix with degeneracy grouping,
-    from its complex Schur form: for a unitary (normal) matrix the triangular
-    factor is numerically diagonal and the Schur vectors are an orthonormal
-    eigenbasis.  U must be unitary within 1e-10 and the basis must pass
-    :func:`_check_basis`; a failure raises :class:`SpectralError`.  Imports
-    scipy when called."""
-    import scipy.linalg
-
+    from ``eigh`` of its complex Cayley image (:func:`_hermitian_cayley_image`)
+    with the pole placed as in :func:`walk_decompose`.  U must be unitary
+    within 1e-10 and the basis must pass :func:`_check_basis`; a failure
+    raises :class:`SpectralError`."""
     u = _checked_unitary(unitary)
-    try:
-        t, z = scipy.linalg.schur(u, output="complex")
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise SpectralError(f"eigensolver failed to converge: {exc}") from exc
-    eigenvalues = np.diag(t).copy()
+    eigenvalues, z = _cayley_eigh(u, _hermitian_cayley_image)
     _check_basis(eigenvalues, z, u.__matmul__, np.abs(np.abs(eigenvalues) - 1.0))
     groups = _group_by_argument(eigenvalues, degeneracy_tol)
     return SpectralDecomposition(eigenvalues, z, groups, degeneracy_tol)
@@ -226,8 +214,8 @@ def walk_decompose(
     # at the indices a and rev a
     fwd = np.flatnonzero(np.arange(op.dimension) < op.shift)
     rev = op.shift[fwd]
-    # U' is passed as a temporary, so that _symmetric_eigh can free it
-    eigenvalues, o = _symmetric_eigh(_symmetric_unitary(op, cap, fwd, rev))
+    # U' is passed as a temporary, so that _cayley_eigh can free it
+    eigenvalues, o = _cayley_eigh(_symmetric_unitary(op, cap, fwd, rev), _cayley_image)
 
     def arcs(o: np.ndarray) -> np.ndarray:  # Q o
         v = np.empty(o.shape, dtype=complex)
@@ -270,30 +258,31 @@ def _combine_pairs(
     return m
 
 
-def _symmetric_eigh(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and a real orthonormal eigenbasis O of a symmetric unitary
-    U', from the real Cayley image with its pole placed by an
-    eigenvalues-only pass (see above).  u serves as scratch space and holds U'
-    again, to rounding, on return."""
+def _cayley_eigh(u: np.ndarray, image: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and an orthonormal eigenbasis of a unitary U from ``eigh``
+    of ``image(u, pole)``: a Hermitian matrix with U's eigenvectors and the
+    eigenvalues tan(theta / 2) for those e^{i theta} of W = -e^{-i pole} U, or
+    None if I + W is singular, the pole placed by an eigenvalues-only pass
+    (see above).  ``image`` may use u as scratch space if it puts U back."""
 
-    def circle(lam: np.ndarray, pole: float) -> np.ndarray:  # tan(theta / 2) -> U'
+    def circle(lam: np.ndarray, pole: float) -> np.ndarray:  # tan(theta / 2) -> U
         return -np.exp(1j * pole) * (1 + 1j * lam) / (1 - 1j * lam)
 
     trace = np.trace(u)
     pole = _FIRST_POLE + np.pi
     try:
-        h = _cayley_image(u, _FIRST_POLE)
+        h = image(u, _FIRST_POLE)
         first = None if h is None else circle(np.linalg.eigvalsh(h), _FIRST_POLE)
         del h  # before the next image is formed
         if first is not None:
             nearest = np.min(np.abs(np.angle(first * np.exp(-1j * _FIRST_POLE))))
             if nearest >= _POLE_TRUST and abs(np.sum(first) - trace) <= _POLE_TRUST:
                 pole = _widest_gap_middle(first)
-        h = _cayley_image(u, pole)
-        # frees U' before the eigh when the caller passed it as a temporary
+        h = image(u, pole)
+        # frees U before the eigh when the caller passed it as a temporary
         del u
         if h is None:
-            raise SpectralError("I + A is singular at both places of the Cayley pole")
+            raise SpectralError("I + W is singular at both places of the Cayley pole")
         lam, o = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise SpectralError(f"eigensolver failed to converge: {exc}") from exc
@@ -316,6 +305,20 @@ def _cayley_image(u: np.ndarray, pole: float) -> np.ndarray | None:
     finally:
         u.real[diagonal] -= 1.0
         u /= rotation
+
+
+def _hermitian_cayley_image(u: np.ndarray, pole: float) -> np.ndarray | None:
+    """H = i(I - W)(I + W)^-1 = 2i(I + W)^-1 - iI, the complex Cayley image of
+    any unitary U with W = -e^{-i pole} U; None if I + W is singular."""
+    w = u * -np.exp(-1j * pole)
+    w[np.diag_indices_from(w)] += 1.0
+    try:
+        h = np.linalg.inv(w)
+    except np.linalg.LinAlgError:
+        return None
+    h *= 2j
+    h[np.diag_indices_from(h)] -= 1j
+    return h
 
 
 def _widest_gap_middle(eigenvalues: np.ndarray) -> float:

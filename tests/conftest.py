@@ -21,8 +21,7 @@ def three_fourier_dec(three_community):
 
 @pytest.fixture(scope="session")
 def three_grover_dec(three_community):
-    op = aw.build_walk_operator(three_community, aw.CoinKind.GROVER)
-    return aw.decompose(aw.materialize_dense(op))
+    return aw.walk_decompose(aw.build_walk_operator(three_community, aw.CoinKind.GROVER))
 
 
 @pytest.fixture(scope="session")

@@ -49,7 +49,7 @@ def skip_line(capsys, number, name, reason):
 
 def grover_report(graph):
     op = aw.build_walk_operator(graph, aw.CoinKind.GROVER)
-    dec = aw.decompose(aw.materialize_dense(op, cap=5000))
+    dec = aw.walk_decompose(op, cap=5000)
     return aw.degeneracy_report(dec, graph)
 
 
@@ -150,7 +150,7 @@ def test_criterion_07_airport_hierarchy(capsys):
     if airport is None:
         skip_line(capsys, 7, "airport threshold sweep", "usair97.net not supplied")
     op = aw.build_walk_operator(airport, aw.CoinKind.FOURIER)
-    dec = aw.decompose(aw.materialize_dense(op, cap=5000))
+    dec = aw.walk_decompose(op, cap=5000)
     _, norm = aw.infinite_time_average_matrix(dec, airport)
     entries = aw.sweep(norm, airport, list(Q_AIRPORT))
     ok = True

@@ -1,11 +1,13 @@
-"""The real Cayley eigensolver behind ``walk_decompose`` against the Schur oracle.
+"""The Cayley eigensolvers behind ``walk_decompose`` and ``decompose`` against
+the Schur oracle.
 
 ``walk_decompose`` turns the walk unitary U into the symmetric unitary
 U' = Q*UQ, one real 2 x 2 rotation per arc pair, and diagonalizes the real
 Cayley image of U' with numpy's ``eigh``, the map's pole placed by an
-eigenvalues-only pass.  The complex Schur form of U itself, from
-``scipy.linalg.schur``, is kept here as the oracle whose Cesaro averages and
-degeneracy groups it must reproduce.
+eigenvalues-only pass.  ``decompose`` runs the same pole-placed core on the
+complex Cayley image of any dense unitary.  The complex Schur form of U,
+from ``scipy.linalg.schur``, is kept here as the oracle whose Cesaro
+averages and degeneracy groups both must reproduce.
 """
 
 import numpy as np
@@ -100,19 +102,22 @@ def spectrum_with(angles, seed=None):
     return (o * phases) @ o.T
 
 
-def solve_recording_poles(u, monkeypatch):
-    """The core solver on U', the poles it tried, and its result as a
-    SpectralDecomposition of U'."""
-    poles = []
-    image = spectral._cayley_image
+def recording_poles(image, poles):
+    """``image`` that appends each pole it is asked for to ``poles``."""
 
     def recording(u, pole):
         poles.append(pole)
         return image(u, pole)
 
-    monkeypatch.setattr(spectral, "_cayley_image", recording)
+    return recording
+
+
+def solve_recording_poles(u):
+    """The core solver on U' with the real image, the poles it tried, and its
+    result as a SpectralDecomposition of U'."""
+    poles = []
     scratch = u.copy()
-    eigenvalues, o = spectral._symmetric_eigh(scratch)
+    eigenvalues, o = spectral._cayley_eigh(scratch, recording_poles(spectral._cayley_image, poles))
     # the solver forms its real pencils in place and puts U' back
     assert np.abs(scratch - u).max() <= 1e-15
     assert o.dtype == np.float64
@@ -131,30 +136,30 @@ AWAY = list(np.linspace(-0.6, 0.6, 7)) + [2.5, 3.0, -2.5, -2.0]
 
 
 @pytest.mark.parametrize("seed", [None, 7], ids=["diagonal", "rotated"])
-def test_eigenvalue_on_the_first_pole(seed, monkeypatch):
+def test_eigenvalue_on_the_first_pole(seed):
     u = spectrum_with([spectral._FIRST_POLE, *AWAY], seed)
-    dec, poles = solve_recording_poles(u, monkeypatch)
+    dec, poles = solve_recording_poles(u)
     # too close to place a gap: the full solve puts the pole opposite
     assert poles == [spectral._FIRST_POLE, spectral._FIRST_POLE + np.pi]
     assert_kernel_matches_schur(u, dec)
 
 
-def test_cluster_straddling_the_first_pole(monkeypatch):
+def test_cluster_straddling_the_first_pole():
     cluster = spectral._FIRST_POLE + np.array([-1e-10, 0.0, 1e-10])
     u = spectrum_with([*cluster, *AWAY], seed=11)
-    dec, poles = solve_recording_poles(u, monkeypatch)
+    dec, poles = solve_recording_poles(u)
     assert poles == [spectral._FIRST_POLE, spectral._FIRST_POLE + np.pi]
     assert sorted(len(g) for g in dec.groups) == [1] * len(AWAY) + [3]
     assert_kernel_matches_schur(u, dec)
 
 
-def test_full_solve_puts_the_pole_in_the_widest_gap(monkeypatch):
+def test_full_solve_puts_the_pole_in_the_widest_gap():
     # 1e-4 from the first pole I + A has an eigenvalue of about 5e-9, and the
     # eigenvalues-only pass is still off by far less than 1e-6, which places
     # the widest gap: from 0.6 to the near one
     near = spectral._FIRST_POLE + 1e-4
     u = spectrum_with([near, *np.linspace(-2.8, 0.6, 12), 3.1], seed=3)
-    dec, poles = solve_recording_poles(u, monkeypatch)
+    dec, poles = solve_recording_poles(u)
     assert poles[0] == spectral._FIRST_POLE
     assert len(poles) == 2 and abs(poles[1] - (0.6 + near) / 2) < 1e-6
     assert_kernel_matches_schur(u, dec)
@@ -172,7 +177,7 @@ def test_singular_first_lu_moves_the_pole(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", singular_once)
     u = spectrum_with(AWAY, seed=5)
-    dec, poles = solve_recording_poles(u, monkeypatch)
+    dec, poles = solve_recording_poles(u)
     assert poles == [spectral._FIRST_POLE, spectral._FIRST_POLE + np.pi]
     assert len(calls) == 2
     assert_kernel_matches_schur(u, dec)
@@ -184,7 +189,31 @@ def test_singular_at_both_poles_is_a_spectral_error(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", singular)
     with pytest.raises(SpectralError, match="singular at both places"):
-        spectral._symmetric_eigh(spectrum_with(AWAY, seed=5))
+        spectral._cayley_eigh(spectrum_with(AWAY, seed=5), spectral._cayley_image)
+
+
+def random_unitary(angles, seed):
+    """Z diag(e^{i angles}) Z* with Z a seeded random complex unitary: no
+    symmetry for the real Cayley form to use."""
+    rng = np.random.default_rng(seed)
+    n = len(angles)
+    z, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return (z * np.exp(1j * np.asarray(angles))) @ z.conj().T
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_decompose_matches_schur_on_random_unitaries(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    angles = [spectral._FIRST_POLE, 0.7, 0.7, 0.7, *rng.uniform(-np.pi, np.pi, 12)]
+    u = random_unitary(angles, seed)
+    poles = []
+    image = recording_poles(spectral._hermitian_cayley_image, poles)
+    monkeypatch.setattr(spectral, "_hermitian_cayley_image", image)
+    dec = aw.decompose(u)
+    # the eigenvalue on the first pole sends the full solve to the opposite one
+    assert poles == [spectral._FIRST_POLE, spectral._FIRST_POLE + np.pi]
+    assert sorted(len(g) for g in dec.groups) == [1] * 13 + [3]
+    assert_kernel_matches_schur(u, dec)
 
 
 @pytest.mark.parametrize(

@@ -7,9 +7,10 @@ multiplicities, counts) must match exactly; floats within 1e-12 absolute.
 Both documents are parsed to exact decimals, so a field that differs by one
 unit of the 12-significant-digit rendering of a value in [0.1, 1), exactly
 1e-12, passes however the two decimals would round to binary.
-Spectrum eigenvalues are compared as a list sorted by argument, and the
-per-eigenvector IPR is skipped: inside a degenerate eigenspace the basis,
-and so its IPR, is arbitrary.
+Spectrum eigenvalues are compared with their IPRs as (eigenvalue, IPR) pairs
+sorted by argument: the eigensolver's order is arbitrary, and each member of
+a degenerate group reports the IPR of the group's mean node profile, which
+does not depend on the basis chosen inside the group.
 """
 
 import cmath
@@ -31,8 +32,9 @@ def _angle(z: dict) -> float:
 def _normalize(doc: dict) -> dict:
     payload = dict(doc["payload"])
     if "eigenvalues" in payload:
-        payload["eigenvalues"] = sorted(payload["eigenvalues"], key=_angle)
-        payload.pop("ipr")
+        pairs = sorted(zip(payload["eigenvalues"], payload["ipr"]), key=lambda pair: _angle(pair[0]))
+        payload["eigenvalues"] = [z for z, _ in pairs]
+        payload["ipr"] = [value for _, value in pairs]
     return {"metadata": doc["metadata"], "payload": payload}
 
 

@@ -1,11 +1,9 @@
-"""Import boundary: scipy loads only with the Schur form of ``decompose``.
+"""Import boundary: arcwalk runs on numpy alone.
 
-Importing arcwalk, graph loading, finite-time averages, ``evolve``,
-``classical``, every exact Grover and Fourier average and the Fourier
-``spectrum`` census run on numpy alone; only the Grover ``spectrum`` census
-and the public dense ``decompose`` load scipy, at their first solve.  Each
-case runs in a fresh interpreter, because this process has already imported
-scipy.
+Importing arcwalk, every CLI command under both coins and the public dense
+``decompose`` leave scipy unloaded; the tests use it only as an oracle.
+Each case runs in a fresh interpreter, because this process has already
+imported scipy.
 """
 
 import os
@@ -17,12 +15,15 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# runs ``arcwalk <argv>`` (or only the imports, with no argv) and prints
+# runs ``arcwalk <argv>`` (or only the imports, with no argv; or
+# ``decompose`` of a dense unitary, with the argv "decompose") and prints
 # whether scipy was loaded
 _PROBE = """
 import contextlib, io, sys
-import arcwalk, arcwalk.cli
-if sys.argv[1:]:
+import numpy, arcwalk, arcwalk.cli
+if sys.argv[1:] == ["decompose"]:
+    arcwalk.decompose(numpy.eye(3))
+elif sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         code = arcwalk.cli.main(sys.argv[1:])
     if code != 0:
@@ -59,6 +60,7 @@ def test_import_loads_numpy_only():
         ["average", *KARATE, "--start", "1"],
         ["sweep", *KARATE, "--q-list", "0.005,0.01"],
         ["spectrum", *KARATE],
+        ["spectrum", *KARATE, "--coin", "grover"],
         ["detect", *KARATE, "--coin", "grover"],
         ["average", *KARATE, "--coin", "grover", "--start", "1"],
         ["sweep", *KARATE, "--coin", "grover", "--q-list", "0.005,0.01"],
@@ -73,5 +75,5 @@ def test_command_runs_on_numpy_alone(argv):
     assert not loads_scipy(*argv)
 
 
-def test_grover_spectrum_loads_scipy():
-    assert loads_scipy("spectrum", *KARATE, "--coin", "grover")
+def test_decompose_runs_on_numpy_alone():
+    assert not loads_scipy("decompose")
