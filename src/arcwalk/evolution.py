@@ -5,18 +5,32 @@ started once per outgoing arc and the resulting node probabilities are
 averaged with weight 1/k_i.  The normalized row divides by the target
 degree k_l, which removes the degree bias of the raw probabilities.
 
-One streaming core, ``_node_probabilities``, steps a batch of start arcs and
-yields their (N, B) node probabilities at t = 0..T.  Two folds over it return
-arrays: :func:`transition_rows`, the rows p(i -> l; t) of one start node at
-every t, and :func:`finite_time_average_matrix`, the window mean over all
-start nodes.
+One streaming core, ``_node_probabilities``, steps a batch of start arcs in
+the operator's class-ordered layout (``operators`` module docstring) and
+yields their (N, B) node probabilities at t = 0..T, rows in the operator's
+``node_order``.  Two folds over it return arrays in node order:
+:func:`transition_rows`, the rows p(i -> l; t) of one start node at every t,
+and :func:`finite_time_average_matrix`, the window mean over all start
+nodes.  The latter splits the start arcs into balanced column chunks and
+steps them on one thread per usable core, while every node's GEMM stays
+small enough for BLAS to run it on the calling thread (``_SERIAL_GEMM``);
+numpy releases the GIL in the GEMMs, gathers and ufuncs of a step.  Each
+thread holds about 40 D B bytes for a chunk of B columns, and all chunks in
+flight together hold at most ``_CHUNK_ARCS`` (1,024) columns.  The caller
+makes every thread's arrays (``_workspace``) before the threads start and
+the threads reuse them for each of their chunks, so the threads allocate
+nothing large and the peak memory does not depend on their scheduling.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 
 from .operators import WalkOperator
+from .spectral import SpectralError
 
 __all__ = [
     "transition_rows",
@@ -25,28 +39,54 @@ __all__ = [
 ]
 
 DEFAULT_AVERAGE_STEPS = 100
-_CHUNK_ARCS = 1024  # start arcs stepped together by finite_time_average_matrix
+_CHUNK_ARCS = 1024  # start arcs stepped at once by finite_time_average_matrix
+# chunks start at multiples of _ALIGN arcs: a GEMM kernel may round the
+# columns past its last full panel (4 columns in OpenBLAS's Haswell zgemm)
+# differently, and aligned chunks give every start arc the same kernel
+# however the columns are split
+_ALIGN = 8
+# bytes a thread's chunk may hold: wider chunks fall out of cache
+_CHUNK_BYTES = 16 << 20
+# OpenBLAS runs a GEMM on its calling thread while m n k < _SERIAL_GEMM and
+# hands larger ones to its own thread pool, which stepping threads queue
+# for.  Threads step only chunks that keep every node's k x k by k x B GEMM
+# serial, and only when that still leaves _MIN_THREAD_WIDTH columns
+_SERIAL_GEMM = 1 << 16
+_MIN_THREAD_WIDTH = 64
 
 
-def _node_probabilities(op: WalkOperator, arcs: np.ndarray, steps: int):
-    """Yield the (N, B) node probabilities at t = 0..steps of the B walks
-    started on the basis states of ``arcs``; column b belongs to arcs[b]."""
-    psi = np.zeros((op.dimension, len(arcs)), dtype=complex)
-    psi[arcs, np.arange(len(arcs))] = 1.0
-    yield op.graph.fan_sum(np.abs(psi) ** 2)
-    for _ in range(steps):
-        psi = op.apply(psi)
-        yield op.graph.fan_sum(np.abs(psi) ** 2)
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
 
 
-def _window_mean(op: WalkOperator, arcs: np.ndarray, steps: int, include_start: bool):
-    """Mean over the averaging window of the (N, B) node probabilities."""
-    if steps < 1:
-        raise ValueError("averaging window must contain at least one step")
-    probs = _node_probabilities(op, arcs, steps)
-    if not include_start:
-        next(probs)
-    return sum(probs) / (steps + include_start)
+def _workspace(op: WalkOperator, width: int) -> list[np.ndarray]:
+    """Flat arrays for stepping up to ``width`` start arcs at once: the state
+    and the coin's output (complex), |state|^2, and the node probabilities."""
+    d, n = op.dimension, op.graph.node_count
+    return [np.empty(d * width, complex), np.empty(d * width, complex), np.empty(d * width), np.empty(n * width)]
+
+
+def _node_probabilities(op: WalkOperator, starts: np.ndarray, steps: int, space: list | None = None):
+    """Yield the (N, B) node probabilities, rows in ``op.node_order``, at
+    t = 0..steps of the B walks started on the arcs at rows ``starts`` of the
+    class-ordered layout; column b belongs to starts[b].  The same array is
+    yielded each time, overwritten by the next step.  The arrays live in
+    ``space``, a :func:`_workspace` at least B wide, or in a new one."""
+    b = len(starts)
+    d, n = op.dimension, op.graph.node_count
+    if space is None:
+        space = _workspace(op, b)
+    x, work, square, probs = (flat[: rows * b].reshape(rows, b) for flat, rows in zip(space, (d, d, d, n)))
+    x.fill(0)
+    x[starts, np.arange(b)] = 1.0
+    for t in range(steps + 1):
+        if t:
+            op.step_classed(x, work)
+        np.square(np.abs(x, out=square), out=square)
+        yield op.fan_sum_classed(square, probs)
 
 
 def transition_rows(
@@ -65,7 +105,51 @@ def transition_rows(
         arcs = graph.arc_offsets[node - 1] + np.arange(degree)
     else:
         arcs = np.array([graph.arc_index(node - 1, slot)])
-    return np.stack([probs.mean(axis=1) for probs in _node_probabilities(op, arcs, steps)])
+    rows = np.empty((steps + 1, graph.node_count))
+    for t, probs in enumerate(_node_probabilities(op, op.arc_position[arcs], steps)):
+        rows[t, op.node_order] = probs.mean(axis=1)
+    return rows
+
+
+def _run_threads(task, chunks: list, spaces: list) -> None:
+    """task(chunk, spaces[i]) for every chunk, the i-th on thread i mod
+    len(spaces); the first exception raised on any thread is raised here."""
+    errors = []
+    workers = len(spaces)
+
+    def run(share, space):
+        try:
+            for chunk in share:
+                task(chunk, space)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(chunks[i::workers], spaces[i])) for i in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run(chunks[::workers], spaces[0])
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _chunk_bounds(d: int, max_degree: int) -> tuple[np.ndarray, int]:
+    """Start-arc bounds of the chunks for ``d`` arcs and the threads that
+    step them: whole groups of _ALIGN arcs per chunk, as few chunks as the
+    caps allow, and as many chunks on every thread."""
+    threads = max(1, min(_usable_cores(), _CHUNK_ARCS // _ALIGN))
+    serial = (_SERIAL_GEMM - 1) // max_degree**2
+    if serial < _MIN_THREAD_WIDTH:
+        threads = 1
+    width = min(_CHUNK_ARCS // threads, _CHUNK_BYTES // (40 * d))
+    if threads > 1:
+        width = min(width, serial)
+    groups = -(-d // _ALIGN)
+    count = -(-groups // max(1, width // _ALIGN))
+    threads = min(threads, count)
+    count = min(groups, -(-count // threads) * threads)
+    return np.minimum(np.arange(count + 1) * groups // count * _ALIGN, d), threads
 
 
 def finite_time_average_matrix(
@@ -77,15 +161,40 @@ def finite_time_average_matrix(
 
     The window is t = 1..steps, or t = 0..steps with ``include_start`` (t = 0
     would only weight the diagonal).  Returns two (N, N) arrays indexed
-    [start, target].  Work is chunked over initial arcs to bound memory on
-    large graphs.
+    [start, target].  Work is chunked over initial arcs and threads to bound
+    memory on large graphs (module docstring).  Raises :class:`SpectralError`
+    unless every row of p sums to 1 within 1e-10.
     """
+    if steps < 1:
+        raise ValueError("averaging window must contain at least one step")
     graph = op.graph
-    d = graph.arc_count
-    arc_target_prob = np.empty((d, graph.node_count))
-    for lo in range(0, d, _CHUNK_ARCS):
-        hi = min(lo + _CHUNK_ARCS, d)
-        arc_target_prob[lo:hi] = _window_mean(op, np.arange(lo, hi), steps, include_start).T
+    d, n = graph.arc_count, graph.node_count
+    bounds, threads = _chunk_bounds(d, max(op.blocks))
+    # [start arc, target node], both in the class-ordered layout
+    arc_target_prob = np.empty((d, n))
+
+    # every thread's arrays are made here, before any thread starts, so
+    # that they are all alive at once however the threads are scheduled
+    width = int(np.diff(bounds).max())
+    spaces = [(_workspace(op, width), np.empty(n * width)) for _ in range(threads)]
+
+    def window_mean(chunk, space):
+        lo, hi = chunk
+        walk, flat = space
+        total = flat[: n * (hi - lo)].reshape(n, hi - lo)
+        total.fill(0)
+        for t, probs in enumerate(_node_probabilities(op, np.arange(lo, hi), steps, walk)):
+            if t or include_start:
+                total += probs
+        arc_target_prob[lo:hi] = np.divide(total, steps + include_start, out=total).T
+
+    _run_threads(window_mean, list(zip(bounds[:-1], bounds[1:])), spaces)
     # average the rows of each start node's outgoing arcs
-    p = graph.fan_sum(arc_target_prob) / graph.degrees[:, None]
+    p = np.empty((n, n))
+    p[np.ix_(op.node_order, op.node_order)] = op.fan_sum_classed(arc_target_prob, np.empty((n, n)))
+    p /= graph.degrees[:, None]
+    # written as "not x <= bound" so that a NaN fails the check
+    drift = np.max(np.abs(p.sum(axis=1) - 1.0))
+    if not drift <= 1e-10:
+        raise SpectralError(f"rows of p miss 1 by up to {drift:.2e}")
     return p, p / graph.degrees[None, :]

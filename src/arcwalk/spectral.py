@@ -83,7 +83,8 @@ DEFAULT_DEGENERACY_TOL = 1e-8
 
 
 class SpectralError(RuntimeError):
-    """Raised for non-unitary input or eigensolver failure."""
+    """Raised for non-unitary input, eigensolver failure, or averaged
+    transition rows that do not sum to 1."""
 
 
 @dataclass(frozen=True)

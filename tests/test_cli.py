@@ -5,7 +5,7 @@ import stat
 import numpy as np
 import pytest
 
-from arcwalk import cli
+from arcwalk import cli, operators
 from arcwalk.cli import ConfigError, RunConfig, _resolve_mode, main, render, run
 from arcwalk.io import emit_heatmap_csv, format_float
 
@@ -296,6 +296,22 @@ def test_flags_set_the_run_config_fields():
         degeneracy_tol=1e-6,
     )
     assert _resolve_mode(config) == "average-finite"
+
+
+def test_non_unitary_step_in_finite_mode_is_a_numerical_error(monkeypatch, capsys):
+    # a degree-3 coin scaled by 1.01 lets probability grow with every pass,
+    # so the rows of p stop summing to 1; the run must say so, not detect
+    coin_matrix = operators.coin_matrix
+
+    def scaled(kind, k):
+        return coin_matrix(kind, k) * (1.01 if k == 3 else 1.0)
+
+    monkeypatch.setattr(operators, "coin_matrix", scaled)
+    argv = ["detect", "--graph", "builtin:karate", "--mode", "average-finite"]
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "numerical error: rows of p miss 1 by up to" in err
 
 
 def test_internal_value_error_is_not_a_config_error(monkeypatch, capsys):

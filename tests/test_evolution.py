@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -196,6 +199,87 @@ def test_average_matrix_matches_row_layout_oracle(
         rows = aw.transition_rows(op, node, 15)
         row = (rows if include_start else rows[1:]).mean(axis=0)
         assert np.abs(row - p_ref[node - 1]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["three_community", "karate"])
+@pytest.mark.parametrize("kind", list(aw.CoinKind))
+def test_average_matrix_is_independent_of_threads_and_chunks(name, kind, monkeypatch):
+    # every start arc's walk is the same arithmetic however the start arcs
+    # are split into chunks and the chunks over threads, so p is bit-identical;
+    # more threads than cores and a short switch interval interleave the
+    # threads' writes, which a lost one would show
+    op = aw.build_walk_operator(aw.builtin(name), kind)
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for include_start in (False, True):
+            p, norm = aw.finite_time_average_matrix(op, steps=10, include_start=include_start)
+            for cores in (1, 8):
+                for chunk_arcs in (1024, 64, 24, 8):
+                    monkeypatch.setattr(evolution, "_usable_cores", lambda: cores)
+                    monkeypatch.setattr(evolution, "_CHUNK_ARCS", chunk_arcs)
+                    got = aw.finite_time_average_matrix(op, steps=10, include_start=include_start)
+                    assert np.array_equal(got[0], p) and np.array_equal(got[1], norm)
+                    monkeypatch.undo()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 8])
+@pytest.mark.parametrize("d, max_degree", [(78, 7), (704, 13), (704, 15), (4232, 22), (824, 60)])
+def test_chunks_bound_memory_and_keep_threaded_gemms_serial(d, max_degree, cores, monkeypatch):
+    monkeypatch.setattr(evolution, "_usable_cores", lambda: cores)
+    bounds, threads = evolution._chunk_bounds(d, max_degree)
+    widths = np.diff(bounds)
+    assert bounds[0] == 0 and bounds[-1] == d and widths.min() > 0
+    assert np.all(bounds[:-1] % evolution._ALIGN == 0)
+    assert 1 <= threads <= cores and widths.max() * threads <= evolution._CHUNK_ARCS
+    assert widths.max() * 40 * d <= max(evolution._CHUNK_BYTES, 40 * d * evolution._ALIGN)
+    if threads > 1:
+        # OpenBLAS would hand a larger GEMM to its own pool
+        assert max_degree**2 * widths.max() < evolution._SERIAL_GEMM
+        assert len(widths) % threads == 0
+    if max_degree > 32:
+        assert threads == 1
+
+
+def test_thread_failure_is_raised_to_the_caller(three_community, monkeypatch):
+    monkeypatch.setattr(evolution, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(evolution, "_CHUNK_ARCS", 16)
+    op = aw.build_walk_operator(three_community, aw.CoinKind.FOURIER)
+    calls = []
+    probabilities = evolution._node_probabilities
+
+    def failing_on_second_chunk(op, starts, steps, space):
+        calls.append(starts[0])
+        if starts[0] == 8:  # the chunk the second thread takes first
+            raise RuntimeError("step failed")
+        return probabilities(op, starts, steps, space)
+
+    monkeypatch.setattr(evolution, "_node_probabilities", failing_on_second_chunk)
+    with pytest.raises(RuntimeError, match="step failed"):
+        aw.finite_time_average_matrix(op, steps=3)
+    assert 8 in calls
+
+
+def test_thread_arrays_are_made_before_the_threads_start(three_community, monkeypatch):
+    # arrays made on the threads would make the peak memory depend on
+    # whether the threads overlap in time
+    monkeypatch.setattr(evolution, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(evolution, "_CHUNK_ARCS", 16)
+    op = aw.build_walk_operator(three_community, aw.CoinKind.FOURIER)
+    made_on = []
+    workspace = evolution._workspace
+
+    def recording(op, width):
+        made_on.append(threading.current_thread())
+        return workspace(op, width)
+
+    monkeypatch.setattr(evolution, "_workspace", recording)
+    bounds, threads = evolution._chunk_bounds(op.dimension, max(op.blocks))
+    assert threads == 2 and len(bounds) - 1 > threads  # several chunks per thread
+    aw.finite_time_average_matrix(op, steps=3)
+    assert made_on == [threading.main_thread()] * threads
 
 
 @pytest.mark.parametrize("t", [0, 1, 7])

@@ -137,6 +137,47 @@ def test_apply_matches_dense_on_random_graphs(graph, kind):
     assert_apply_matches_dense(graph, kind)
 
 
+def unitary_from_definition(graph, kind):
+    """U[rev a, b] = C_k[slot a, slot b] for every pair of arcs a, b that
+    leave one node of degree k, and 0 elsewhere; built arc pair by arc pair."""
+    d = graph.arc_count
+    u = np.zeros((d, d), dtype=complex)
+    for a in range(d):
+        tail = graph.arc_tail[a]
+        lo, k = graph.arc_offsets[tail], graph.degrees[tail]
+        coin = aw.fourier_coin(k) if kind is aw.CoinKind.FOURIER else aw.grover_coin(k)
+        for b in range(lo, lo + k):
+            u[graph.reverse_arc[a], b] = coin[a - lo, b - lo]
+    return u
+
+
+@st.composite
+def stars_and_paths(draw):
+    n = draw(st.integers(2, 9))
+    if draw(st.booleans()):
+        return aw.Graph.from_edges([(0, i) for i in range(1, n)])
+    return aw.Graph.from_edges([(i, i + 1) for i in range(n - 1)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    graph=st.one_of(stars_and_paths(), st.booleans().flatmap(lambda bip: connected_graphs(bip))),
+    kind=st.sampled_from(list(aw.CoinKind)),
+    data=st.data(),
+)
+def test_structured_operator_matches_its_definition(graph, kind, data):
+    # stars and paths put degree-1 and degree-2 classes among the others
+    op = aw.build_walk_operator(graph, kind)
+    u = unitary_from_definition(graph, kind)
+    assert np.array_equal(aw.materialize_dense(op), u)
+    d = graph.arc_count
+    width = data.draw(st.integers(1, 2 * d), label="batch")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    states = rng.normal(size=(d, width)) + 1j * rng.normal(size=(d, width))
+    assert np.abs(op.apply(states) - u @ states).max() <= 1e-12
+    assert np.abs(op.apply(states[:, 0]) - u @ states[:, 0]).max() <= 1e-12
+
+
 def test_norm_preserved_over_many_applications(karate, rng):
     op = aw.build_walk_operator(karate, aw.CoinKind.FOURIER)
     psi = rng.normal(size=156) + 1j * rng.normal(size=156)
