@@ -2,13 +2,15 @@
 
 One command is one process; results are emitted as JSON or CSV documents
 with a metadata block, written atomically when an output path is given.
-Exit codes: 2 for configuration errors, 3 for data errors, 4 for numerical
-failures.
+Exit codes: 2 for configuration errors (an output path that cannot be
+written among them), 3 for data errors, 4 for numerical failures; ``main``
+alone words them.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 
@@ -125,12 +127,7 @@ def _average_matrices(config: RunConfig, graph: Graph) -> tuple[dict, np.ndarray
     if coin is CoinKind.GROVER:
         p, norm = grover_average_matrix(graph, config.degeneracy_tol)
         return {"mode": mode, "eigensolver": "grover-spectral-map"}, p, norm
-    op = build_walk_operator(graph, coin)
-    try:
-        dec = walk_decompose(op, config.degeneracy_tol, config.dense_cap)
-    except DenseCapExceeded as exc:
-        msg = f"{exc}; use --mode average-finite or raise --dense-cap"
-        raise DenseCapExceeded(msg) from None
+    dec = walk_decompose(build_walk_operator(graph, coin), config.degeneracy_tol, config.dense_cap)
     p, norm = infinite_time_average_matrix(dec, graph)
     return {"mode": mode, "eigensolver": "cayley-real-evd"}, p, norm
 
@@ -147,8 +144,8 @@ def _threshold(config: RunConfig, graph: Graph) -> float:
     return q
 
 
-def _metadata(config: RunConfig, graph: Graph, **extra) -> dict:
-    meta = {
+def _metadata(config: RunConfig, graph: Graph, parameters: dict) -> dict:
+    return {
         "tool": "arcwalk",
         "version": __version__,
         "command": config.command,
@@ -160,16 +157,11 @@ def _metadata(config: RunConfig, graph: Graph, **extra) -> dict:
             "bipartite": is_bipartite(graph),
         },
         "coin": config.coin,
+        "parameters": parameters,
     }
-    meta.update(extra)
-    return meta
 
 
-def _node_ids(graph: Graph) -> list[int]:
-    return list(range(1, graph.node_count + 1))
-
-
-def _run_evolve(config: RunConfig, graph: Graph) -> OutputDocument:
+def _run_evolve(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
     if config.start is None:
         raise ConfigError("evolve requires --start")
     op = build_walk_operator(graph, _coin_kind(config.coin))
@@ -179,27 +171,21 @@ def _run_evolve(config: RunConfig, graph: Graph) -> OutputDocument:
         {"t": t, "probability": p, "normalized": p / graph.degrees}
         for t, p in enumerate(transition_rows(op, config.start, config.steps, config.slot))
     ]
-    payload = {"start": config.start, "rows": rows}
-    meta = _metadata(config, graph, parameters={"start": config.start, "steps": config.steps})
-    return OutputDocument(meta, payload)
+    return {"start": config.start, "steps": config.steps}, {"start": config.start, "rows": rows}
 
 
-def _run_average(config: RunConfig, graph: Graph) -> OutputDocument:
+def _run_average(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
     if config.start is not None and not 1 <= config.start <= graph.node_count:
         raise GraphError(f"node {config.start} out of range 1..{graph.node_count}")
     params, p, norm = _average_matrices(config, graph)
-    if config.start is not None:
-        payload = {
-            "start": config.start,
-            "probability": p[config.start - 1],
-            "normalized": norm[config.start - 1],
-        }
-    else:
-        payload = {"node_ids": _node_ids(graph), "probability": p, "normalized": norm}
-    return OutputDocument(_metadata(config, graph, parameters=params), payload)
+    if config.start is None:
+        ids = list(range(1, graph.node_count + 1))
+        return params, {"node_ids": ids, "probability": p, "normalized": norm}
+    row = config.start - 1
+    return params, {"start": config.start, "probability": p[row], "normalized": norm[row]}
 
 
-def _run_spectrum(config: RunConfig, graph: Graph) -> OutputDocument:
+def _run_spectrum(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
     if config.bins < 2:
         raise ConfigError("--bins must be at least 2")
     op = build_walk_operator(graph, _coin_kind(config.coin))
@@ -224,13 +210,10 @@ def _run_spectrum(config: RunConfig, graph: Graph) -> OutputDocument:
         "histogram": {"counts": counts, "bin_edges": edges},
         "ipr": ipr(profiles),
     }
-    meta = _metadata(
-        config, graph, parameters={"bins": config.bins, "degeneracy_tol": config.degeneracy_tol}
-    )
-    return OutputDocument(meta, payload)
+    return {"bins": config.bins, "degeneracy_tol": config.degeneracy_tol}, payload
 
 
-def _run_detect(config: RunConfig, graph: Graph) -> OutputDocument:
+def _run_detect(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
     params, _, norm = _average_matrices(config, graph)
     q = _threshold(config, graph)
     partition = detect(norm, graph, q, source=params["mode"])
@@ -248,15 +231,10 @@ def _run_detect(config: RunConfig, graph: Graph) -> OutputDocument:
             for m in margins
         ],
     }
-    meta = _metadata(
-        config,
-        graph,
-        parameters={**params, "threshold": q, "marginal_band": config.marginal_band},
-    )
-    return OutputDocument(meta, payload)
+    return {**params, "threshold": q, "marginal_band": config.marginal_band}, payload
 
 
-def _run_sweep(config: RunConfig, graph: Graph) -> OutputDocument:
+def _run_sweep(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
     if not config.q_list:
         raise ConfigError("sweep requires --q-list")
     qs = list(config.q_list)
@@ -269,11 +247,10 @@ def _run_sweep(config: RunConfig, graph: Graph) -> OutputDocument:
             {"q": q, "count": count, "sizes": list(sizes)} for q, count, sizes in entries
         ]
     }
-    meta = _metadata(config, graph, parameters={**params, "q_list": list(config.q_list)})
-    return OutputDocument(meta, payload)
+    return {**params, "q_list": list(config.q_list)}, payload
 
 
-def _run_classical(config: RunConfig, graph: Graph) -> OutputDocument:
+def _run_classical(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
     if config.start is None:
         raise ConfigError("classical requires --start")
     if config.steps < 1:
@@ -289,10 +266,10 @@ def _run_classical(config: RunConfig, graph: Graph) -> OutputDocument:
             for t, (p, v) in enumerate(zip(trace, tv), start=1)
         ],
     }
-    meta = _metadata(config, graph, parameters={"start": config.start, "steps": config.steps})
-    return OutputDocument(meta, payload)
+    return {"start": config.start, "steps": config.steps}, payload
 
 
+# each runner returns the parameters and the payload of its command's document
 _RUNNERS = {
     "evolve": _run_evolve,
     "average": _run_average,
@@ -317,8 +294,11 @@ def run(config: RunConfig) -> OutputDocument:
         raise ConfigError(
             f"--marginal-band must be finite and non-negative, got {config.marginal_band}"
         )
+    if config.output and not os.path.isdir(os.path.dirname(os.path.abspath(config.output))):
+        raise ConfigError(f"cannot write {config.output}: its directory does not exist")
     graph = _load_graph(config.graph_source)
-    return _RUNNERS[config.command](config, graph)
+    parameters, payload = _RUNNERS[config.command](config, graph)
+    return OutputDocument(_metadata(config, graph, parameters), payload)
 
 
 def _csv_evolve(doc: OutputDocument) -> list[str]:
@@ -333,12 +313,9 @@ def _csv_evolve(doc: OutputDocument) -> list[str]:
 
 
 def _csv_average(doc: OutputDocument) -> list[str]:
-    n = doc.metadata["graph"]["nodes"]
-    ids = list(range(1, n + 1))
-    if "start" in doc.payload:
-        matrix = np.asarray(doc.payload["normalized"])[None, :]
-        return emit_heatmap_csv(matrix, [doc.payload["start"]], ids).splitlines()
-    return emit_heatmap_csv(np.asarray(doc.payload["normalized"]), ids).splitlines()
+    ids = list(range(1, doc.metadata["graph"]["nodes"] + 1))
+    rows = [doc.payload["start"]] if "start" in doc.payload else ids
+    return emit_heatmap_csv(np.atleast_2d(doc.payload["normalized"]), rows, ids).splitlines()
 
 
 def _csv_spectrum(doc: OutputDocument) -> list[str]:
@@ -469,26 +446,33 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**fields, q_list=q_list)
 
 
+def _fail(code: int, kind: str, reason) -> int:
+    print(f"arcwalk: {kind} error: {reason}", file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
-        doc = run(config)
-        text = render(doc, config.format)
+        text = render(run(config), config.format)
     except GraphError as exc:
-        print(f"arcwalk: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _fail(EXIT_DATA, "data", exc)
     except SpectralError as exc:
-        print(f"arcwalk: numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ConfigError, DenseCapExceeded) as exc:
-        print(f"arcwalk: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if config.output:
-        write_atomic(config.output, text)
-    else:
+        return _fail(EXIT_NUMERICAL, "numerical", exc)
+    except ConfigError as exc:
+        return _fail(EXIT_CONFIG, "config", exc)
+    except DenseCapExceeded as exc:
+        # only spectrum and exact Fourier averages build a dense U
+        way_out = "raise" if args.command == "spectrum" else "use --mode average-finite or raise"
+        return _fail(EXIT_CONFIG, "config", f"{exc}; {way_out} --dense-cap")
+    if not config.output:
         sys.stdout.write(text)
+        return 0
+    try:
+        write_atomic(config.output, text)
+    except OSError as exc:
+        return _fail(EXIT_CONFIG, "config", f"cannot write {config.output}: {exc}")
     return 0
 
 

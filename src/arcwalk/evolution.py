@@ -30,7 +30,7 @@ import threading
 import numpy as np
 
 from .operators import WalkOperator
-from .spectral import SpectralError
+from .spectral import _transition_matrices
 
 __all__ = [
     "transition_rows",
@@ -189,12 +189,7 @@ def finite_time_average_matrix(
         arc_target_prob[lo:hi] = np.divide(total, steps + include_start, out=total).T
 
     _run_threads(window_mean, list(zip(bounds[:-1], bounds[1:])), spaces)
-    # average the rows of each start node's outgoing arcs
-    p = np.empty((n, n))
-    p[np.ix_(op.node_order, op.node_order)] = op.fan_sum_classed(arc_target_prob, np.empty((n, n)))
-    p /= graph.degrees[:, None]
-    # written as "not x <= bound" so that a NaN fails the check
-    drift = np.max(np.abs(p.sum(axis=1) - 1.0))
-    if not drift <= 1e-10:
-        raise SpectralError(f"rows of p miss 1 by up to {drift:.2e}")
-    return p, p / graph.degrees[None, :]
+    # sum the rows of each start node's outgoing arcs
+    block = np.empty((n, n))
+    block[np.ix_(op.node_order, op.node_order)] = op.fan_sum_classed(arc_target_prob, np.empty((n, n)))
+    return _transition_matrices(block, graph)

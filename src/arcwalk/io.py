@@ -12,13 +12,15 @@ import numpy as np
 __all__ = ["OutputDocument", "emit_heatmap_csv", "format_float", "write_atomic"]
 
 
-def format_float(x: float) -> str:
-    """Positional decimal with 12 significant digits, keeping a trailing .0."""
-    return np.format_float_positional(float(x), precision=12, unique=True, trim="0")
-
-
 def _round12(x: float) -> float:
     return float(f"{float(x):.12g}")
+
+
+def format_float(x: float) -> str:
+    """The text a JSON document writes for x: the shortest repr of x rounded
+    to 12 significant digits, such as ``1.0``, ``0.00641025641026`` or
+    ``1e-14``."""
+    return repr(_round12(x))
 
 
 def _jsonable(value):

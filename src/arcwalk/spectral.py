@@ -427,11 +427,19 @@ def grover_average_matrix(
             c = g[:, grp] / (2 * sin[grp] ** 2)
             v = (g[tail[:, None], grp] - mu[grp] * g[head[:, None], grp]).conj().T  # (m, D)
             block += 2 * _fan_summed_square(graph, adj, c @ v, -(c * mu[grp]) @ v)
-    p = block / deg[:, None]
-    drift = np.max(np.abs(p.sum(axis=1) - 1.0))
+    return _transition_matrices(block, graph)
+
+
+def _transition_matrices(block: np.ndarray, graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(p, p / k_target) from the fan-summed [start, target] block, which
+    becomes p, divided in place by k_start.  Raises :class:`SpectralError`
+    unless every row of p sums to 1 within 1e-10."""
+    block /= graph.degrees[:, None]
+    # written as "not x <= bound" so that a NaN fails the check
+    drift = np.max(np.abs(block.sum(axis=1) - 1.0))
     if not drift <= 1e-10:
         raise SpectralError(f"rows of p miss 1 by up to {drift:.2e}")
-    return p, p / deg[None, :]
+    return block, block / graph.degrees[None, :]
 
 
 def _fan_summed_square(
@@ -480,7 +488,8 @@ def infinite_time_average_matrix(
     both arc fans.  For a simple eigenvalue the term is W[g, target] W[g, start]
     with W the fan-summed |v|^2 (``eigenstate_node_probability``), so every
     simple group enters through one N x N GEMM W_s^T W_s; only degenerate
-    groups build a D x D projector.
+    groups build a D x D projector.  Raises :class:`SpectralError` unless
+    every row of p sums to 1 within 1e-10.
     """
     simple = [int(g[0]) for g in dec.groups if g.size == 1]
     w = eigenstate_node_probability(dec, graph)[simple]
@@ -490,8 +499,7 @@ def infinite_time_average_matrix(
             v = dec.eigenvectors[:, group]
             kernel = np.abs(v @ v.conj().T) ** 2
             block += graph.fan_sum(graph.fan_sum(kernel).T).T
-    p = block.T / graph.degrees[:, None]
-    return p, p / graph.degrees[None, :]
+    return _transition_matrices(block.T.copy(), graph)
 
 
 def eigenstate_node_probability(dec: SpectralDecomposition, graph: Graph) -> np.ndarray:

@@ -1,5 +1,7 @@
 """The fan-aggregated Cesaro kernel against the per-group projector oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,3 +108,16 @@ def connected_graphs(draw, bipartite):
 def test_kernel_matches_oracle_on_random_graphs(graph, coin):
     assert_matches_oracle(graph, coin)
 
+
+def test_lost_group_fails_the_row_check(karate_fourier_dec, karate):
+    dec = dataclasses.replace(karate_fourier_dec, groups=karate_fourier_dec.groups[1:])
+    with pytest.raises(aw.SpectralError, match="rows of p miss 1"):
+        aw.infinite_time_average_matrix(dec, karate)
+
+
+def test_nan_in_the_block_fails_the_row_check(karate_fourier_dec, karate):
+    vectors = karate_fourier_dec.eigenvectors.copy()
+    vectors[0, 0] = np.nan
+    dec = dataclasses.replace(karate_fourier_dec, eigenvectors=vectors)
+    with pytest.raises(aw.SpectralError, match="rows of p miss 1 by up to nan"):
+        aw.infinite_time_average_matrix(dec, karate)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import stat
@@ -7,7 +8,7 @@ import pytest
 
 from arcwalk import cli, operators
 from arcwalk.cli import ConfigError, RunConfig, _resolve_mode, main, render, run
-from arcwalk.io import emit_heatmap_csv, format_float
+from arcwalk.io import OutputDocument, emit_heatmap_csv, format_float
 
 
 def run_json(config):
@@ -31,6 +32,27 @@ def test_format_float_sig_digits():
     assert format_float(1.0) == "1.0"
     assert format_float(0.0) == "0.0"
     assert float(format_float(1 / 3)) == pytest.approx(1 / 3, abs=1e-12)
+    # 12 significant digits, not 12 digits after the point
+    assert format_float(1e-14) == "1e-14"
+    assert format_float(1 / 156) == "0.00641025641026"
+    assert format_float(123456.78901234567) == "123456.789012"
+    assert format_float(9.462874195812e-06) == "9.46287419581e-06"
+    for value in (1e-14, 1 / 156, 123456.78901234567, 9.462874195812e-06, -2 / 3):
+        text = OutputDocument({}, {"v": value}).to_json()
+        assert format_float(value) == json.dumps(json.loads(text)["payload"]["v"])
+
+
+def test_csv_floats_are_the_json_values(capsys):
+    argv = ["detect", "--graph", "builtin:karate"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    margins = {(m["node"], m["hub"]): m["margin"] for m in payload["margins"]}
+    assert main([*argv, "--format", "csv"]) == 0
+    rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+    assert rows[0] == ["node", "community", "hub", "margin", "marginal"]
+    assert len(rows) == 35
+    for node, _, hub, margin, _ in rows[1:]:
+        assert margin == json.dumps(margins[(int(node), int(hub))])
 
 
 def test_detect_karate_hubs():
@@ -179,6 +201,13 @@ def test_default_detect_over_dense_cap_names_the_way_out(capsys):
     err = capsys.readouterr().err
     assert "D=156 exceeds dense materialization cap 100" in err
     assert "--mode average-finite" in err and "--dense-cap" in err
+
+
+def test_spectrum_over_dense_cap_names_the_flag(capsys):
+    assert main(["spectrum", "--graph", "builtin:karate", "--dense-cap", "10"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: D=156 exceeds dense materialization cap 10; raise --dense-cap" in err
+    assert "--mode" not in err
 
 
 def test_default_mode_is_infinite_at_every_size(capsys):
@@ -396,3 +425,37 @@ def test_include_t0_needs_finite_mode(command, coin, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "config error: --include-t0 applies only to --mode average-finite" in err
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("the output path is checked before any computation")
+
+
+def test_output_into_a_missing_directory_is_a_config_error(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "walk_decompose", _unreachable)
+    argv = ["detect", "--graph", "builtin:square_triangle", "--output", "/nonexistent/dir/x.json"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "arcwalk: config error: cannot write /nonexistent/dir/x.json" in err
+
+
+def test_unwritable_output_is_a_config_error(tmp_path, capsys):
+    argv = ["detect", "--graph", "builtin:square_triangle", "--output", str(tmp_path)]
+    assert main(argv) == 2
+    assert f"arcwalk: config error: cannot write {tmp_path}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_lost_group_in_exact_fourier_detect_is_a_numerical_error(monkeypatch, capsys):
+    decompose = cli.walk_decompose
+
+    def lossy(*args):
+        dec = decompose(*args)
+        return dataclasses.replace(dec, groups=dec.groups[1:])
+
+    monkeypatch.setattr(cli, "walk_decompose", lossy)
+    assert main(["detect", "--graph", "builtin:karate"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "arcwalk: numerical error: rows of p miss 1 by up to" in err
