@@ -17,9 +17,7 @@ def main() -> None:
     g = aw.builtin("three_community")
     print(f"graph: N={g.node_count} nodes, D={g.arc_count} directed arcs")
 
-    op = aw.build_walk_operator(g, aw.CoinKind.FOURIER)
-    dec = aw.walk_decompose(op)
-    p, norm = aw.infinite_time_average_matrix(dec, g)
+    _, _, norm = aw.average_matrices(g, aw.CoinKind.FOURIER)
 
     q = 1.0 / g.arc_count
     print(f"\nclassical stationary level 1/D = {q:.6f}")
@@ -40,7 +38,7 @@ def main() -> None:
           f"({worst.margin:.2e}); no node is marginal on this graph.")
 
     # the finite-time average at T=100 tells the same story
-    _, norm_fin = aw.finite_time_average_matrix(op, steps=100)
+    _, _, norm_fin = aw.average_matrices(g, aw.CoinKind.FOURIER, "average-finite", steps=100)
     dev = np.abs(norm - norm_fin).max() / norm.max()
     print(f"T=100 finite-time average deviates from the Cesaro limit by "
           f"{100 * dev:.1f}% of the matrix maximum.")

@@ -15,9 +15,7 @@ FACTION_34 = {9, 10, 15, 16, 19, 21, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33,
 
 def main() -> None:
     g = aw.builtin("karate")
-    op = aw.build_walk_operator(g, aw.CoinKind.FOURIER)
-    dec = aw.walk_decompose(op)
-    _, norm = aw.infinite_time_average_matrix(dec, g)
+    _, _, norm = aw.average_matrices(g, aw.CoinKind.FOURIER)
 
     q = 1.0 / g.arc_count
     print(f"karate club: N={g.node_count}, D={g.arc_count}, threshold q = 1/156 = {q:.6f}")

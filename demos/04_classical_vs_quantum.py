@@ -27,9 +27,7 @@ def main() -> None:
     first = int(np.argmax(tv < 0.01)) + 1
     print(f"classical walk from node 1 relaxes below TV=0.01 after {first} steps")
 
-    op_f = aw.build_walk_operator(g, aw.CoinKind.FOURIER)
-    dec = aw.walk_decompose(op_f)
-    _, norm = aw.infinite_time_average_matrix(dec, g)
+    _, _, norm = aw.average_matrices(g, aw.CoinKind.FOURIER)
     intra = norm[np.ix_(range(7), range(7))]
     off = intra[~np.eye(7, dtype=bool)]
     print(f"\nquantum (Fourier) intra-community normalized averages deviate from"
@@ -39,10 +37,9 @@ def main() -> None:
 
     print("\nself-return of the T=100 finite-time average (node 1):")
     for kind in aw.CoinKind:
-        op = aw.build_walk_operator(g, kind)
-        p = aw.transition_rows(op, 1, 100)[1:].mean(axis=0)
-        print(f"  {kind.value:8s} p(1->1) = {p[0]:.4f}   "
-              f"(row peak at node {int(np.argmax(p / g.degrees)) + 1})")
+        _, p, norm_t = aw.average_matrices(g, kind, "average-finite", steps=100)
+        print(f"  {kind.value:8s} p(1->1) = {p[0, 0]:.4f}   "
+              f"(row peak at node {int(np.argmax(norm_t[0])) + 1})")
     print("the Grover walk self-localizes; the Fourier walk explores its community.")
 
 

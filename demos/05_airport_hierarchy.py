@@ -7,8 +7,10 @@ point the ARCWALK_USAIR97 environment variable at it.
 
 Sweeping the detection threshold just above 1/D = 0.0002351834 peels the
 network apart hierarchically: 2 communities at q = 1/D, then 3, then 5 as q
-rises by fractions of a percent.  This run uses the infinite-time average,
-which diagonalizes a 4252 x 4252 unitary -- expect a few minutes.
+rises by fractions of a percent.  This run diagonalizes two 4252 x 4252
+unitaries, the Grover one for the degeneracy check and the Fourier one for
+the infinite-time average: on a planted stand-in with N=332 and D=4232 it
+took 67 s and 1.0 GB of peak memory on 2 cores.
 """
 
 import os
@@ -32,15 +34,13 @@ def main() -> None:
 
     op = aw.build_walk_operator(g, aw.CoinKind.GROVER)
     print("checking Grover degeneracies (prediction b1+1, b1-1)...")
-    dec = aw.walk_decompose(op, cap=5000)
+    dec = aw.walk_decompose(op)
     r = aw.degeneracy_report(dec, g)
     print(f"  observed (+1,-1) = ({r.plus_one},{r.minus_one}), "
           f"predicted ({r.predicted_plus_one},{r.predicted_minus_one})")
 
     print("computing Fourier infinite-time averages...")
-    op = aw.build_walk_operator(g, aw.CoinKind.FOURIER)
-    dec = aw.walk_decompose(op, cap=5000)
-    _, norm = aw.infinite_time_average_matrix(dec, g)
+    _, _, norm = aw.average_matrices(g, aw.CoinKind.FOURIER)
 
     print("\nthreshold sweep:")
     for q, count, sizes in aw.sweep(norm, g, Q_LIST):

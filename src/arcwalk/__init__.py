@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .classical import relaxation_trace, stationary
 from .community import CommunityPartition, MarginEntry, detect, margin_report, sweep
-from .evolution import finite_time_average_matrix, transition_rows
+from .evolution import average_matrices, finite_time_average_matrix, transition_rows
 from .graph import (
     Graph,
     GraphError,
@@ -21,25 +21,15 @@ from .graph import (
     load_edge_list,
     load_pajek,
 )
-from .io import OutputDocument, emit_heatmap_csv
-from .operators import (
-    CoinKind,
-    DenseCapExceeded,
-    WalkOperator,
-    build_walk_operator,
-    fourier_coin,
-    grover_coin,
-    materialize_dense,
-)
+from .io import OutputDocument
+from .operators import CoinKind, DenseCapExceeded, WalkOperator, build_walk_operator, materialize_dense
 from .spectral import (
     DegeneracyReport,
     SpectralDecomposition,
     SpectralError,
-    argument_histogram,
     decompose,
     degeneracy_report,
     eigenstate_node_probability,
-    grover_average_matrix,
     infinite_time_average_matrix,
     ipr,
     loop_eigenvector,
@@ -58,10 +48,9 @@ __all__ = [
     "CoinKind",
     "WalkOperator",
     "DenseCapExceeded",
-    "fourier_coin",
-    "grover_coin",
     "build_walk_operator",
     "materialize_dense",
+    "average_matrices",
     "transition_rows",
     "finite_time_average_matrix",
     "SpectralDecomposition",
@@ -69,13 +58,11 @@ __all__ = [
     "DegeneracyReport",
     "decompose",
     "walk_decompose",
-    "grover_average_matrix",
     "degeneracy_report",
     "infinite_time_average_matrix",
     "eigenstate_node_probability",
     "ipr",
     "loop_eigenvector",
-    "argument_histogram",
     "CommunityPartition",
     "MarginEntry",
     "detect",
@@ -84,5 +71,4 @@ __all__ = [
     "stationary",
     "relaxation_trace",
     "OutputDocument",
-    "emit_heatmap_csv",
 ]

@@ -4,7 +4,8 @@ One command is one process; results are emitted as JSON or CSV documents
 with a metadata block, written atomically when an output path is given.
 Exit codes: 2 for configuration errors (an output path that cannot be
 written among them), 3 for data errors, 4 for numerical failures; ``main``
-alone words them.
+alone words them.  The averaging commands check their options and take
+(p, P) and the parameter record from ``evolution.average_matrices``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .community import (
     margin_report,
     sweep,
 )
-from .evolution import DEFAULT_AVERAGE_STEPS, finite_time_average_matrix, transition_rows
+from .evolution import DEFAULT_AVERAGE_STEPS, average_matrices, transition_rows
 from .graph import Graph, GraphError, betti_number, builtin, is_bipartite, load_edge_list, load_pajek
 from .io import OutputDocument, emit_heatmap_csv, format_float, write_atomic
 from .operators import (
@@ -39,8 +40,6 @@ from .spectral import (
     argument_histogram,
     degeneracy_report,
     eigenstate_node_probability,
-    grover_average_matrix,
-    infinite_time_average_matrix,
     ipr,
     walk_decompose,
 )
@@ -102,34 +101,21 @@ def _coin_kind(name: str) -> CoinKind:
 
 
 def _resolve_mode(config: RunConfig) -> str:
+    """The averaging mode, its alias resolved, once the options that
+    average_matrices would refuse with a ValueError are checked."""
     mode = {"finite": "average-finite", "infinite": "average-infinite"}.get(config.mode, config.mode)
     if mode not in ("average-finite", "average-infinite"):
         raise ConfigError(f"unknown averaging mode {config.mode!r}")
+    if mode == "average-finite" and config.steps < 1:
+        raise ConfigError("average-finite needs --steps of at least 1")
+    if mode == "average-infinite" and config.include_start:
+        raise ConfigError("--include-t0 applies only to --mode average-finite")
     return mode
 
 
-def _average_matrices(config: RunConfig, graph: Graph) -> tuple[dict, np.ndarray, np.ndarray]:
-    """The (p, P) matrices and the document parameters that say how they
-    were computed: the mode, and the time window of finite averages or the
-    eigensolver of exact ones."""
-    coin = _coin_kind(config.coin)
-    mode = _resolve_mode(config)
-    if mode == "average-finite":
-        if config.steps < 1:
-            raise ConfigError("average-finite needs --steps of at least 1")
-        p, norm = finite_time_average_matrix(
-            build_walk_operator(graph, coin), steps=config.steps, include_start=config.include_start
-        )
-        window_start = 0 if config.include_start else 1
-        return {"mode": mode, "steps": config.steps, "window_start": window_start}, p, norm
-    if config.include_start:
-        raise ConfigError("--include-t0 applies only to --mode average-finite")
-    if coin is CoinKind.GROVER:
-        p, norm = grover_average_matrix(graph, config.degeneracy_tol)
-        return {"mode": mode, "eigensolver": "grover-spectral-map"}, p, norm
-    dec = walk_decompose(build_walk_operator(graph, coin), config.degeneracy_tol, config.dense_cap)
-    p, norm = infinite_time_average_matrix(dec, graph)
-    return {"mode": mode, "eigensolver": "cayley-real-evd"}, p, norm
+def _averages(config: RunConfig, graph: Graph) -> tuple[dict, np.ndarray, np.ndarray]:
+    options = (config.steps, config.include_start, config.degeneracy_tol, config.dense_cap)
+    return average_matrices(graph, _coin_kind(config.coin), _resolve_mode(config), *options)
 
 
 def _threshold(config: RunConfig, graph: Graph) -> float:
@@ -177,7 +163,7 @@ def _run_evolve(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
 def _run_average(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
     if config.start is not None and not 1 <= config.start <= graph.node_count:
         raise GraphError(f"node {config.start} out of range 1..{graph.node_count}")
-    params, p, norm = _average_matrices(config, graph)
+    params, p, norm = _averages(config, graph)
     if config.start is None:
         ids = list(range(1, graph.node_count + 1))
         return params, {"node_ids": ids, "probability": p, "normalized": norm}
@@ -214,7 +200,7 @@ def _run_spectrum(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
 
 
 def _run_detect(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
-    params, _, norm = _average_matrices(config, graph)
+    params, _, norm = _averages(config, graph)
     q = _threshold(config, graph)
     partition = detect(norm, graph, q, source=params["mode"])
     margins = margin_report(norm, partition, band=config.marginal_band)
@@ -240,7 +226,7 @@ def _run_sweep(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
     qs = list(config.q_list)
     if not all(np.isfinite(q) and q > 0 for q in qs) or qs != sorted(qs):
         raise ConfigError("--q-list must hold finite positive thresholds in ascending order")
-    params, _, norm = _average_matrices(config, graph)
+    params, _, norm = _averages(config, graph)
     entries = sweep(norm, graph, config.q_list, source=params["mode"])
     payload = {
         "entries": [

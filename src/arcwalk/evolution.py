@@ -1,4 +1,4 @@
-"""Time stepping and finite-time averaged transition probabilities.
+"""Time stepping and time-averaged transition probabilities.
 
 Transition rows follow the site-averaging convention: a walk from node i is
 started once per outgoing arc and the resulting node probabilities are
@@ -20,6 +20,9 @@ flight together hold at most ``_CHUNK_ARCS`` (1,024) columns.  The caller
 makes every thread's arrays (``_workspace``) before the threads start and
 the threads reuse them for each of their chunks, so the threads allocate
 nothing large and the peak memory does not depend on their scheduling.
+
+:func:`average_matrices` alone picks the averaging kernel for every caller:
+this stepping, or one of ``spectral``'s exact kernels.
 """
 
 from __future__ import annotations
@@ -29,14 +32,14 @@ import threading
 
 import numpy as np
 
-from .operators import WalkOperator
-from .spectral import _transition_matrices
+from .graph import Graph
+from .operators import DEFAULT_DENSE_CAP, CoinKind, WalkOperator, build_walk_operator
+from .spectral import (
+    DEFAULT_DEGENERACY_TOL, _transition_matrices, grover_average_matrix, infinite_time_average_matrix,
+    walk_decompose,
+)
 
-__all__ = [
-    "transition_rows",
-    "finite_time_average_matrix",
-    "DEFAULT_AVERAGE_STEPS",
-]
+__all__ = ["average_matrices", "transition_rows", "finite_time_average_matrix", "DEFAULT_AVERAGE_STEPS"]
 
 DEFAULT_AVERAGE_STEPS = 100
 _CHUNK_ARCS = 1024  # start arcs stepped at once by finite_time_average_matrix
@@ -193,3 +196,36 @@ def finite_time_average_matrix(
     block = np.empty((n, n))
     block[np.ix_(op.node_order, op.node_order)] = op.fan_sum_classed(arc_target_prob, np.empty((n, n)))
     return _transition_matrices(block, graph)
+
+
+def average_matrices(
+    graph: Graph,
+    coin: CoinKind,
+    mode: str = "average-infinite",
+    steps: int = DEFAULT_AVERAGE_STEPS,
+    include_start: bool = False,
+    degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
+    dense_cap: int = DEFAULT_DENSE_CAP,
+) -> tuple[dict, np.ndarray, np.ndarray]:
+    """Time-averaged (p, P) of the ``coin`` walk on ``graph``, indexed
+    [start, target], and the parameter record that documents carry for them.
+
+    "average-finite" steps over t = 1..steps (0..steps with ``include_start``);
+    "average-infinite" is the exact Cesaro limit, in node space for the Grover
+    coin and from the D x D eigendecomposition, refused above ``dense_cap``
+    arcs, for the Fourier coin.  Raises ValueError for another mode and for
+    ``include_start`` in exact mode.
+    """
+    if mode == "average-finite":
+        p, norm = finite_time_average_matrix(build_walk_operator(graph, coin), steps, include_start)
+        return {"mode": mode, "steps": steps, "window_start": 0 if include_start else 1}, p, norm
+    if mode != "average-infinite":
+        raise ValueError(f"unknown averaging mode {mode!r}")
+    if include_start:
+        raise ValueError("include_start applies only to finite averages")
+    if coin is CoinKind.GROVER:
+        p, norm = grover_average_matrix(graph, degeneracy_tol)
+        return {"mode": mode, "eigensolver": "grover-spectral-map"}, p, norm
+    dec = walk_decompose(build_walk_operator(graph, coin), degeneracy_tol, dense_cap)
+    p, norm = infinite_time_average_matrix(dec, graph)
+    return {"mode": mode, "eigensolver": "cayley-real-evd"}, p, norm

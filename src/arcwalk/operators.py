@@ -26,8 +26,6 @@ from .graph import Graph
 
 __all__ = [
     "CoinKind",
-    "fourier_coin",
-    "grover_coin",
     "coin_matrix",
     "WalkOperator",
     "build_walk_operator",
@@ -48,23 +46,15 @@ class CoinKind(enum.Enum):
     GROVER = "grover"
 
 
-def fourier_coin(k: int) -> np.ndarray:
-    """k x k Fourier (DFT) coin: entry (a, b) = exp(2*pi*i*a*b/k) / sqrt(k)."""
-    if k < 1:
-        raise ValueError(f"coin dimension must be positive, got {k}")
-    a = np.arange(k)
-    return np.exp(2j * np.pi * np.outer(a, a) / k) / np.sqrt(k)
-
-
-def grover_coin(k: int) -> np.ndarray:
-    """k x k Grover coin: (2-k)/k on the diagonal, 2/k elsewhere."""
-    if k < 1:
-        raise ValueError(f"coin dimension must be positive, got {k}")
-    return (2.0 / k) * np.ones((k, k)) - np.eye(k) + 0j
-
-
 def coin_matrix(kind: CoinKind, k: int) -> np.ndarray:
-    return fourier_coin(k) if kind is CoinKind.FOURIER else grover_coin(k)
+    """k x k coin: Fourier (DFT), entry (a, b) = exp(2*pi*i*a*b/k) / sqrt(k),
+    or Grover, (2-k)/k on the diagonal and 2/k elsewhere."""
+    if k < 1:
+        raise ValueError(f"coin dimension must be positive, got {k}")
+    if kind is CoinKind.FOURIER:
+        a = np.arange(k)
+        return np.exp(2j * np.pi * np.outer(a, a) / k) / np.sqrt(k)
+    return (2.0 / k) * np.ones((k, k)) - np.eye(k) + 0j
 
 
 @dataclass(frozen=True, eq=False)

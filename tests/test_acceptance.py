@@ -49,7 +49,7 @@ def skip_line(capsys, number, name, reason):
 
 def grover_report(graph):
     op = aw.build_walk_operator(graph, aw.CoinKind.GROVER)
-    dec = aw.walk_decompose(op, cap=5000)
+    dec = aw.walk_decompose(op)
     return aw.degeneracy_report(dec, graph)
 
 
@@ -149,9 +149,7 @@ def test_criterion_07_airport_hierarchy(capsys):
     airport = usair_graph()
     if airport is None:
         skip_line(capsys, 7, "airport threshold sweep", "usair97.net not supplied")
-    op = aw.build_walk_operator(airport, aw.CoinKind.FOURIER)
-    dec = aw.walk_decompose(op, cap=5000)
-    _, norm = aw.infinite_time_average_matrix(dec, airport)
+    _, _, norm = aw.average_matrices(airport, aw.CoinKind.FOURIER)
     entries = aw.sweep(norm, airport, list(Q_AIRPORT))
     ok = True
     notes = []

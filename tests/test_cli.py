@@ -6,7 +6,7 @@ import stat
 import numpy as np
 import pytest
 
-from arcwalk import cli, operators
+from arcwalk import cli, evolution, operators
 from arcwalk.cli import ConfigError, RunConfig, _resolve_mode, main, render, run
 from arcwalk.io import OutputDocument, emit_heatmap_csv, format_float
 
@@ -432,7 +432,7 @@ def _unreachable(*args, **kwargs):
 
 
 def test_output_into_a_missing_directory_is_a_config_error(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "walk_decompose", _unreachable)
+    monkeypatch.setattr(evolution, "walk_decompose", _unreachable)
     argv = ["detect", "--graph", "builtin:square_triangle", "--output", "/nonexistent/dir/x.json"]
     assert main(argv) == 2
     out, err = capsys.readouterr()
@@ -448,13 +448,13 @@ def test_unwritable_output_is_a_config_error(tmp_path, capsys):
 
 
 def test_lost_group_in_exact_fourier_detect_is_a_numerical_error(monkeypatch, capsys):
-    decompose = cli.walk_decompose
+    decompose = evolution.walk_decompose
 
     def lossy(*args):
         dec = decompose(*args)
         return dataclasses.replace(dec, groups=dec.groups[1:])
 
-    monkeypatch.setattr(cli, "walk_decompose", lossy)
+    monkeypatch.setattr(evolution, "walk_decompose", lossy)
     assert main(["detect", "--graph", "builtin:karate"]) == 4
     out, err = capsys.readouterr()
     assert out == ""

@@ -2,7 +2,7 @@
 and the README's library tour runs as written.
 
 Demo 05 needs the USAir97 Pajek file, which is not in the repository (with
-it, it diagonalizes a 4252 x 4252 unitary for minutes).  It runs here on
+it, it diagonalizes two 4252 x 4252 unitaries in about a minute).  It runs here on
 three_community written as a Pajek file, which exercises its loading,
 degeneracy check and threshold sweep in well under a second.
 """

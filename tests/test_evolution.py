@@ -11,6 +11,7 @@ import arcwalk as aw
 from arcwalk import evolution
 from arcwalk.cli import RunConfig, run
 from arcwalk.graph import GraphError
+from arcwalk.spectral import grover_average_matrix
 
 
 def test_basis_state(karate, three_community):
@@ -327,3 +328,48 @@ def test_transition_rows_properties(graph, kind, data):
         p, _ = aw.finite_time_average_matrix(op, steps=steps, include_start=include_start)
         window = rows if include_start else rows[1:]
         assert np.abs(window.mean(axis=0) - p[node - 1]).max() <= 1e-12
+
+
+# the (mode, steps, include_start) cases of the parity test, and the
+# eigensolver each coin's exact documents name
+AVERAGING_CASES = {
+    "exact": ("average-infinite", evolution.DEFAULT_AVERAGE_STEPS, False),
+    "finite-20": ("average-finite", 20, False),
+    "finite-7-t0": ("average-finite", 7, True),
+}
+EXACT_SOLVER = {aw.CoinKind.FOURIER: "cayley-real-evd", aw.CoinKind.GROVER: "grover-spectral-map"}
+
+
+def kernel_matrices(graph, kind, mode, steps, include_start):
+    """(p, P) from a direct call of the kernel for the mode and coin."""
+    if mode == "average-finite":
+        return aw.finite_time_average_matrix(aw.build_walk_operator(graph, kind), steps, include_start)
+    if kind is aw.CoinKind.GROVER:
+        return grover_average_matrix(graph)
+    return aw.infinite_time_average_matrix(aw.walk_decompose(aw.build_walk_operator(graph, kind)), graph)
+
+
+@pytest.mark.parametrize("case", sorted(AVERAGING_CASES))
+@pytest.mark.parametrize("kind", list(aw.CoinKind))
+@pytest.mark.parametrize(
+    "name",
+    ["three_community", "karate", "square_triangle", "path(3)", "cycle(6)", "complete(5)", "planted-80"],
+)
+def test_average_matrices_is_the_kernel_call_with_its_record(name, kind, case, request):
+    graph = request.getfixturevalue("planted_80") if name == "planted-80" else aw.builtin(name)
+    mode, steps, include_start = AVERAGING_CASES[case]
+    params, p, norm = aw.average_matrices(graph, kind, mode, steps, include_start)
+    p_ref, norm_ref = kernel_matrices(graph, kind, mode, steps, include_start)
+    assert np.array_equal(p, p_ref) and np.array_equal(norm, norm_ref)
+    if mode == "average-finite":
+        assert params == {"mode": mode, "steps": steps, "window_start": 0 if include_start else 1}
+    else:
+        assert params == {"mode": mode, "eigensolver": EXACT_SOLVER[kind]}
+
+
+def test_average_matrices_rejects_an_unknown_mode_and_t0_in_exact_mode(karate):
+    with pytest.raises(ValueError, match="unknown averaging mode 'median'"):
+        aw.average_matrices(karate, aw.CoinKind.FOURIER, "median")
+    for kind in aw.CoinKind:
+        with pytest.raises(ValueError, match="include_start applies only to finite averages"):
+            aw.average_matrices(karate, kind, include_start=True)

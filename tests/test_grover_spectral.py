@@ -20,7 +20,7 @@ from test_cayley import schur_decomposition
 from test_cesaro_kernel import connected_graphs
 
 import arcwalk as aw
-from arcwalk import cli, spectral
+from arcwalk import evolution, spectral
 from arcwalk.cli import main
 from arcwalk.spectral import (
     DEFAULT_DEGENERACY_TOL,
@@ -159,7 +159,7 @@ def schur_oracle(graph):
 
 
 def assert_matches(graph, ref):
-    p, norm = aw.grover_average_matrix(graph)
+    p, norm = spectral.grover_average_matrix(graph)
     p_ref, norm_ref = aw.infinite_time_average_matrix(ref, graph)
     assert np.abs(p - p_ref).max() <= 1e-12
     assert np.abs(norm - norm_ref).max() <= 1e-12
@@ -245,7 +245,7 @@ def _leave_the_circle(eigenvalues, vectors):
 def test_corrupted_basis_raises(karate, monkeypatch, how, message):
     corrupt(monkeypatch, how)
     with pytest.raises(aw.SpectralError, match=message):
-        aw.grover_average_matrix(karate)
+        spectral.grover_average_matrix(karate)
 
 
 def test_wrong_bipartition_fails_the_trace_check():
@@ -254,14 +254,14 @@ def test_wrong_bipartition_fails_the_trace_check():
     graph = aw.builtin("cycle(6)")
     object.__setattr__(graph, "colors", None)
     with pytest.raises(aw.SpectralError, match="-1 eigenprojector has trace"):
-        aw.grover_average_matrix(graph)
+        spectral.grover_average_matrix(graph)
 
 
 def test_lost_group_fails_the_row_check(karate, monkeypatch):
     group = spectral._group_by_argument
     monkeypatch.setattr(spectral, "_group_by_argument", lambda *args: group(*args)[1:])
     with pytest.raises(aw.SpectralError, match="rows of p miss 1"):
-        aw.grover_average_matrix(karate)
+        spectral.grover_average_matrix(karate)
 
 
 def test_cli_numerical_failure_exits_4_without_a_partition(monkeypatch, capsys):
@@ -338,7 +338,7 @@ def assert_same_document(got, ref, path="doc"):
 def test_cli_documents_match_the_schur_path(name, monkeypatch, capsys):
     new = cli_documents(name, capsys)
     monkeypatch.setattr(
-        cli,
+        evolution,
         "grover_average_matrix",
         lambda graph, tol: aw.infinite_time_average_matrix(schur_oracle(graph), graph),
     )

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from test_cesaro_kernel import connected_graphs
 
 import arcwalk as aw
-from arcwalk.operators import DEFAULT_DENSE_CAP, DenseCapExceeded
+from arcwalk.operators import DEFAULT_DENSE_CAP, DenseCapExceeded, coin_matrix
+
+FOURIER, GROVER = aw.CoinKind.FOURIER, aw.CoinKind.GROVER
 
 
 def unitarity_defect(m):
@@ -15,33 +17,33 @@ def unitarity_defect(m):
 
 
 def test_fourier_coin_small():
-    assert np.allclose(aw.fourier_coin(1), [[1.0]])
-    assert np.allclose(aw.fourier_coin(2), np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+    assert np.allclose(coin_matrix(FOURIER, 1), [[1.0]])
+    assert np.allclose(coin_matrix(FOURIER, 2), np.array([[1, 1], [1, -1]]) / np.sqrt(2))
     w = np.exp(2j * np.pi / 3)
     expected = np.array([[1, 1, 1], [1, w, w**2], [1, w**2, w**4]]) / np.sqrt(3)
-    assert np.allclose(aw.fourier_coin(3), expected, atol=1e-12)
+    assert np.allclose(coin_matrix(FOURIER, 3), expected, atol=1e-12)
 
 
 def test_grover_coin_small():
-    assert np.allclose(aw.grover_coin(2), [[0, 1], [1, 0]])
+    assert np.allclose(coin_matrix(GROVER, 2), [[0, 1], [1, 0]])
     expected = np.array([[-1, 2, 2], [2, -1, 2], [2, 2, -1]]) / 3
-    assert np.allclose(aw.grover_coin(3), expected)
+    assert np.allclose(coin_matrix(GROVER, 3), expected)
 
 
 def test_grover_two_element_vector_flips():
     v = np.array([1.0, -1.0, 0.0, 0.0, 0.0])
-    assert np.allclose(aw.grover_coin(5) @ v, -v)
+    assert np.allclose(coin_matrix(GROVER, 5) @ v, -v)
 
 
 @pytest.mark.parametrize("k", range(1, 13))
 def test_coins_unitary(k):
-    assert unitarity_defect(aw.fourier_coin(k)) < 1e-12
-    assert unitarity_defect(aw.grover_coin(k)) < 1e-12
+    assert unitarity_defect(coin_matrix(FOURIER, k)) < 1e-12
+    assert unitarity_defect(coin_matrix(GROVER, k)) < 1e-12
 
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_grover_minus_one_eigenvectors(k):
-    coin = aw.grover_coin(k)
+    coin = coin_matrix(GROVER, k)
     for a in range(k):
         for b in range(a + 1, k):
             v = np.zeros(k)
@@ -52,9 +54,9 @@ def test_grover_minus_one_eigenvectors(k):
 @pytest.mark.parametrize("k", [0, -3])
 def test_coin_rejects_nonpositive(k):
     with pytest.raises(ValueError):
-        aw.fourier_coin(k)
+        coin_matrix(FOURIER, k)
     with pytest.raises(ValueError):
-        aw.grover_coin(k)
+        coin_matrix(GROVER, k)
 
 
 def test_build_cycle4_grover():
@@ -92,7 +94,7 @@ def dense_oracle(graph, kind):
     coin = np.zeros((d, d), dtype=complex)
     for lo, hi in zip(graph.arc_offsets[:-1], graph.arc_offsets[1:]):
         k = hi - lo
-        coin[lo:hi, lo:hi] = aw.fourier_coin(k) if kind is aw.CoinKind.FOURIER else aw.grover_coin(k)
+        coin[lo:hi, lo:hi] = coin_matrix(kind, k)
     return coin[graph.reverse_arc]
 
 
@@ -145,7 +147,7 @@ def unitary_from_definition(graph, kind):
     for a in range(d):
         tail = graph.arc_tail[a]
         lo, k = graph.arc_offsets[tail], graph.degrees[tail]
-        coin = aw.fourier_coin(k) if kind is aw.CoinKind.FOURIER else aw.grover_coin(k)
+        coin = coin_matrix(kind, k)
         for b in range(lo, lo + k):
             u[graph.reverse_arc[a], b] = coin[a - lo, b - lo]
     return u

@@ -3,7 +3,13 @@ import pytest
 
 import arcwalk as aw
 from arcwalk.cli import RunConfig, run
-from arcwalk.spectral import SpectralError, _cycle_arcs, eigenstate_node_probability
+from arcwalk.spectral import (
+    SpectralError,
+    _cycle_arcs,
+    argument_histogram,
+    eigenstate_node_probability,
+    grover_average_matrix,
+)
 
 
 def grover_dec(name):
@@ -257,14 +263,14 @@ def test_loop_eigenvector_rejects_non_cycle(three_community):
 
 
 def test_argument_histogram_fourier(three_fourier_dec):
-    counts, edges = aw.argument_histogram(three_fourier_dec, 20)
+    counts, edges = argument_histogram(three_fourier_dec, 20)
     assert counts.sum() == 78
     assert counts.min() > 0
     assert counts.max() <= 3 * counts.mean()
 
 
 def test_argument_histogram_grover(three_grover_dec):
-    counts, edges = aw.argument_histogram(three_grover_dec, 20)
+    counts, edges = argument_histogram(three_grover_dec, 20)
     centers = 0.5 * (edges[:-1] + edges[1:])
     zero_bin = int(np.argmin(np.abs(centers)))
     pi_bin = 0  # -1 eigenvalues are folded into the bin centered at -pi
@@ -275,7 +281,7 @@ def test_argument_histogram_grover(three_grover_dec):
 
 def test_argument_histogram_rejects_single_bin(three_fourier_dec):
     with pytest.raises(ValueError):
-        aw.argument_histogram(three_fourier_dec, 1)
+        argument_histogram(three_fourier_dec, 1)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
@@ -287,4 +293,4 @@ def test_degeneracy_tolerance_must_be_positive(three_community, tol):
     with pytest.raises(ValueError, match="degeneracy tolerance must be positive"):
         aw.walk_decompose(op, degeneracy_tol=tol)
     with pytest.raises(ValueError, match="degeneracy tolerance must be positive"):
-        aw.grover_average_matrix(three_community, tol)
+        grover_average_matrix(three_community, tol)
