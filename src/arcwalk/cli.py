@@ -83,7 +83,8 @@ def _load_graph(source: str) -> Graph:
         return builtin(rest)
     if kind in ("edgelist", "pajek"):
         try:
-            with open(rest, encoding="utf-8") as handle:
+            # utf-8-sig drops a leading byte-order mark, which some editors write
+            with open(rest, encoding="utf-8-sig") as handle:
                 text = handle.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise GraphError(f"cannot read {rest}: {exc}") from exc

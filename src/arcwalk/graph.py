@@ -242,9 +242,11 @@ def load_pajek(text: str) -> Graph:
     for lineno, line in enumerate(lines, start=1):
         if not line or line.startswith("%"):
             continue
-        low = line.lower()
-        if low.startswith("*vertices"):
-            parts = line.split()
+        parts = line.split()
+        # the whole first token, so that *Edgeslist and *Arcslist (one node
+        # and its neighbours per line) are not read as (a, b) pairs
+        header = parts[0].lower()
+        if header == "*vertices":
             if len(parts) < 2:
                 raise GraphError(f"line {lineno}: malformed *Vertices header")
             try:
@@ -252,14 +254,13 @@ def load_pajek(text: str) -> Graph:
             except ValueError:
                 raise GraphError(f"line {lineno}: malformed *Vertices count") from None
             section = "vertices"
-        elif low.startswith("*edges") or low.startswith("*arcs"):
+        elif header in ("*edges", "*arcs"):
             if n_declared is None:
                 raise GraphError(f"line {lineno}: edge section before *Vertices header")
             section = "edges"
-        elif low.startswith("*"):
-            raise GraphError(f"line {lineno}: unknown section {line.split()[0]!r}")
+        elif header.startswith("*"):
+            raise GraphError(f"line {lineno}: unknown section {parts[0]!r}")
         elif section == "edges":
-            parts = line.split()
             if len(parts) < 2:
                 raise GraphError(f"line {lineno}: malformed edge record {line!r}")
             try:

@@ -32,6 +32,13 @@
   d Q' (plus the color-signed vector if bipartite).  So one N x N ``eigh``
   of T gives every eigenprojector as P[a, b] = alpha[a = b] +
   beta[a = rev b] + X[tail a, b] + Y[head a, b], with (N, D) arrays X, Y.
+  The same theorem sets the +1 and -1 multiplicities from the Betti number
+  b1: b1 + 1 and b1 - 1, or b1 + 1 for both if the graph is bipartite.
+* :func:`loop_eigenvector` builds a +-1 eigenvector on a node cycle:
+  +-1/sqrt(2n) on its 2n arcs, summing to zero at each node, so the coin
+  negates it and U sends psi(a) to -psi(rev a).  For +1 the signs circulate
+  (forward +, reverse -); for -1 they alternate around an even cycle with
+  psi(rev a) = psi(a).
 
 Every eigensolver here is numpy's ``eigh`` or ``eigvalsh``.
 
@@ -52,16 +59,13 @@ a loop eigenvector's amplitudes.  Sums over a node's arcs are
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Graph, GraphError, betti_number, is_bipartite
-from .operators import (
-    DEFAULT_DENSE_CAP, CoinKind, WalkOperator, build_walk_operator, materialize_dense
-)
+from .operators import DEFAULT_DENSE_CAP, WalkOperator, materialize_dense
 
 __all__ = [
     "SpectralDecomposition",
@@ -107,8 +111,8 @@ class DegeneracyReport:
     """Observed eigenvalue multiplicities with the loop-count prediction.
 
     ``entries`` lists (representative eigenvalue, multiplicity) sorted by
-    argument.  The +1/-1 counts are compared against the prediction from the
-    Betti number b1: (b1+1, b1+1) on bipartite graphs, (b1+1, b1-1) otherwise.
+    argument.  The +1/-1 counts are compared against their prediction from
+    the Betti number b1 (module docstring).
     """
 
     entries: tuple[tuple[complex, int], ...]
@@ -388,11 +392,11 @@ def grover_average_matrix(
     # T's eigenvalue 1 (top) is simple on a connected graph and -1 (bottom)
     # exists, simple, iff it is bipartite
     low = 0 if colors is None else 1
-    b1 = betti_number(graph)
+    plus, minus = _pm_one_multiplicities(graph)
     block = np.zeros((n, n))
     for sign, keep, vec, expected in (
-        (1, slice(0, n - 1), np.ones(n), b1 + 1),
-        (-1, slice(low, n), np.zeros(n) if colors is None else 1 - 2.0 * colors, b1 - 1 + 2 * low),
+        (1, slice(0, n - 1), np.ones(n), plus),
+        (-1, slice(low, n), np.zeros(n) if colors is None else 1 - 2.0 * colors, minus),
     ):
         # K^-1/2 [(I - sign T)/2]^+ K^-1/2 grows like an effective resistance
         # (~N on a path), its differences along an arc b stay O(1): squaring
@@ -468,15 +472,21 @@ def degeneracy_report(dec: SpectralDecomposition, graph: Graph) -> DegeneracyRep
         elif abs(rep + 1.0) < 1e-6:
             minus = len(group)
     entries.sort(key=lambda e: np.angle(e[0]))
-    b1 = betti_number(graph)
-    bip = is_bipartite(graph)
+    predicted_plus, predicted_minus = _pm_one_multiplicities(graph)
     return DegeneracyReport(
         entries=tuple(entries),
         plus_one=plus,
         minus_one=minus,
-        predicted_plus_one=b1 + 1,
-        predicted_minus_one=b1 + 1 if bip else b1 - 1,
+        predicted_plus_one=predicted_plus,
+        predicted_minus_one=predicted_minus,
     )
+
+
+def _pm_one_multiplicities(graph: Graph) -> tuple[int, int]:
+    """Dimensions of the Grover walk's +1 and -1 eigenspaces (module
+    docstring)."""
+    b1 = betti_number(graph)
+    return b1 + 1, b1 + 1 if is_bipartite(graph) else b1 - 1
 
 
 def infinite_time_average_matrix(
@@ -531,40 +541,21 @@ def _cycle_arcs(graph: Graph, cycle: list[int]) -> np.ndarray:
 
 
 def loop_eigenvector(
-    graph: Graph,
-    cycle: list[int],
-    sign_pattern: list[int] | None = None,
-    eigenvalue: int | None = None,
+    graph: Graph, cycle: list[int], eigenvalue: int = 1
 ) -> tuple[np.ndarray, int] | None:
-    """Search for a Grover-walk eigenvector supported on a node cycle.
-
-    Amplitudes are ±1/sqrt(2n) on the 2n arcs of the cycle and zero
-    elsewhere.  With no explicit ``sign_pattern`` all 2^(2n) patterns are
-    tried (cycle length capped at 6); ``eigenvalue`` restricts the accepted
-    eigenvalue to +1 or -1.  Returns (amplitudes, eigenvalue) or None.
-    """
+    """The Grover-walk eigenvector with eigenvalue +1 or -1 that a node cycle
+    carries (module docstring), as (amplitudes, eigenvalue), or None for -1
+    on an odd cycle."""
+    if eigenvalue not in (1, -1):
+        raise ValueError(f"a loop eigenvalue is +1 or -1, got {eigenvalue!r}")
     arcs = _cycle_arcs(graph, cycle)
     n = len(cycle)
-    if sign_pattern is None and n > 6:
-        raise GraphError("exhaustive sign search is limited to cycles of length <= 6")
-    op = build_walk_operator(graph, CoinKind.GROVER)
-    scale = 1.0 / np.sqrt(2 * n)
-    patterns = (
-        [tuple(sign_pattern)]
-        if sign_pattern is not None
-        else itertools.product((1, -1), repeat=2 * n)
-    )
-    targets = (1, -1) if eigenvalue is None else (eigenvalue,)
-    for pattern in patterns:
-        if len(pattern) != 2 * n or any(s not in (1, -1) for s in pattern):
-            raise GraphError("sign pattern must hold ±1 for each of the 2n arcs")
-        amplitudes = np.zeros(graph.arc_count, dtype=complex)
-        amplitudes[arcs] = np.asarray(pattern, dtype=float) * scale
-        image = op.apply(amplitudes)
-        for lam in targets:
-            if np.max(np.abs(image - lam * amplitudes)) < 1e-10:
-                return amplitudes, lam
-    return None
+    if eigenvalue == -1 and n % 2:
+        return None
+    forward = np.ones(n) if eigenvalue == 1 else (-1.0) ** np.arange(n)
+    amplitudes = np.zeros(graph.arc_count, dtype=complex)
+    amplitudes[arcs] = np.concatenate([forward, -eigenvalue * forward]) * (1.0 / np.sqrt(2 * n))
+    return amplitudes, eigenvalue
 
 
 def argument_histogram(

@@ -30,7 +30,7 @@ def usair_graph():
     )
     if not os.path.exists(path):
         return None
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         return aw.load_pajek(handle.read())
 
 

@@ -402,6 +402,18 @@ def test_non_utf8_graph_file_is_a_data_error(tmp_path, capsys, kind, text):
     assert f"data error: cannot read {path}" in err and "utf-8" in err
 
 
+@pytest.mark.parametrize(
+    "kind, text",
+    [("edgelist", "1 2\n2 3\n1 3\n"), ("pajek", "*Vertices 3\n*Edges\n1 2\n2 3\n1 3\n")],
+    ids=["edgelist", "pajek"],
+)
+def test_graph_file_with_byte_order_mark(tmp_path, capsys, kind, text):
+    path = tmp_path / "graph.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert main(["spectrum", "--graph", f"{kind}:{path}"]) == 0
+    assert json.loads(capsys.readouterr().out)["metadata"]["graph"]["arcs"] == 6
+
+
 @pytest.mark.parametrize("window", [[], ["--include-t0"]])
 def test_finite_documents_record_their_window(window, capsys):
     finite = ["--graph", "builtin:three_community", "--mode", "finite", "--steps", "7", *window]

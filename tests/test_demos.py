@@ -2,9 +2,9 @@
 and the README's library tour runs as written.
 
 Demo 05 needs the USAir97 Pajek file, which is not in the repository (with
-it, it diagonalizes two 4252 x 4252 unitaries in about a minute).  It runs here on
-three_community written as a Pajek file, which exercises its loading,
-degeneracy check and threshold sweep in well under a second.
+it, it diagonalizes one 4252 x 4252 unitary in about half a minute).  It runs
+here on three_community written as a Pajek file, which exercises its loading
+and threshold sweep in well under a second.
 """
 
 import os
@@ -54,7 +54,6 @@ def test_airport_demo_runs_on_a_pajek_stand_in(tmp_path):
     result = run_demo("05_airport_hierarchy", ARCWALK_USAIR97=str(path))
     assert result.returncode == 0, result.stderr
     assert "N=21, D=78, b1=19" in result.stdout
-    assert "observed (+1,-1) = (20,18), predicted (20,18)" in result.stdout
     sweep = [ln.strip() for ln in result.stdout.splitlines() if ln.startswith("  q = ")]
     # every airport threshold lies far below 1/D = 1/78, so one community holds all 21 nodes
     assert sweep == [

@@ -69,6 +69,19 @@ def test_pajek_arcs_treated_symmetric():
     assert g.arc_count == 6
 
 
+def test_pajek_edges_header_with_trailing_tokens():
+    g = aw.load_pajek('*Vertices 3\n*Edges :1 "links"\n1 2\n2 3\n1 3\n')
+    assert g.arc_count == 6
+
+
+@pytest.mark.parametrize("section", ["*Edgeslist", "*Arcslist"])
+def test_pajek_list_sections_are_unknown(section):
+    # a list line is a node and all its neighbours: 1 2 3 4 holds three edges
+    text = f"*Vertices 4\n{section}\n1 2 3 4\n2 3\n3 4\n"
+    with pytest.raises(GraphError, match=f"line 2: unknown section '\\{section}'"):
+        aw.load_pajek(text)
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arcwalk as aw
 from arcwalk.cli import RunConfig, run
@@ -233,6 +235,9 @@ def test_loop_eigenvector_triangle(three_community):
     assert lam == 1
     assert abs(np.linalg.norm(amplitudes) - 1.0) < 1e-12
     assert np.count_nonzero(amplitudes) == 6
+    # the circulation: forward arcs +, reverse arcs -
+    arcs = _cycle_arcs(three_community, [1, 2, 3])
+    assert amplitudes[arcs].tolist() == [1 / np.sqrt(6)] * 3 + [-1 / np.sqrt(6)] * 3
     assert aw.loop_eigenvector(three_community, [1, 2, 3], eigenvalue=-1) is None
 
 
@@ -244,10 +249,50 @@ def test_loop_eigenvector_square():
     assert minus is not None and minus[1] == -1
 
 
-def test_loop_eigenvector_explicit_pattern(three_community):
-    # alternating signs around the triangle: forward arcs +, reverse arcs -
-    found = aw.loop_eigenvector(three_community, [1, 2, 3], sign_pattern=[1, 1, 1, -1, -1, -1])
-    assert found is not None and found[1] == 1
+def assert_loop_eigenvector(graph, cycle, eigenvalue):
+    amplitudes, lam = aw.loop_eigenvector(graph, cycle, eigenvalue)
+    assert lam == eigenvalue
+    assert abs(np.linalg.norm(amplitudes) - 1.0) < 1e-12
+    assert set(np.flatnonzero(amplitudes)) == set(_cycle_arcs(graph, cycle).tolist())
+    op = aw.build_walk_operator(graph, aw.CoinKind.GROVER)
+    assert np.max(np.abs(op.apply(amplitudes) - eigenvalue * amplitudes)) < 1e-12
+
+
+@pytest.mark.parametrize("eigenvalue", [1, -1])
+def test_loop_eigenvector_long_cycle(eigenvalue):
+    assert_loop_eigenvector(aw.builtin("cycle(8)"), list(range(1, 9)), eigenvalue)
+
+
+@pytest.mark.parametrize("eigenvalue", [0, 2, -2])
+def test_loop_eigenvector_rejects_other_eigenvalues(three_community, eigenvalue):
+    with pytest.raises(ValueError, match="loop eigenvalue is \\+1 or -1"):
+        aw.loop_eigenvector(three_community, [1, 2, 3], eigenvalue)
+
+
+@st.composite
+def ringed_graphs(draw):
+    """A connected graph around a ring of 3-12 nodes, with pendant trees and
+    chords added and its labels shuffled, and the ring's 1-based ids in cycle
+    order."""
+    ring = draw(st.integers(3, 12))
+    n = ring + draw(st.integers(0, 6))
+    edges = {(i, (i + 1) % ring) for i in range(ring)}
+    edges |= {(draw(st.integers(0, i - 1)), i) for i in range(ring, n)}
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=8)))
+    label = draw(st.permutations(range(n)))
+    graph = aw.Graph.from_edges(sorted({tuple(sorted((label[a], label[b]))) for a, b in edges}))
+    return graph, [label[i] + 1 for i in range(ring)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=ringed_graphs(), eigenvalue=st.sampled_from([1, -1]))
+def test_loop_eigenvector_on_random_rings(case, eigenvalue):
+    graph, ring = case
+    if eigenvalue == -1 and len(ring) % 2:
+        assert aw.loop_eigenvector(graph, ring, eigenvalue) is None
+    else:
+        assert_loop_eigenvector(graph, ring, eigenvalue)
 
 
 def test_cycle_arcs_run_forward_then_back(three_community):
