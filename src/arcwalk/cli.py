@@ -66,13 +66,10 @@ class RunConfig:
     steps: int = DEFAULT_AVERAGE_STEPS
     threshold: str = "auto"
     q_list: tuple[float, ...] = ()
-    bins: int = 20
     include_start: bool = False
-    marginal_band: float = DEFAULT_MARGINAL_BAND
     output: str | None = None
     format: str = "json"
     dense_cap: int = DEFAULT_DENSE_CAP
-    degeneracy_tol: float = DEFAULT_DEGENERACY_TOL
 
 
 def _load_graph(source: str) -> Graph:
@@ -115,7 +112,7 @@ def _resolve_mode(config: RunConfig) -> str:
 
 
 def _averages(config: RunConfig, graph: Graph) -> tuple[dict, np.ndarray, np.ndarray]:
-    options = (config.steps, config.include_start, config.degeneracy_tol, config.dense_cap)
+    options = (config.steps, config.include_start, config.dense_cap)
     return average_matrices(graph, _coin_kind(config.coin), _resolve_mode(config), *options)
 
 
@@ -173,16 +170,14 @@ def _run_average(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
 
 
 def _run_spectrum(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
-    if config.bins < 2:
-        raise ConfigError("--bins must be at least 2")
     op = build_walk_operator(graph, _coin_kind(config.coin))
-    dec = walk_decompose(op, config.degeneracy_tol, config.dense_cap)
+    dec = walk_decompose(op, config.dense_cap)
     report = degeneracy_report(dec, graph)
     # a degenerate group's basis is arbitrary, its mean node profile is not
     profiles = eigenstate_node_probability(dec, graph)
     for group in dec.groups:
         profiles[group] = profiles[group].mean(axis=0)
-    counts, edges = argument_histogram(dec, config.bins)
+    counts, edges = argument_histogram(dec)
     payload = {
         "eigenvalues": [complex(v) for v in dec.eigenvalues],
         "degeneracy": {
@@ -197,14 +192,14 @@ def _run_spectrum(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
         "histogram": {"counts": counts, "bin_edges": edges},
         "ipr": ipr(profiles),
     }
-    return {"bins": config.bins, "degeneracy_tol": config.degeneracy_tol}, payload
+    return {"bins": len(counts), "degeneracy_tol": DEFAULT_DEGENERACY_TOL}, payload
 
 
 def _run_detect(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
     params, _, norm = _averages(config, graph)
     q = _threshold(config, graph)
     partition = detect(norm, graph, q, source=params["mode"])
-    margins = margin_report(norm, partition, band=config.marginal_band)
+    margins = margin_report(norm, partition)
     payload = {
         "threshold": q,
         "hubs": list(partition.hubs),
@@ -218,7 +213,7 @@ def _run_detect(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
             for m in margins
         ],
     }
-    return {**params, "threshold": q, "marginal_band": config.marginal_band}, payload
+    return {**params, "threshold": q, "marginal_band": DEFAULT_MARGINAL_BAND}, payload
 
 
 def _run_sweep(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
@@ -275,12 +270,6 @@ def run(config: RunConfig) -> OutputDocument:
         raise ConfigError(f"unknown output format {config.format!r}")
     if config.steps < 0:
         raise ConfigError("steps must be non-negative")
-    if not (np.isfinite(config.degeneracy_tol) and config.degeneracy_tol > 0):
-        raise ConfigError(f"--deg-tol must be finite and positive, got {config.degeneracy_tol}")
-    if not (np.isfinite(config.marginal_band) and config.marginal_band >= 0):
-        raise ConfigError(
-            f"--marginal-band must be finite and non-negative, got {config.marginal_band}"
-        )
     if config.output and not os.path.isdir(os.path.dirname(os.path.abspath(config.output))):
         raise ConfigError(f"cannot write {config.output}: its directory does not exist")
     graph = _load_graph(config.graph_source)
@@ -384,7 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
         dense = "cap on the arc count D of the dense D x D arrays of exact Fourier averages"
         dense += f" and of spectrum (default {DEFAULT_DENSE_CAP})"
         p.add_argument("--dense-cap", type=int, help=dense)
-        p.add_argument("--deg-tol", dest="degeneracy_tol", type=float)
         return p
 
     def averaging(p: argparse.ArgumentParser) -> None:
@@ -405,13 +393,11 @@ def _build_parser() -> argparse.ArgumentParser:
     averaging(p)
     p.add_argument("--start", type=int)
 
-    p = command("spectrum", "eigenvalues, degeneracy report, IPR")
-    p.add_argument("--bins", type=int)
+    command("spectrum", "eigenvalues, degeneracy report, IPR")
 
     p = command("detect", "threshold community detection")
     averaging(p)
     p.add_argument("--threshold")
-    p.add_argument("--marginal-band", type=float)
 
     p = command("sweep", "community counts over a threshold list")
     averaging(p)

@@ -9,7 +9,10 @@ singleton communities, surfacing outliers instead of forcing a fit.
 
 :func:`detect` returns a :class:`CommunityPartition`; :func:`sweep` returns
 plain (q, count, sizes) tuples, one per threshold; :func:`margin_report`
-computes every node's margin against every hub from the same matrix.
+computes every node's margin against every hub from the same matrix and
+flags it marginal within the fixed band DEFAULT_MARGINAL_BAND (10 % of the
+threshold), which ``detect`` documents record.  Every margin and the
+threshold are in the document, so another band can be recomputed from them.
 """
 
 from __future__ import annotations
@@ -129,23 +132,18 @@ def sweep(
     return tuple(entries)
 
 
-def margin_report(
-    matrix: np.ndarray,
-    partition: CommunityPartition,
-    band: float = DEFAULT_MARGINAL_BAND,
-) -> list[MarginEntry]:
+def margin_report(matrix: np.ndarray, partition: CommunityPartition) -> list[MarginEntry]:
     """Margins of every node against every hub.
 
     A node is flagged marginal against a hub when |P(hub -> node) - q| is
-    below ``band * q``, i.e. its classification would flip under a small
-    threshold change.
+    below DEFAULT_MARGINAL_BAND * q, i.e. its classification would flip
+    under a small threshold change.
     """
     q = partition.threshold
     entries = []
     for node in sorted(partition.assignment):
         for hub in partition.hubs:
             margin = float(matrix[hub - 1, node - 1] - q)
-            entries.append(
-                MarginEntry(node=node, hub=hub, margin=margin, marginal=abs(margin) < band * q)
-            )
+            marginal = abs(margin) < DEFAULT_MARGINAL_BAND * q
+            entries.append(MarginEntry(node=node, hub=hub, margin=margin, marginal=marginal))
     return entries

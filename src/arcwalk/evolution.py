@@ -34,10 +34,7 @@ import numpy as np
 
 from .graph import Graph
 from .operators import DEFAULT_DENSE_CAP, CoinKind, WalkOperator, build_walk_operator
-from .spectral import (
-    DEFAULT_DEGENERACY_TOL, _transition_matrices, grover_average_matrix, infinite_time_average_matrix,
-    walk_decompose,
-)
+from .spectral import _transition_matrices, grover_average_matrix, infinite_time_average_matrix, walk_decompose
 
 __all__ = ["average_matrices", "transition_rows", "finite_time_average_matrix", "DEFAULT_AVERAGE_STEPS"]
 
@@ -204,7 +201,6 @@ def average_matrices(
     mode: str = "average-infinite",
     steps: int = DEFAULT_AVERAGE_STEPS,
     include_start: bool = False,
-    degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
     dense_cap: int = DEFAULT_DENSE_CAP,
 ) -> tuple[dict, np.ndarray, np.ndarray]:
     """Time-averaged (p, P) of the ``coin`` walk on ``graph``, indexed
@@ -224,8 +220,8 @@ def average_matrices(
     if include_start:
         raise ValueError("include_start applies only to finite averages")
     if coin is CoinKind.GROVER:
-        p, norm = grover_average_matrix(graph, degeneracy_tol)
+        p, norm = grover_average_matrix(graph)
         return {"mode": mode, "eigensolver": "grover-spectral-map"}, p, norm
-    dec = walk_decompose(build_walk_operator(graph, coin), degeneracy_tol, dense_cap)
+    dec = walk_decompose(build_walk_operator(graph, coin), dense_cap)
     p, norm = infinite_time_average_matrix(dec, graph)
     return {"mode": mode, "eigensolver": "cayley-real-evd"}, p, norm

@@ -56,7 +56,17 @@ class OutputDocument:
 
     def metadata_comment_lines(self) -> list[str]:
         """'#'-prefixed metadata header used by the CSV output format."""
-        return [f"# {key}: {value}" for key, value in sorted(_flat(self.metadata))]
+        return [f"# {key}: {_header_text(value)}" for key, value in sorted(_flat(self.metadata))]
+
+
+def _header_text(value) -> str:
+    """A metadata value as the CSV header writes it: floats, in lists too,
+    as the JSON document writes them."""
+    if isinstance(value, (np.floating, float)):
+        return format_float(value)
+    if isinstance(value, list):
+        return "[" + ", ".join(_header_text(v) for v in value) + "]"
+    return str(value)
 
 
 def _flat(meta: dict, prefix: str = ""):

@@ -48,13 +48,18 @@ when eigenvalues are degenerate (the Grover walk always is).  For a simple
 eigenvalue P_g = v v^*, so |P_g[a, b]|^2 = |v_a|^2 |v_b|^2 and its fan sum is
 the product of two node probabilities of v: all simple groups together are
 one N x N GEMM of fan-summed |v|^2.  Only degenerate groups build
-projectors: D x D ones, or the Grover kernel's X and Y.
+projectors: D x D ones, or the Grover kernel's X and Y.  Which eigenvalues
+share a projector is fixed, not an option: a group is a chain of eigenvalues
+whose arguments lie within DEFAULT_DEGENERACY_TOL (1e-8) of the next, across
++-pi too, and ``spectrum`` documents record that value.  A looser tolerance
+would merge distinct eigenspaces and change the averages.
 
 Every quantity comes back as an array: the (p, P) matrices indexed [start,
 target], the (D, N) eigenstate node probabilities (a row over the degrees
-is an eigenstate's normalized profile), the IPR of any probability rows, and
-a loop eigenvector's amplitudes.  Sums over a node's arcs are
-``Graph.fan_sum``.
+is an eigenstate's normalized profile), the IPR of any probability rows, a
+loop eigenvector's amplitudes, and a histogram of the eigenvalue arguments
+in a fixed 20 bins (any other binning can be recomputed from the
+eigenvalues).  Sums over a node's arcs are ``Graph.fan_sum``.
 """
 
 from __future__ import annotations
@@ -83,7 +88,9 @@ __all__ = [
     "DEFAULT_DEGENERACY_TOL",
 ]
 
+# the fixed grouping tolerance and histogram bins (module docstring)
 DEFAULT_DEGENERACY_TOL = 1e-8
+_HISTOGRAM_BINS = 20
 
 
 class SpectralError(RuntimeError):
@@ -99,11 +106,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     groups: tuple[np.ndarray, ...]
-    degeneracy_tol: float
-
-    @property
-    def dimension(self) -> int:
-        return self.eigenvalues.size
 
 
 @dataclass(frozen=True)
@@ -129,24 +131,21 @@ class DegeneracyReport:
         )
 
 
-def _group_by_argument(eigenvalues: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
-    # a tolerance that is not > 0 (0, negative, NaN) makes every eigenvalue
-    # its own group, which silently corrupts the Cesaro average of a
-    # degenerate spectrum
-    if not tol > 0:
-        raise ValueError(f"degeneracy tolerance must be positive, got {tol!r}")
+def _group_by_argument(eigenvalues: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Indices of the eigenvalues in groups whose arguments chain together
+    (single linkage) in steps below DEFAULT_DEGENERACY_TOL, across +-pi too."""
     args = np.angle(eigenvalues)
     order = np.argsort(args, kind="stable")
     groups: list[list[int]] = []
     for idx in order:
-        if groups and args[idx] - args[groups[-1][-1]] < tol:
+        if groups and args[idx] - args[groups[-1][-1]] < DEFAULT_DEGENERACY_TOL:
             groups[-1].append(int(idx))
         else:
             groups.append([int(idx)])
     # arguments wrap at +-pi: merge the first and last cluster if they meet
     if len(groups) > 1:
         gap = (args[groups[0][0]] + 2 * np.pi) - args[groups[-1][-1]]
-        if gap < tol:
+        if gap < DEFAULT_DEGENERACY_TOL:
             groups[-1].extend(groups.pop(0))
     return tuple(np.array(g, dtype=np.intp) for g in groups)
 
@@ -173,9 +172,7 @@ _POLE_TRUST = 1e-6
 _BLOCK = 128
 
 
-def decompose(
-    unitary: np.ndarray, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL
-) -> SpectralDecomposition:
+def decompose(unitary: np.ndarray) -> SpectralDecomposition:
     """Eigendecomposition of a dense unitary matrix with degeneracy grouping,
     from ``eigh`` of its complex Cayley image (:func:`_hermitian_cayley_image`)
     with the pole placed as in :func:`walk_decompose`.  U must be unitary
@@ -184,8 +181,7 @@ def decompose(
     u = _checked_unitary(unitary)
     eigenvalues, z = _cayley_eigh(u, _hermitian_cayley_image)
     _check_basis(eigenvalues, z, u.__matmul__, np.abs(np.abs(eigenvalues) - 1.0))
-    groups = _group_by_argument(eigenvalues, degeneracy_tol)
-    return SpectralDecomposition(eigenvalues, z, groups, degeneracy_tol)
+    return SpectralDecomposition(eigenvalues, z, _group_by_argument(eigenvalues))
 
 
 def _checked_unitary(unitary: np.ndarray) -> np.ndarray:
@@ -198,11 +194,7 @@ def _checked_unitary(unitary: np.ndarray) -> np.ndarray:
     return u
 
 
-def walk_decompose(
-    op: WalkOperator,
-    degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
-    cap: int = DEFAULT_DENSE_CAP,
-) -> SpectralDecomposition:
+def walk_decompose(op: WalkOperator, cap: int = DEFAULT_DENSE_CAP) -> SpectralDecomposition:
     """Eigendecomposition of the walk unitary U = SC with degeneracy grouping,
     in real arithmetic from the walk's time-reversal symmetry (module
     docstring).  Every coin block must be symmetric within 1e-12 and unitary
@@ -234,8 +226,7 @@ def walk_decompose(
 
     # Q is unitary: U'O = O Lambda and O^T O = I say UV = V Lambda and V*V = I
     _check_basis(eigenvalues, o, apply, np.abs(np.abs(eigenvalues) - 1.0))
-    groups = _group_by_argument(eigenvalues, degeneracy_tol)
-    return SpectralDecomposition(eigenvalues, arcs(o), groups, degeneracy_tol)
+    return SpectralDecomposition(eigenvalues, arcs(o), _group_by_argument(eigenvalues))
 
 
 def _symmetric_unitary(
@@ -371,9 +362,7 @@ def _check_basis(
         raise SpectralError(f"eigenvectors are not orthonormal: max|V*V - I| = {drift:.2e}")
 
 
-def grover_average_matrix(
-    graph: Graph, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def grover_average_matrix(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     """The Grover walk's Cesaro-limit (p, P), as from
     :func:`infinite_time_average_matrix`, in node space (module docstring).
     Raises :class:`SpectralError` unless T's eigenpairs pass
@@ -417,7 +406,7 @@ def grover_average_matrix(
     # counted twice; a group of m enters as the Gram matrix of its (N, m^2)
     # fan-summed v_i conj(v_j) (simple: |v|^2) or in the x, y form of
     # _fan_summed_square, whichever array is smaller
-    groups = _group_by_argument(mu, degeneracy_tol)
+    groups = _group_by_argument(mu)
     pairs = [(i, j) for grp in groups if grp.size**2 <= d for i in grp for j in grp]
     i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     ag = adj @ g
@@ -558,21 +547,18 @@ def loop_eigenvector(
     return amplitudes, eigenvalue
 
 
-def argument_histogram(
-    dec: SpectralDecomposition, bins: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Histogram of eigenvalue arguments over one turn of the unit circle.
+def argument_histogram(dec: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
+    """Histogram of eigenvalue arguments over one turn of the unit circle in
+    _HISTOGRAM_BINS bins.
 
     Bins are centered on the canonical angles (-pi and 0 are bin centers,
     not edges), so degenerate clusters at ±1 each land in a single bin
     instead of straddling an edge.  Returns (counts, bin edges).
     """
-    if bins < 2:
-        raise ValueError("histogram needs at least two bins")
-    width = 2 * np.pi / bins
+    width = 2 * np.pi / _HISTOGRAM_BINS
     args = np.angle(dec.eigenvalues).copy()
     args[args >= np.pi - width / 2] -= 2 * np.pi
     counts, edges = np.histogram(
-        args, bins=bins, range=(-np.pi - width / 2, np.pi - width / 2)
+        args, bins=_HISTOGRAM_BINS, range=(-np.pi - width / 2, np.pi - width / 2)
     )
     return counts, edges

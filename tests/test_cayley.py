@@ -20,14 +20,14 @@ from test_cesaro_kernel import BUILTINS, COINS, connected_graphs
 import arcwalk as aw
 from arcwalk import spectral
 from arcwalk.cli import main
-from arcwalk.spectral import DEFAULT_DEGENERACY_TOL, SpectralError, _group_by_argument
+from arcwalk.spectral import SpectralError, _group_by_argument
 
 
-def schur_decomposition(u, tol=DEFAULT_DEGENERACY_TOL):
+def schur_decomposition(u):
     """The SpectralDecomposition of U from its complex Schur form."""
     t, z = scipy.linalg.schur(u, output="complex")
     eigenvalues = np.diag(t).copy()
-    return aw.SpectralDecomposition(eigenvalues, z, _group_by_argument(eigenvalues, tol), tol)
+    return aw.SpectralDecomposition(eigenvalues, z, _group_by_argument(eigenvalues))
 
 
 def projector_kernel(dec):
@@ -121,8 +121,7 @@ def solve_recording_poles(u):
     # the solver forms its real pencils in place and puts U' back
     assert np.abs(scratch - u).max() <= 1e-15
     assert o.dtype == np.float64
-    groups = _group_by_argument(eigenvalues, DEFAULT_DEGENERACY_TOL)
-    return aw.SpectralDecomposition(eigenvalues, o, groups, DEFAULT_DEGENERACY_TOL), poles
+    return aw.SpectralDecomposition(eigenvalues, o, _group_by_argument(eigenvalues)), poles
 
 
 def assert_kernel_matches_schur(u, dec):

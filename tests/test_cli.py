@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -8,7 +9,7 @@ import pytest
 
 from arcwalk import cli, evolution, operators
 from arcwalk.cli import ConfigError, RunConfig, _resolve_mode, main, render, run
-from arcwalk.io import OutputDocument, emit_heatmap_csv, format_float
+from arcwalk.io import OutputDocument, _flat, emit_heatmap_csv, format_float
 
 
 def run_json(config):
@@ -53,6 +54,24 @@ def test_csv_floats_are_the_json_values(capsys):
     assert len(rows) == 35
     for node, _, hub, margin, _ in rows[1:]:
         assert margin == json.dumps(margins[(int(node), int(hub))])
+
+    # the '#' header writes a float, in a list too, as the JSON does
+    for argv, floats in [
+        (argv, {"parameters.threshold", "parameters.marginal_band"}),
+        (["sweep", "--graph", "builtin:karate", "--q-list", "0.0064102564102564,0.01"],
+         {"parameters.q_list"}),
+    ]:
+        assert main(argv) == 0
+        metadata = json.loads(capsys.readouterr().out)["metadata"]
+        assert main([*argv, "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = dict(ln[2:].split(": ", 1) for ln in lines if ln.startswith("# "))
+        compared = set()
+        for key, value in _flat(metadata):
+            if isinstance(value, (float, list)):
+                assert header[key] == json.dumps(value), key
+                compared.add(key)
+        assert compared == floats
 
 
 def test_detect_karate_hubs():
@@ -256,7 +275,6 @@ def test_average_csv_matrix(capsys):
         ["detect", "--graph", "builtin:karate", "--mode", "average-finite", "--steps", "0"],
         ["average", "--graph", "builtin:karate", "--mode", "finite", "--steps", "0"],
         ["classical", "--graph", "builtin:karate", "--start", "1", "--steps", "0"],
-        ["spectrum", "--graph", "builtin:karate", "--bins", "1"],
         ["sweep", "--graph", "builtin:karate", "--q-list", ""],
         ["sweep", "--graph", "builtin:karate", "--q-list", "0.1,0.01"],
         ["sweep", "--graph", "builtin:karate", "--q-list", "0,0.01"],
@@ -264,18 +282,10 @@ def test_average_csv_matrix(capsys):
         ["detect", "--graph", "builtin:karate", "--threshold", "nan"],
         ["evolve", "--graph", "builtin:karate", "--start", "1", "--slot", "16"],
         ["evolve", "--graph", "builtin:karate", "--start", "1", "--slot", "-1"],
-        ["detect", "--graph", "builtin:karate", "--deg-tol", "0"],
-        ["detect", "--graph", "builtin:karate", "--deg-tol", "-1"],
-        ["detect", "--graph", "builtin:karate", "--deg-tol", "nan"],
-        ["detect", "--graph", "builtin:karate", "--deg-tol", "inf"],
-        ["spectrum", "--graph", "builtin:karate", "--coin", "grover", "--deg-tol", "0"],
-        ["detect", "--graph", "builtin:karate", "--marginal-band", "-0.1"],
-        ["detect", "--graph", "builtin:karate", "--marginal-band", "nan"],
         # non-finite values would be written as Infinity, which is not JSON
         ["detect", "--graph", "builtin:karate", "--threshold", "inf"],
         ["detect", "--graph", "builtin:karate", "--threshold", "1e400"],
         ["sweep", "--graph", "builtin:karate", "--q-list", "0.01,inf"],
-        ["detect", "--graph", "builtin:karate", "--marginal-band", "inf"],
     ],
 )
 def test_bad_inputs_are_config_errors(argv, capsys):
@@ -303,11 +313,30 @@ def test_unset_flags_take_the_run_config_defaults(argv, expected):
     assert cli._config_from_args(args) == RunConfig(**KARATE, **expected)
 
 
+@pytest.mark.parametrize("command", sorted(cli._RUNNERS))
+def test_every_command_renders_its_help(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: arcwalk {command} ")
+
+
+def test_parser_dests_are_the_run_config_fields():
+    # a flag without a field, or a field without a flag, fails here
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(cli._RUNNERS)
+    dests = {sub.dest}
+    for p in sub.choices.values():
+        dests |= {a.dest for a in p._actions if not isinstance(a, argparse._HelpAction)}
+    assert dests == {field.name for field in dataclasses.fields(RunConfig)}
+
+
 def test_flags_set_the_run_config_fields():
     argv = [
         "detect", "--graph", "builtin:karate", "--coin", "grover", "--mode", "finite",
-        "--steps", "7", "--include-t0", "--threshold", "0.01", "--marginal-band", "0.2",
-        "--output", "out.json", "--format", "csv", "--dense-cap", "99", "--deg-tol", "1e-6",
+        "--steps", "7", "--include-t0", "--threshold", "0.01",
+        "--output", "out.json", "--format", "csv", "--dense-cap", "99",
     ]
     config = cli._config_from_args(cli._build_parser().parse_args(argv))
     assert config == RunConfig(
@@ -318,11 +347,9 @@ def test_flags_set_the_run_config_fields():
         steps=7,
         include_start=True,
         threshold="0.01",
-        marginal_band=0.2,
         output="out.json",
         format="csv",
         dense_cap=99,
-        degeneracy_tol=1e-6,
     )
     assert _resolve_mode(config) == "average-finite"
 

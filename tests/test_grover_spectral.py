@@ -22,12 +22,7 @@ from test_cesaro_kernel import connected_graphs
 import arcwalk as aw
 from arcwalk import evolution, spectral
 from arcwalk.cli import main
-from arcwalk.spectral import (
-    DEFAULT_DEGENERACY_TOL,
-    SpectralError,
-    _check_basis,
-    _group_by_argument,
-)
+from arcwalk.spectral import SpectralError, _check_basis, _group_by_argument
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -35,14 +30,13 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # the spectral-map oracle: a dense D x D eigenbasis of U
 
 
-def grover_decompose(graph, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
+def grover_decompose(graph):
     """Eigendecomposition of the Grover walk unitary by the spectral mapping
     theorem, checked with U applied through the structured operator."""
     eigenvalues, vectors = _grover_eigenbasis(graph)
     apply = aw.build_walk_operator(graph, aw.CoinKind.GROVER).apply
     _check_basis(eigenvalues, vectors, apply, np.abs(np.abs(eigenvalues) - 1.0))
-    groups = _group_by_argument(eigenvalues, degeneracy_tol)
-    return aw.SpectralDecomposition(eigenvalues, vectors, groups, degeneracy_tol)
+    return aw.SpectralDecomposition(eigenvalues, vectors, _group_by_argument(eigenvalues))
 
 
 def _grover_eigenbasis(graph):
@@ -340,7 +334,7 @@ def test_cli_documents_match_the_schur_path(name, monkeypatch, capsys):
     monkeypatch.setattr(
         evolution,
         "grover_average_matrix",
-        lambda graph, tol: aw.infinite_time_average_matrix(schur_oracle(graph), graph),
+        lambda graph: aw.infinite_time_average_matrix(schur_oracle(graph), graph),
     )
     ref = cli_documents(name, capsys)
     for key, doc in new.items():

@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 import arcwalk as aw
 from arcwalk.cli import RunConfig, run
 from arcwalk.spectral import (
+    DEFAULT_DEGENERACY_TOL,
     SpectralError,
     _cycle_arcs,
+    _group_by_argument,
     argument_histogram,
     eigenstate_node_probability,
-    grover_average_matrix,
 )
 
 
@@ -73,7 +74,7 @@ def test_decomposition_invariants(three_fourier_dec, three_community):
     dec = three_fourier_dec
     assert np.abs(np.abs(dec.eigenvalues) - 1.0).max() < 1e-10
     gram = dec.eigenvectors.conj().T @ dec.eigenvectors
-    assert np.abs(gram - np.eye(dec.dimension)).max() < 1e-8
+    assert np.abs(gram - np.eye(dec.eigenvalues.size)).max() < 1e-8
     sizes = sorted(len(g) for g in dec.groups)
     assert sizes == [1] * 78  # Fourier spectrum is simple
 
@@ -308,14 +309,14 @@ def test_loop_eigenvector_rejects_non_cycle(three_community):
 
 
 def test_argument_histogram_fourier(three_fourier_dec):
-    counts, edges = argument_histogram(three_fourier_dec, 20)
+    counts, edges = argument_histogram(three_fourier_dec)
     assert counts.sum() == 78
     assert counts.min() > 0
     assert counts.max() <= 3 * counts.mean()
 
 
 def test_argument_histogram_grover(three_grover_dec):
-    counts, edges = argument_histogram(three_grover_dec, 20)
+    counts, edges = argument_histogram(three_grover_dec)
     centers = 0.5 * (edges[:-1] + edges[1:])
     zero_bin = int(np.argmin(np.abs(centers)))
     pi_bin = 0  # -1 eigenvalues are folded into the bin centered at -pi
@@ -324,18 +325,15 @@ def test_argument_histogram_grover(three_grover_dec):
     assert counts.sum() == 78
 
 
-def test_argument_histogram_rejects_single_bin(three_fourier_dec):
-    with pytest.raises(ValueError):
-        argument_histogram(three_fourier_dec, 1)
+def _groups_at(args):
+    return [g.tolist() for g in _group_by_argument(np.exp(1j * np.array(args, dtype=float)))]
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
-def test_degeneracy_tolerance_must_be_positive(three_community, tol):
-    # every eigenvalue its own group would give a wrong "exact" Cesaro average
-    op = aw.build_walk_operator(three_community, aw.CoinKind.FOURIER)
-    with pytest.raises(ValueError, match="degeneracy tolerance must be positive"):
-        aw.decompose(aw.materialize_dense(op), degeneracy_tol=tol)
-    with pytest.raises(ValueError, match="degeneracy tolerance must be positive"):
-        aw.walk_decompose(op, degeneracy_tol=tol)
-    with pytest.raises(ValueError, match="degeneracy tolerance must be positive"):
-        grover_average_matrix(three_community, tol)
+def test_group_by_argument_at_the_fixed_tolerance():
+    tol = DEFAULT_DEGENERACY_TOL
+    # single linkage: 0 and 1.2 tol are one group through 0.6 tol
+    assert _groups_at([1.2 * tol, 0.0, 0.6 * tol, 1.0]) == [[1, 2, 0], [3]]
+    assert _groups_at([0.0, 1.5 * tol]) == [[0], [1]]
+    # arguments wrap at +-pi
+    assert _groups_at([np.pi - 0.3 * tol, 0.5, -np.pi + 0.3 * tol]) == [[1], [0, 2]]
+    assert _group_by_argument(np.array([], dtype=complex)) == ()
