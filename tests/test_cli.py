@@ -9,7 +9,9 @@ import pytest
 
 from arcwalk import cli, evolution, operators
 from arcwalk.cli import ConfigError, RunConfig, _resolve_mode, main, render, run
+from arcwalk.community import DEFAULT_MARGINAL_BAND
 from arcwalk.io import OutputDocument, _flat, emit_heatmap_csv, format_float
+from arcwalk.spectral import DEFAULT_DEGENERACY_TOL
 
 
 def run_json(config):
@@ -291,6 +293,37 @@ def test_average_csv_matrix(capsys):
 def test_bad_inputs_are_config_errors(argv, capsys):
     assert main(argv) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["detect", "--deg-tol", "5e-2"],
+        ["spectrum", "--bins", "10"],
+        ["detect", "--marginal-band", "0.2"],
+    ],
+)
+def test_fixed_constants_are_not_flags(argv, capsys):
+    # a tolerance that the run accepted would silently change the "exact" answer
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--graph", "builtin:karate"])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+
+def test_documents_record_the_fixed_constants():
+    spectrum = run_json(RunConfig(command="spectrum", graph_source="builtin:karate"))
+    assert spectrum["metadata"]["parameters"] == {
+        "bins": len(spectrum["payload"]["histogram"]["counts"]),
+        "degeneracy_tol": DEFAULT_DEGENERACY_TOL,
+    }
+    assert spectrum["metadata"]["parameters"]["bins"] == 20
+    detect = run_json(RunConfig(command="detect", graph_source="builtin:karate"))
+    params = detect["metadata"]["parameters"]
+    assert params["marginal_band"] == DEFAULT_MARGINAL_BAND
+    band = DEFAULT_MARGINAL_BAND * params["threshold"]
+    for row in detect["payload"]["margins"]:
+        assert row["marginal"] == (abs(row["margin"]) < band)
 
 
 KARATE = {"graph_source": "builtin:karate"}

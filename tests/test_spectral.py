@@ -325,15 +325,22 @@ def test_argument_histogram_grover(three_grover_dec):
     assert counts.sum() == 78
 
 
-def _groups_at(args):
-    return [g.tolist() for g in _group_by_argument(np.exp(1j * np.array(args, dtype=float)))]
+TOL = DEFAULT_DEGENERACY_TOL
 
 
-def test_group_by_argument_at_the_fixed_tolerance():
-    tol = DEFAULT_DEGENERACY_TOL
-    # single linkage: 0 and 1.2 tol are one group through 0.6 tol
-    assert _groups_at([1.2 * tol, 0.0, 0.6 * tol, 1.0]) == [[1, 2, 0], [3]]
-    assert _groups_at([0.0, 1.5 * tol]) == [[0], [1]]
-    # arguments wrap at +-pi
-    assert _groups_at([np.pi - 0.3 * tol, 0.5, -np.pi + 0.3 * tol]) == [[1], [0, 2]]
-    assert _group_by_argument(np.array([], dtype=complex)) == ()
+@pytest.mark.parametrize(
+    "args, groups",
+    [
+        # single linkage: 0 and 1.2 tol are one group through 0.6 tol
+        ([1.2 * TOL, 0.0, 0.6 * TOL, 1.0], [[1, 2, 0], [3]]),
+        ([0.0, 1.5 * TOL], [[0], [1]]),
+        # arguments wrap at +-pi
+        ([np.pi - 0.3 * TOL, 0.5, -np.pi + 0.3 * TOL], [[1], [0, 2]]),
+        ([], []),
+    ],
+    ids=["chain", "split", "wrap", "empty"],
+)
+def test_group_by_argument_at_the_fixed_tolerance(args, groups):
+    found = _group_by_argument(np.exp(1j * np.array(args, dtype=float)))
+    assert isinstance(found, tuple)  # an empty spectrum gives ()
+    assert [g.tolist() for g in found] == groups
