@@ -66,7 +66,6 @@ class RunConfig:
     steps: int = DEFAULT_AVERAGE_STEPS
     threshold: str = "auto"
     q_list: tuple[float, ...] = ()
-    include_start: bool = False
     output: str | None = None
     format: str = "json"
     dense_cap: int = DEFAULT_DENSE_CAP
@@ -99,20 +98,17 @@ def _coin_kind(name: str) -> CoinKind:
 
 
 def _resolve_mode(config: RunConfig) -> str:
-    """The averaging mode, its alias resolved, once the options that
-    average_matrices would refuse with a ValueError are checked."""
-    mode = {"finite": "average-finite", "infinite": "average-infinite"}.get(config.mode, config.mode)
-    if mode not in ("average-finite", "average-infinite"):
+    """The averaging mode, once the options that average_matrices would
+    refuse with a ValueError are checked."""
+    if config.mode not in ("average-finite", "average-infinite"):
         raise ConfigError(f"unknown averaging mode {config.mode!r}")
-    if mode == "average-finite" and config.steps < 1:
+    if config.mode == "average-finite" and config.steps < 1:
         raise ConfigError("average-finite needs --steps of at least 1")
-    if mode == "average-infinite" and config.include_start:
-        raise ConfigError("--include-t0 applies only to --mode average-finite")
-    return mode
+    return config.mode
 
 
 def _averages(config: RunConfig, graph: Graph) -> tuple[dict, np.ndarray, np.ndarray]:
-    options = (config.steps, config.include_start, config.dense_cap)
+    options = (config.steps, config.dense_cap)
     return average_matrices(graph, _coin_kind(config.coin), _resolve_mode(config), *options)
 
 
@@ -223,7 +219,7 @@ def _run_sweep(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
     if not all(np.isfinite(q) and q > 0 for q in qs) or qs != sorted(qs):
         raise ConfigError("--q-list must hold finite positive thresholds in ascending order")
     params, _, norm = _averages(config, graph)
-    entries = sweep(norm, graph, config.q_list, source=params["mode"])
+    entries = sweep(norm, graph, config.q_list)
     payload = {
         "entries": [
             {"q": q, "count": count, "sizes": list(sizes)} for q, count, sizes in entries
@@ -358,7 +354,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # dests are RunConfig field names, and a flag left unset stays out of the
-    # namespace, so RunConfig alone holds the defaults
+    # namespace, so RunConfig holds the defaults; evolve's --steps 15 alone
+    # is set here
     def command(name: str, summary: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
         p.add_argument(
@@ -378,11 +375,10 @@ def _build_parser() -> argparse.ArgumentParser:
     def averaging(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--mode",
-            choices=["average-finite", "average-infinite", "finite", "infinite"],
+            choices=["average-finite", "average-infinite"],
             help="averaging mode (default: exact infinite-time; finite time only on request)",
         )
         p.add_argument("--steps", type=int)
-        p.add_argument("--include-t0", dest="include_start", action="store_true")
 
     p = command("evolve", "time evolution of a transition row")
     p.add_argument("--start", type=int, required=True)

@@ -114,7 +114,7 @@ def detect(
 
 
 def sweep(
-    matrix: np.ndarray, graph: Graph, thresholds, source: str = "average"
+    matrix: np.ndarray, graph: Graph, thresholds
 ) -> tuple[tuple[float, int, tuple[int, ...]], ...]:
     """Run detection per threshold; thresholds must be ascending.
 
@@ -127,7 +127,7 @@ def sweep(
         raise ValueError("threshold list must be ascending")
     entries = []
     for q in values:
-        part = detect(matrix, graph, q, source=source)
+        part = detect(matrix, graph, q)
         entries.append((q, part.community_count, part.sizes()))
     return tuple(entries)
 

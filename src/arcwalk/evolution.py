@@ -10,10 +10,10 @@ the operator's class-ordered layout (``operators`` module docstring) and
 yields their (N, B) node probabilities at t = 0..T, rows in the operator's
 ``node_order``.  Two folds over it return arrays in node order:
 :func:`transition_rows`, the rows p(i -> l; t) of one start node at every t,
-and :func:`finite_time_average_matrix`, the window mean over all start
-nodes.  The latter splits the start arcs into balanced column chunks and
-steps them on one thread per usable core, while every node's GEMM stays
-small enough for BLAS to run it on the calling thread (``_SERIAL_GEMM``);
+and :func:`finite_time_average_matrix`, their mean over the window t = 1..T
+for all start nodes.  The latter splits the start arcs into balanced column
+chunks and steps them on one thread per usable core, while every node's GEMM
+stays small enough for BLAS to run it on the calling thread (``_SERIAL_GEMM``);
 numpy releases the GIL in the GEMMs, gathers and ufuncs of a step.  Each
 thread holds about 40 D B bytes for a chunk of B columns, and all chunks in
 flight together hold at most ``_CHUNK_ARCS`` (1,024) columns.  The caller
@@ -153,17 +153,16 @@ def _chunk_bounds(d: int, max_degree: int) -> tuple[np.ndarray, int]:
 
 
 def finite_time_average_matrix(
-    op: WalkOperator,
-    steps: int = DEFAULT_AVERAGE_STEPS,
-    include_start: bool = False,
+    op: WalkOperator, steps: int = DEFAULT_AVERAGE_STEPS
 ) -> tuple[np.ndarray, np.ndarray]:
     """Time-averaged (p, P) matrices over all start nodes.
 
-    The window is t = 1..steps, or t = 0..steps with ``include_start`` (t = 0
-    would only weight the diagonal).  Returns two (N, N) arrays indexed
-    [start, target].  Work is chunked over initial arcs and threads to bound
-    memory on large graphs (module docstring).  Raises :class:`SpectralError`
-    unless every row of p sums to 1 within 1e-10.
+    The window is t = 1..steps.  The t = 0..steps mean of p is
+    (steps p + I) / (steps + 1), since t = 0 only weights the diagonal.
+    Returns two (N, N) arrays indexed [start, target].  Work is chunked over
+    initial arcs and threads to bound memory on large graphs (module
+    docstring).  Raises :class:`SpectralError` unless every row of p sums to
+    1 within 1e-10.
     """
     if steps < 1:
         raise ValueError("averaging window must contain at least one step")
@@ -184,9 +183,9 @@ def finite_time_average_matrix(
         total = flat[: n * (hi - lo)].reshape(n, hi - lo)
         total.fill(0)
         for t, probs in enumerate(_node_probabilities(op, np.arange(lo, hi), steps, walk)):
-            if t or include_start:
+            if t:
                 total += probs
-        arc_target_prob[lo:hi] = np.divide(total, steps + include_start, out=total).T
+        arc_target_prob[lo:hi] = np.divide(total, steps, out=total).T
 
     _run_threads(window_mean, list(zip(bounds[:-1], bounds[1:])), spaces)
     # sum the rows of each start node's outgoing arcs
@@ -200,25 +199,22 @@ def average_matrices(
     coin: CoinKind,
     mode: str = "average-infinite",
     steps: int = DEFAULT_AVERAGE_STEPS,
-    include_start: bool = False,
     dense_cap: int = DEFAULT_DENSE_CAP,
 ) -> tuple[dict, np.ndarray, np.ndarray]:
     """Time-averaged (p, P) of the ``coin`` walk on ``graph``, indexed
     [start, target], and the parameter record that documents carry for them.
 
-    "average-finite" steps over t = 1..steps (0..steps with ``include_start``);
-    "average-infinite" is the exact Cesaro limit, in node space for the Grover
-    coin and from the D x D eigendecomposition, refused above ``dense_cap``
-    arcs, for the Fourier coin.  Raises ValueError for another mode and for
-    ``include_start`` in exact mode.
+    "average-finite" steps over t = 1..steps, which the record's
+    ``window_start`` of 1 states; "average-infinite" is the exact Cesaro
+    limit, in node space for the Grover coin and from the D x D
+    eigendecomposition, refused above ``dense_cap`` arcs, for the Fourier
+    coin.  Raises ValueError for another mode.
     """
     if mode == "average-finite":
-        p, norm = finite_time_average_matrix(build_walk_operator(graph, coin), steps, include_start)
-        return {"mode": mode, "steps": steps, "window_start": 0 if include_start else 1}, p, norm
+        p, norm = finite_time_average_matrix(build_walk_operator(graph, coin), steps)
+        return {"mode": mode, "steps": steps, "window_start": 1}, p, norm
     if mode != "average-infinite":
         raise ValueError(f"unknown averaging mode {mode!r}")
-    if include_start:
-        raise ValueError("include_start applies only to finite averages")
     if coin is CoinKind.GROVER:
         p, norm = grover_average_matrix(graph)
         return {"mode": mode, "eigensolver": "grover-spectral-map"}, p, norm

@@ -275,7 +275,7 @@ def test_average_csv_matrix(capsys):
     "argv",
     [
         ["detect", "--graph", "builtin:karate", "--mode", "average-finite", "--steps", "0"],
-        ["average", "--graph", "builtin:karate", "--mode", "finite", "--steps", "0"],
+        ["average", "--graph", "builtin:karate", "--mode", "average-finite", "--steps", "0"],
         ["classical", "--graph", "builtin:karate", "--start", "1", "--steps", "0"],
         ["sweep", "--graph", "builtin:karate", "--q-list", ""],
         ["sweep", "--graph", "builtin:karate", "--q-list", "0.1,0.01"],
@@ -301,10 +301,12 @@ def test_bad_inputs_are_config_errors(argv, capsys):
         ["detect", "--deg-tol", "5e-2"],
         ["spectrum", "--bins", "10"],
         ["detect", "--marginal-band", "0.2"],
+        ["detect", "--include-t0"],
     ],
 )
 def test_fixed_constants_are_not_flags(argv, capsys):
-    # a tolerance that the run accepted would silently change the "exact" answer
+    # a tolerance that the run accepted would silently change the "exact"
+    # answer; the finite window is t = 1..T alone
     with pytest.raises(SystemExit) as exit_info:
         main([*argv, "--graph", "builtin:karate"])
     assert exit_info.value.code == 2
@@ -367,8 +369,8 @@ def test_parser_dests_are_the_run_config_fields():
 
 def test_flags_set_the_run_config_fields():
     argv = [
-        "detect", "--graph", "builtin:karate", "--coin", "grover", "--mode", "finite",
-        "--steps", "7", "--include-t0", "--threshold", "0.01",
+        "detect", "--graph", "builtin:karate", "--coin", "grover", "--mode", "average-finite",
+        "--steps", "7", "--threshold", "0.01",
         "--output", "out.json", "--format", "csv", "--dense-cap", "99",
     ]
     config = cli._config_from_args(cli._build_parser().parse_args(argv))
@@ -376,9 +378,8 @@ def test_flags_set_the_run_config_fields():
         command="detect",
         graph_source="builtin:karate",
         coin="grover",
-        mode="finite",
+        mode="average-finite",
         steps=7,
-        include_start=True,
         threshold="0.01",
         output="out.json",
         format="csv",
@@ -474,29 +475,23 @@ def test_graph_file_with_byte_order_mark(tmp_path, capsys, kind, text):
     assert json.loads(capsys.readouterr().out)["metadata"]["graph"]["arcs"] == 6
 
 
-@pytest.mark.parametrize("window", [[], ["--include-t0"]])
-def test_finite_documents_record_their_window(window, capsys):
-    finite = ["--graph", "builtin:three_community", "--mode", "finite", "--steps", "7", *window]
+def test_finite_documents_record_their_window(capsys):
+    finite = ["--graph", "builtin:three_community", "--mode", "average-finite", "--steps", "7"]
     params = []
     for command in (["average"], ["detect"], ["sweep", "--q-list", "0.01,0.02"]):
         assert main([*command, *finite]) == 0
         params.append(json.loads(capsys.readouterr().out)["metadata"]["parameters"])
-    expected = {"mode": "average-finite", "steps": 7, "window_start": 0 if window else 1}
+    expected = {"mode": "average-finite", "steps": 7, "window_start": 1}
     for record in params:
         assert {key: record[key] for key in expected} == expected
 
 
-@pytest.mark.parametrize("coin", ["fourier", "grover"])
-@pytest.mark.parametrize(
-    "command", [["average"], ["detect"], ["sweep", "--q-list", "0.01,0.02"]], ids=lambda c: c[0]
-)
-def test_include_t0_needs_finite_mode(command, coin, capsys):
-    # the exact Cesaro limit has no time window for t = 0 to join
-    argv = [*command, "--graph", "builtin:karate", "--coin", coin, "--include-t0"]
-    assert main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "config error: --include-t0 applies only to --mode average-finite" in err
+@pytest.mark.parametrize("mode", ["finite", "infinite"])
+def test_short_mode_spellings_are_invalid_choices(mode, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["detect", "--graph", "builtin:karate", "--mode", mode])
+    assert exit_info.value.code == 2
+    assert f"argument --mode: invalid choice: '{mode}'" in capsys.readouterr().err
 
 
 def _unreachable(*args, **kwargs):

@@ -100,8 +100,6 @@ def test_finite_average_path2_hand_computed():
         p, norm = aw.finite_time_average_matrix(op, steps=2)
         assert np.allclose(p[0], [0.5, 0.5])
         assert np.allclose(norm[0], [0.5, 0.5])
-        p0, _ = aw.finite_time_average_matrix(op, steps=2, include_start=True)
-        assert np.allclose(p0[0], [2 / 3, 1 / 3])
 
 
 def test_finite_average_matches_per_step_mean(three_community):
@@ -110,6 +108,21 @@ def test_finite_average_matches_per_step_mean(three_community):
     manual = aw.transition_rows(op, 4, steps)[1:].mean(axis=0)
     p, _ = aw.finite_time_average_matrix(op, steps=steps)
     assert np.abs(p[3] - manual).max() < 1e-12
+
+
+@pytest.mark.parametrize("steps", [1, 7, 40])
+@pytest.mark.parametrize("kind", list(aw.CoinKind))
+@pytest.mark.parametrize("name", ["three_community", "karate", "square_triangle"])
+def test_window_from_t0_is_recomputed_from_p(name, kind, steps):
+    # the walk starts on its own node, so p at t = 0 is I and the mean over
+    # t = 0..T is (T p + I) / (T + 1) of the t = 1..T mean p
+    op = aw.build_walk_operator(aw.builtin(name), kind)
+    n = op.graph.node_count
+    p, _ = aw.finite_time_average_matrix(op, steps)
+    from_t0 = (steps * p + np.eye(n)) / (steps + 1)
+    for node in range(1, n + 1):
+        rows = aw.transition_rows(op, node, steps)
+        assert np.abs(rows.mean(axis=0) - from_t0[node - 1]).max() <= 1e-14
 
 
 def test_average_matrix_matches_rows(three_community, monkeypatch):
@@ -164,15 +177,14 @@ def row_layout_steps(graph, u, arcs, steps):
     return probs
 
 
-def average_matrix_oracle(graph, u, steps, include_start, chunk_arcs):
+def average_matrix_oracle(graph, u, steps, chunk_arcs):
     """Reference (p, P): the chunked row-layout loop over all start arcs."""
     d = graph.arc_count
     arc_node_prob = np.zeros((d, graph.node_count))
     for lo in range(0, d, chunk_arcs):
         hi = min(lo + chunk_arcs, d)
         probs = row_layout_steps(graph, u, np.arange(lo, hi), steps)
-        window = probs if include_start else probs[1:]
-        arc_node_prob[lo:hi] = sum(window) / len(window)
+        arc_node_prob[lo:hi] = sum(probs[1:]) / steps
     p = np.add.reduceat(arc_node_prob, graph.arc_offsets[:-1], axis=0)
     p /= graph.degrees[:, None]
     return p, p / graph.degrees[None, :]
@@ -183,22 +195,18 @@ def node_arcs(graph, node):
 
 
 @pytest.mark.parametrize("kind", list(aw.CoinKind))
-@pytest.mark.parametrize("include_start", [False, True])
 @pytest.mark.parametrize("chunk_arcs", [1024, 17])
-def test_average_matrix_matches_row_layout_oracle(
-    three_community, kind, include_start, chunk_arcs, monkeypatch
-):
+def test_average_matrix_matches_row_layout_oracle(three_community, kind, chunk_arcs, monkeypatch):
     # D = 78, so chunks of 17 leave a short last chunk
     monkeypatch.setattr(evolution, "_CHUNK_ARCS", chunk_arcs)
     op = aw.build_walk_operator(three_community, kind)
     u = aw.materialize_dense(op)
-    p, norm = aw.finite_time_average_matrix(op, steps=15, include_start=include_start)
-    p_ref, norm_ref = average_matrix_oracle(three_community, u, 15, include_start, chunk_arcs)
+    p, norm = aw.finite_time_average_matrix(op, steps=15)
+    p_ref, norm_ref = average_matrix_oracle(three_community, u, 15, chunk_arcs)
     assert np.abs(p - p_ref).max() <= 1e-12
     assert np.abs(norm - norm_ref).max() <= 1e-12
     for node in (1, 13):
-        rows = aw.transition_rows(op, node, 15)
-        row = (rows if include_start else rows[1:]).mean(axis=0)
+        row = aw.transition_rows(op, node, 15)[1:].mean(axis=0)
         assert np.abs(row - p_ref[node - 1]).max() <= 1e-12
 
 
@@ -213,15 +221,14 @@ def test_average_matrix_is_independent_of_threads_and_chunks(name, kind, monkeyp
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
-        for include_start in (False, True):
-            p, norm = aw.finite_time_average_matrix(op, steps=10, include_start=include_start)
-            for cores in (1, 8):
-                for chunk_arcs in (1024, 64, 24, 8):
-                    monkeypatch.setattr(evolution, "_usable_cores", lambda: cores)
-                    monkeypatch.setattr(evolution, "_CHUNK_ARCS", chunk_arcs)
-                    got = aw.finite_time_average_matrix(op, steps=10, include_start=include_start)
-                    assert np.array_equal(got[0], p) and np.array_equal(got[1], norm)
-                    monkeypatch.undo()
+        p, norm = aw.finite_time_average_matrix(op, steps=10)
+        for cores in (1, 8):
+            for chunk_arcs in (1024, 64, 24, 8):
+                monkeypatch.setattr(evolution, "_usable_cores", lambda: cores)
+                monkeypatch.setattr(evolution, "_CHUNK_ARCS", chunk_arcs)
+                got = aw.finite_time_average_matrix(op, steps=10)
+                assert np.array_equal(got[0], p) and np.array_equal(got[1], norm)
+                monkeypatch.undo()
     finally:
         sys.setswitchinterval(interval)
 
@@ -324,26 +331,23 @@ def test_transition_rows_properties(graph, kind, data):
     delta = np.zeros(graph.node_count)
     delta[node - 1] = 1.0
     assert np.array_equal(rows[0], delta)
-    for include_start in (False, True):
-        p, _ = aw.finite_time_average_matrix(op, steps=steps, include_start=include_start)
-        window = rows if include_start else rows[1:]
-        assert np.abs(window.mean(axis=0) - p[node - 1]).max() <= 1e-12
+    p, _ = aw.finite_time_average_matrix(op, steps=steps)
+    assert np.abs(rows[1:].mean(axis=0) - p[node - 1]).max() <= 1e-12
 
 
-# the (mode, steps, include_start) cases of the parity test, and the
-# eigensolver each coin's exact documents name
+# the (mode, steps) cases of the parity test, and the eigensolver each
+# coin's exact documents name
 AVERAGING_CASES = {
-    "exact": ("average-infinite", evolution.DEFAULT_AVERAGE_STEPS, False),
-    "finite-20": ("average-finite", 20, False),
-    "finite-7-t0": ("average-finite", 7, True),
+    "exact": ("average-infinite", evolution.DEFAULT_AVERAGE_STEPS),
+    "finite-20": ("average-finite", 20),
 }
 EXACT_SOLVER = {aw.CoinKind.FOURIER: "cayley-real-evd", aw.CoinKind.GROVER: "grover-spectral-map"}
 
 
-def kernel_matrices(graph, kind, mode, steps, include_start):
+def kernel_matrices(graph, kind, mode, steps):
     """(p, P) from a direct call of the kernel for the mode and coin."""
     if mode == "average-finite":
-        return aw.finite_time_average_matrix(aw.build_walk_operator(graph, kind), steps, include_start)
+        return aw.finite_time_average_matrix(aw.build_walk_operator(graph, kind), steps)
     if kind is aw.CoinKind.GROVER:
         return grover_average_matrix(graph)
     return aw.infinite_time_average_matrix(aw.walk_decompose(aw.build_walk_operator(graph, kind)), graph)
@@ -357,19 +361,16 @@ def kernel_matrices(graph, kind, mode, steps, include_start):
 )
 def test_average_matrices_is_the_kernel_call_with_its_record(name, kind, case, request):
     graph = request.getfixturevalue("planted_80") if name == "planted-80" else aw.builtin(name)
-    mode, steps, include_start = AVERAGING_CASES[case]
-    params, p, norm = aw.average_matrices(graph, kind, mode, steps, include_start)
-    p_ref, norm_ref = kernel_matrices(graph, kind, mode, steps, include_start)
+    mode, steps = AVERAGING_CASES[case]
+    params, p, norm = aw.average_matrices(graph, kind, mode, steps)
+    p_ref, norm_ref = kernel_matrices(graph, kind, mode, steps)
     assert np.array_equal(p, p_ref) and np.array_equal(norm, norm_ref)
     if mode == "average-finite":
-        assert params == {"mode": mode, "steps": steps, "window_start": 0 if include_start else 1}
+        assert params == {"mode": mode, "steps": steps, "window_start": 1}
     else:
         assert params == {"mode": mode, "eigensolver": EXACT_SOLVER[kind]}
 
 
-def test_average_matrices_rejects_an_unknown_mode_and_t0_in_exact_mode(karate):
+def test_average_matrices_rejects_an_unknown_mode(karate):
     with pytest.raises(ValueError, match="unknown averaging mode 'median'"):
         aw.average_matrices(karate, aw.CoinKind.FOURIER, "median")
-    for kind in aw.CoinKind:
-        with pytest.raises(ValueError, match="include_start applies only to finite averages"):
-            aw.average_matrices(karate, kind, include_start=True)
