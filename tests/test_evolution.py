@@ -340,6 +340,7 @@ def test_transition_rows_properties(graph, kind, data):
 AVERAGING_CASES = {
     "exact": ("average-infinite", evolution.DEFAULT_AVERAGE_STEPS),
     "finite-20": ("average-finite", 20),
+    "finite-7": ("average-finite", 7),
 }
 EXACT_SOLVER = {aw.CoinKind.FOURIER: "cayley-real-evd", aw.CoinKind.GROVER: "grover-spectral-map"}
 
