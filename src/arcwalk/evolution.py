@@ -6,20 +6,22 @@ averaged with weight 1/k_i.  The normalized row divides by the target
 degree k_l, which removes the degree bias of the raw probabilities.
 
 One streaming core, ``_node_probabilities``, steps a batch of start arcs in
-the operator's class-ordered layout (``operators`` module docstring) and
-yields their (N, B) node probabilities at t = 0..T, rows in the operator's
-``node_order``.  Two folds over it return arrays in node order:
-:func:`transition_rows`, the rows p(i -> l; t) of one start node at every t,
-and :func:`finite_time_average_matrix`, their mean over the window t = 1..T
-for all start nodes.  The latter splits the start arcs into balanced column
-chunks and steps them on one thread per usable core, while every node's GEMM
-stays small enough for BLAS to run it on the calling thread (``_SERIAL_GEMM``);
-numpy releases the GIL in the GEMMs, gathers and ufuncs of a step.  Each
-thread holds about 40 D B bytes for a chunk of B columns, and all chunks in
-flight together hold at most ``_CHUNK_ARCS`` (1,024) columns.  The caller
-makes every thread's arrays (``_workspace``) before the threads start and
-the threads reuse them for each of their chunks, so the threads allocate
-nothing large and the peak memory does not depend on their scheduling.
+the operator's real layout (``operators`` module docstring), each walk a 1
+in its start arc's real row, and yields their (N, B) node probabilities at
+t = 0..T, rows in the operator's ``node_order``.  Two folds over it return
+arrays in node order: :func:`transition_rows`, the rows p(i -> l; t) of one
+start node at every t, and :func:`finite_time_average_matrix`, their mean
+over the window t = 1..T for all start nodes.  The latter splits the start
+arcs into balanced column chunks and steps them on one thread per usable
+core, while every node's real GEMM stays small enough for BLAS to run it on
+the calling thread: (2k)^2 B below ``_SERIAL_GEMM`` (2^18).  numpy releases
+the GIL in the GEMMs, gathers and ``einsum`` folds of a step.  Each thread
+holds about 32 D B bytes for a chunk of B columns, two (2D, B) float64
+arrays, and all chunks in flight together hold at most ``_CHUNK_ARCS``
+(1,024) columns.  The caller makes every thread's arrays (``_workspace``)
+before the threads start and the threads reuse them for each of their
+chunks, so the threads allocate nothing large and the peak memory does not
+depend on their scheduling.
 
 :func:`average_matrices` alone picks the averaging kernel for every caller:
 this stepping, or one of ``spectral``'s exact kernels.
@@ -41,17 +43,18 @@ __all__ = ["average_matrices", "transition_rows", "finite_time_average_matrix", 
 DEFAULT_AVERAGE_STEPS = 100
 _CHUNK_ARCS = 1024  # start arcs stepped at once by finite_time_average_matrix
 # chunks start at multiples of _ALIGN arcs: a GEMM kernel may round the
-# columns past its last full panel (4 columns in OpenBLAS's Haswell zgemm)
-# differently, and aligned chunks give every start arc the same kernel
-# however the columns are split
+# columns past its last full panel differently, and aligned chunks give
+# every start arc the same kernel however the columns are split (OpenBLAS's
+# SkylakeX dgemm: splits at multiples of 4 columns changed the results for
+# blocks of 16 rows or more, at multiples of 8 no column changed)
 _ALIGN = 8
 # bytes a thread's chunk may hold: wider chunks fall out of cache
 _CHUNK_BYTES = 16 << 20
-# OpenBLAS runs a GEMM on its calling thread while m n k < _SERIAL_GEMM and
-# hands larger ones to its own thread pool, which stepping threads queue
-# for.  Threads step only chunks that keep every node's k x k by k x B GEMM
-# serial, and only when that still leaves _MIN_THREAD_WIDTH columns
-_SERIAL_GEMM = 1 << 16
+# OpenBLAS runs a real GEMM on its calling thread while m n k < _SERIAL_GEMM
+# and hands larger ones to its own thread pool, which stepping threads queue
+# for.  Threads step only chunks that keep every node's 2k x 2k by 2k x B
+# GEMM serial, and only when that still leaves _MIN_THREAD_WIDTH columns
+_SERIAL_GEMM = 1 << 18
 _MIN_THREAD_WIDTH = 64
 
 
@@ -64,29 +67,28 @@ def _usable_cores() -> int:
 
 def _workspace(op: WalkOperator, width: int) -> list[np.ndarray]:
     """Flat arrays for stepping up to ``width`` start arcs at once: the state
-    and the coin's output (complex), |state|^2, and the node probabilities."""
+    and the coin's output in the real layout, and the node probabilities."""
     d, n = op.dimension, op.graph.node_count
-    return [np.empty(d * width, complex), np.empty(d * width, complex), np.empty(d * width), np.empty(n * width)]
+    return [np.empty(2 * d * width), np.empty(2 * d * width), np.empty(n * width)]
 
 
 def _node_probabilities(op: WalkOperator, starts: np.ndarray, steps: int, space: list | None = None):
     """Yield the (N, B) node probabilities, rows in ``op.node_order``, at
-    t = 0..steps of the B walks started on the arcs at rows ``starts`` of the
-    class-ordered layout; column b belongs to starts[b].  The same array is
-    yielded each time, overwritten by the next step.  The arrays live in
-    ``space``, a :func:`_workspace` at least B wide, or in a new one."""
+    t = 0..steps of the B walks started on the basis arcs ``starts``; column
+    b belongs to starts[b].  The same array is yielded each time, overwritten
+    by the next step.  The arrays live in ``space``, a :func:`_workspace` at
+    least B wide, or in a new one."""
     b = len(starts)
     d, n = op.dimension, op.graph.node_count
     if space is None:
         space = _workspace(op, b)
-    x, work, square, probs = (flat[: rows * b].reshape(rows, b) for flat, rows in zip(space, (d, d, d, n)))
+    x, work, probs = (flat[: rows * b].reshape(rows, b) for flat, rows in zip(space, (2 * d, 2 * d, n)))
     x.fill(0)
-    x[starts, np.arange(b)] = 1.0
+    x[op.arc_rows[0, starts], np.arange(b)] = 1.0
     for t in range(steps + 1):
         if t:
             op.step_classed(x, work)
-        np.square(np.abs(x, out=square), out=square)
-        yield op.fan_sum_classed(square, probs)
+        yield op.probabilities_classed(x, probs)
 
 
 def transition_rows(
@@ -106,7 +108,7 @@ def transition_rows(
     else:
         arcs = np.array([graph.arc_index(node - 1, slot)])
     rows = np.empty((steps + 1, graph.node_count))
-    for t, probs in enumerate(_node_probabilities(op, op.arc_position[arcs], steps)):
+    for t, probs in enumerate(_node_probabilities(op, arcs, steps)):
         rows[t, op.node_order] = probs.mean(axis=1)
     return rows
 
@@ -139,10 +141,10 @@ def _chunk_bounds(d: int, max_degree: int) -> tuple[np.ndarray, int]:
     step them: whole groups of _ALIGN arcs per chunk, as few chunks as the
     caps allow, and as many chunks on every thread."""
     threads = max(1, min(_usable_cores(), _CHUNK_ARCS // _ALIGN))
-    serial = (_SERIAL_GEMM - 1) // max_degree**2
+    serial = (_SERIAL_GEMM - 1) // (2 * max_degree) ** 2
     if serial < _MIN_THREAD_WIDTH:
         threads = 1
-    width = min(_CHUNK_ARCS // threads, _CHUNK_BYTES // (40 * d))
+    width = min(_CHUNK_ARCS // threads, _CHUNK_BYTES // (32 * d))
     if threads > 1:
         width = min(width, serial)
     groups = -(-d // _ALIGN)
@@ -169,7 +171,7 @@ def finite_time_average_matrix(
     graph = op.graph
     d, n = graph.arc_count, graph.node_count
     bounds, threads = _chunk_bounds(d, max(op.blocks))
-    # [start arc, target node], both in the class-ordered layout
+    # [start arc, target node], arcs in basis order, nodes in op.node_order
     arc_target_prob = np.empty((d, n))
 
     # every thread's arrays are made here, before any thread starts, so
@@ -188,9 +190,8 @@ def finite_time_average_matrix(
         arc_target_prob[lo:hi] = np.divide(total, steps, out=total).T
 
     _run_threads(window_mean, list(zip(bounds[:-1], bounds[1:])), spaces)
-    # sum the rows of each start node's outgoing arcs
     block = np.empty((n, n))
-    block[np.ix_(op.node_order, op.node_order)] = op.fan_sum_classed(arc_target_prob, np.empty((n, n)))
+    block[:, op.node_order] = graph.fan_sum(arc_target_prob)
     return _transition_matrices(block, graph)
 
 

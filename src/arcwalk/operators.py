@@ -4,15 +4,22 @@ The walk unitary U = (shift) x (block-diagonal coin) is kept in structured
 form: one coin block per degree value plus the reverse-arc permutation.
 Applying it costs O(sum of k_i^2) and never materializes the D x D matrix.
 
-Stepping runs in a class-ordered arc layout, fixed when the operator is
-built: the arcs of each degree class (``Graph.fan_classes``) form one
-contiguous node-major block, so a class of n_k nodes of degree k is an
-(n_k, k, B) view of a (D, B) batch.  One step is one batched GEMM per
-class into a work array, then one gather with a precomputed index that
-applies the shift back into the state; a node's fan sum is a reduction
-over contiguous rows of its class.  :meth:`WalkOperator.apply` takes and
-returns states arcs-first in the graph's basis order, shape (D,) or
-(D, B), and permutes them in and out of that layout around the same step.
+Stepping runs in real arithmetic, in a real layout fixed when the operator
+is built.  A batch of B complex states is one C-contiguous float64 (2D, B)
+array.  The nodes of each degree class (``Graph.fan_classes``) form one
+contiguous block of it: node by node, a node's k real rows and then its k
+imaginary rows, so a class of n_k nodes of degree k is an (n_k, 2k, B)
+view.  One step is one batched real GEMM per class into a work array, then
+one gather with a precomputed row index that applies the shift back into
+the state.  A complex coin C steps a node as the 2k x 2k block
+[[Re C, -Im C], [Im C, Re C]]; a coin block with no imaginary part (every
+Grover block, and the Fourier k = 1 block) applies its k x k block to the
+(2 n_k, k, B) view, half the flops, and keeps a real start real.  A node's
+probability is the sum of squares of its 2k rows, one ``einsum`` per
+class, so |psi|^2 never forms a (D, B) array.
+:meth:`WalkOperator.apply` takes and returns complex states arcs-first in
+the graph's basis order, shape (D,) or (D, B), and packs them into and out
+of the layout around the same step.
 """
 
 from __future__ import annotations
@@ -63,41 +70,45 @@ class WalkOperator:
 
     ``blocks`` holds one coin matrix per distinct degree (all nodes of equal
     degree share a block), applied to the graph's ``fan_classes``; ``shift``
-    is the reverse-arc permutation.  The class-ordered layout (module
-    docstring) puts basis arc ``arc_order[j]`` at row j, so that
-    ``arc_position`` is its inverse, and the fan of node ``node_order[m]``
-    at the m-th fan of its class.  Immutable and reentrant: one operator
-    may drive many walks concurrently.
+    is the reverse-arc permutation.  In the real layout (module docstring)
+    basis arc a keeps its real part at row ``arc_rows[0, a]`` and its
+    imaginary part at row ``arc_rows[1, a]``, and the fan of node
+    ``node_order[m]`` is the m-th fan of its class.  Immutable and
+    reentrant: one operator may drive many walks concurrently.
     """
 
     graph: Graph
     coin: CoinKind
     blocks: dict[int, np.ndarray] = field(init=False, repr=False)
-    arc_order: np.ndarray = field(init=False, repr=False)
-    arc_position: np.ndarray = field(init=False, repr=False)
+    arc_rows: np.ndarray = field(init=False, repr=False)
     node_order: np.ndarray = field(init=False, repr=False)
-    # per class: its coin block and its arc and node rows in the layout
+    # per class: its real stepping block and its rows and node rows
     _classes: tuple[tuple[np.ndarray, slice, slice], ...] = field(init=False, repr=False)
     # row j of a step's result is row _source[j] of the coin's result
     _source: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         fans = self.graph.fan_classes
-        order = np.concatenate([arcs.ravel() for arcs in fans])
-        position = np.empty_like(order)
-        position[order] = np.arange(order.size)
-        classes, arc_start, node_start = [], 0, 0
+        rows = np.empty((2, self.dimension), dtype=np.intp)
+        blocks, classes, row_start, node_start = {}, [], 0, 0
         for arcs in fans:
             n, k = arcs.shape
-            block = coin_matrix(self.coin, k)
-            classes.append((block, slice(arc_start, arc_start + n * k), slice(node_start, node_start + n)))
-            arc_start, node_start = arc_start + n * k, node_start + n
-        # (U psi)[b] = (C psi)[rev b], read in the layout on both sides
-        source = position[self.graph.reverse_arc[order]]
+            rows[0, arcs] = row_start + 2 * k * np.arange(n)[:, None] + np.arange(k)
+            rows[1, arcs] = rows[0, arcs] + k
+            block = blocks[k] = coin_matrix(self.coin, k)
+            if block.imag.any():
+                step = np.block([[block.real, -block.imag], [block.imag, block.real]])
+            else:  # a real coin acts on the real and the imaginary rows alike
+                step = block.real.copy()
+            classes.append((step, slice(row_start, row_start + 2 * n * k), slice(node_start, node_start + n)))
+            row_start, node_start = row_start + 2 * n * k, node_start + n
+        # (U psi)[b] = (C psi)[rev b], for the real and the imaginary parts
+        source = np.empty(2 * self.dimension, dtype=np.intp)
+        source[rows] = rows[:, self.graph.reverse_arc]
+        rows.setflags(write=False)
         for name, value in [
-            ("blocks", {block.shape[0]: block for block, _, _ in classes}),
-            ("arc_order", order),
-            ("arc_position", position),
+            ("blocks", blocks),
+            ("arc_rows", rows),
             ("node_order", np.concatenate([self.graph.arc_tail[arcs[:, 0]] for arcs in fans])),
             ("_classes", tuple(classes)),
             ("_source", source),
@@ -114,35 +125,37 @@ class WalkOperator:
         return self.graph.arc_count
 
     def step_classed(self, x: np.ndarray, work: np.ndarray) -> None:
-        """x <- U x in place, for C-contiguous complex (D, B) states x in the
-        class-ordered layout; ``work``, of the same shape and dtype, is
-        overwritten with the coin's result."""
+        """x <- U x in place, for C-contiguous float64 (2D, B) states x in the
+        real layout; ``work``, of the same shape, is overwritten with the
+        coin's result."""
         b = x.shape[1]
-        for block, arcs, nodes in self._classes:
-            shape = (nodes.stop - nodes.start, block.shape[0], b)
-            np.matmul(block, x[arcs].reshape(shape), out=work[arcs].reshape(shape))
+        for block, rows, _ in self._classes:
+            # a node's 2k rows, or its k real and its k imaginary rows
+            shape = (-1, block.shape[0], b)
+            np.matmul(block, x[rows].reshape(shape), out=work[rows].reshape(shape))
         # mode="clip" lets numpy write straight into x; the default "raise"
         # buffers the output.  _source is a permutation, so nothing clips
         np.take(work, self._source, axis=0, out=x, mode="clip")
 
-    def fan_sum_classed(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Sum of C-contiguous (D, B) values in the class-ordered layout over
-        each node's arcs, into the (N, B) ``out`` with rows in ``node_order``."""
-        b = values.shape[1]
-        for block, arcs, nodes in self._classes:
-            shape = (nodes.stop - nodes.start, block.shape[0], b)
-            np.sum(values[arcs].reshape(shape), axis=1, out=out[nodes])
+    def probabilities_classed(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Node probabilities of C-contiguous (2D, B) states in the real
+        layout, the sum of squares of each node's 2k rows, into the (N, B)
+        ``out`` with rows in ``node_order``."""
+        b = x.shape[1]
+        for _, rows, nodes in self._classes:
+            fans = x[rows].reshape(nodes.stop - nodes.start, -1, b)
+            np.einsum("nrb,nrb->nb", fans, fans, out=out[nodes])
         return out
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """U @ psi along axis 0, for psi of shape (D,) or (D, B)."""
         if psi.shape[0] != self.dimension:
             raise ValueError(f"state dimension {psi.shape[0]} does not match D={self.dimension}")
-        x = np.take(psi.reshape(self.dimension, -1), self.arc_order, axis=0).astype(complex, copy=False)
-        work = np.empty_like(x)
-        self.step_classed(x, work)
-        work[self.arc_order] = x
-        return work.reshape(psi.shape)
+        columns = psi.reshape(self.dimension, -1)
+        x = np.empty((2 * self.dimension, columns.shape[1]))
+        x[self.arc_rows[0]], x[self.arc_rows[1]] = columns.real, columns.imag
+        self.step_classed(x, np.empty_like(x))
+        return (x[self.arc_rows[0]] + 1j * x[self.arc_rows[1]]).reshape(psi.shape)
 
     def apply_amplitudes(self, psi: np.ndarray) -> np.ndarray:
         """Apply U to amplitude vector(s) of shape (..., D)."""

@@ -231,6 +231,26 @@ def test_bad_coin_block_is_a_spectral_error(corrupt, match):
         aw.walk_decompose(op)
 
 
+@pytest.mark.parametrize("coin", COINS, ids=lambda c: c.value)
+@pytest.mark.parametrize("name", ["three_community", "karate"])
+def test_layout_residuals_match_the_dense_product(name, coin):
+    # the residual check steps V = QO in the operator's real layout; with
+    # the eigenvalues shifted by one place every residual is of order 1
+    op = aw.build_walk_operator(aw.builtin(name), coin)
+    dec = aw.walk_decompose(op)
+    fwd = np.flatnonzero(np.arange(op.dimension) < op.shift)
+    rev = op.shift[fwd]
+    v = dec.eigenvectors
+    o = np.empty(v.shape)
+    o[fwd], o[rev] = np.sqrt(2) * v[fwd].real, np.sqrt(2) * v[fwd].imag
+    u = aw.materialize_dense(op)
+    for eigenvalues in (dec.eigenvalues, np.roll(dec.eigenvalues, 1)):
+        residual = spectral._walk_residual(op, eigenvalues, o, fwd, rev)
+        got = np.concatenate([residual(slice(s, s + 128)) for s in range(0, op.dimension, 128)])
+        expected = np.linalg.norm(u @ v - v * eigenvalues, axis=0)
+        assert np.abs(got - expected).max() <= 1e-12
+
+
 def corrupt_eigh(monkeypatch, how):
     eigh = np.linalg.eigh
 

@@ -177,6 +177,21 @@ def row_layout_steps(graph, u, arcs, steps):
     return probs
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    graph=st.booleans().flatmap(lambda bip: connected_graphs(bip)),
+    kind=st.sampled_from(list(aw.CoinKind)),
+)
+def test_real_layout_probabilities_match_dense_oracle(graph, kind):
+    # every start arc at once, stepped as (Re, Im) rows, against the complex
+    # dense U applied to basis rows
+    op = aw.build_walk_operator(graph, kind)
+    starts = np.arange(graph.arc_count)
+    expected = row_layout_steps(graph, aw.materialize_dense(op), starts, 7)
+    for t, probs in enumerate(evolution._node_probabilities(op, starts, 7)):
+        assert np.abs(probs.T - expected[t][:, op.node_order]).max() <= 1e-14
+
+
 def average_matrix_oracle(graph, u, steps, chunk_arcs):
     """Reference (p, P): the chunked row-layout loop over all start arcs."""
     d = graph.arc_count
@@ -242,10 +257,12 @@ def test_chunks_bound_memory_and_keep_threaded_gemms_serial(d, max_degree, cores
     assert bounds[0] == 0 and bounds[-1] == d and widths.min() > 0
     assert np.all(bounds[:-1] % evolution._ALIGN == 0)
     assert 1 <= threads <= cores and widths.max() * threads <= evolution._CHUNK_ARCS
-    assert widths.max() * 40 * d <= max(evolution._CHUNK_BYTES, 40 * d * evolution._ALIGN)
+    # two (2D, B) float64 arrays per thread: the state and the coin's output
+    assert widths.max() * 32 * d <= max(evolution._CHUNK_BYTES, 32 * d * evolution._ALIGN)
     if threads > 1:
-        # OpenBLAS would hand a larger GEMM to its own pool
-        assert max_degree**2 * widths.max() < evolution._SERIAL_GEMM
+        # OpenBLAS would hand a larger real GEMM to its own pool
+        assert evolution._SERIAL_GEMM == 1 << 18
+        assert (2 * max_degree) ** 2 * widths.max() < evolution._SERIAL_GEMM
         assert len(widths) % threads == 0
     if max_degree > 32:
         assert threads == 1

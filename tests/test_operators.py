@@ -180,6 +180,28 @@ def test_structured_operator_matches_its_definition(graph, kind, data):
     assert np.abs(op.apply(states[:, 0]) - u @ states[:, 0]).max() <= 1e-12
 
 
+@pytest.mark.parametrize("name", ["three_community", "karate", "square_triangle"])
+def test_grover_walk_from_a_basis_start_stays_real(name):
+    # the Grover coin is real: it steps the real and the imaginary rows of
+    # the real layout apart, so imaginary rows that start at 0 stay exactly 0
+    graph = aw.builtin(name)
+    op = aw.build_walk_operator(graph, GROVER)
+    d = graph.arc_count
+    x = np.zeros((2 * d, d))
+    x[op.arc_rows[0], np.arange(d)] = 1.0
+    work = np.empty_like(x)
+    for _ in range(50):
+        op.step_classed(x, work)
+        assert not x[op.arc_rows[1]].any()
+    assert x[op.arc_rows[0]].any()
+    # a Fourier walk leaves the real plane at once
+    op = aw.build_walk_operator(graph, FOURIER)
+    x = np.zeros((2 * d, d))
+    x[op.arc_rows[0], np.arange(d)] = 1.0
+    op.step_classed(x, work)
+    assert x[op.arc_rows[1]].any()
+
+
 def test_norm_preserved_over_many_applications(karate, rng):
     op = aw.build_walk_operator(karate, aw.CoinKind.FOURIER)
     psi = rng.normal(size=156) + 1j * rng.normal(size=156)
