@@ -432,7 +432,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, "config", exc)
     except DenseCapExceeded as exc:
-        # only spectrum and exact Fourier averages build a dense U
+        # only spectrum and exact Fourier averages build a D x D array
         way_out = "raise" if args.command == "spectrum" else "use --mode average-finite or raise"
         return _fail(EXIT_CONFIG, "config", f"{exc}; {way_out} --dense-cap")
     if not config.output:

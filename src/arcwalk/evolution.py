@@ -207,9 +207,10 @@ def average_matrices(
 
     "average-finite" steps over t = 1..steps, which the record's
     ``window_start`` of 1 states; "average-infinite" is the exact Cesaro
-    limit, in node space for the Grover coin and from the D x D
-    eigendecomposition, refused above ``dense_cap`` arcs, for the Fourier
-    coin.  Raises ValueError for another mode.
+    limit, in node space for the Grover coin and from the eigenvectors of the
+    D x D U' = Q^T C Q, refused above ``dense_cap`` arcs, for the Fourier coin,
+    whose two eigen passes set a floor of ~30 s and 0.73 GB at D ~ 4.2k: use
+    "average-finite" there.  Raises ValueError for another mode.
     """
     if mode == "average-finite":
         p, norm = finite_time_average_matrix(build_walk_operator(graph, coin), steps)

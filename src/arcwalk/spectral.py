@@ -70,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, GraphError, betti_number, is_bipartite
-from .operators import DEFAULT_DENSE_CAP, WalkOperator, materialize_dense
+from .operators import DEFAULT_DENSE_CAP, WalkOperator, _check_dense_cap
 
 __all__ = [
     "SpectralDecomposition",
@@ -198,11 +198,12 @@ def _checked_unitary(unitary: np.ndarray) -> np.ndarray:
 def walk_decompose(op: WalkOperator, cap: int = DEFAULT_DENSE_CAP) -> SpectralDecomposition:
     """Eigendecomposition of the walk unitary U = SC with degeneracy grouping,
     in real arithmetic from the walk's time-reversal symmetry (module
-    docstring).  Every coin block must be symmetric within 1e-12 and unitary
-    within 1e-10, and the basis must pass :func:`_check_basis` with U
-    stepped in the operator's real layout; a failure raises
-    :class:`SpectralError`.  Above ``cap`` arcs
-    :func:`materialize_dense` raises :class:`DenseCapExceeded`."""
+    docstring), U' written from the coin blocks.  Every coin block must be
+    symmetric within 1e-12 and unitary within 1e-10, and the basis must pass
+    :func:`_check_basis` with U stepped in the operator's real layout; a
+    failure raises :class:`SpectralError`.  Above ``cap`` arcs it raises
+    :class:`DenseCapExceeded` before any D x D array is made."""
+    _check_dense_cap(op, cap)
     for k, block in op.blocks.items():
         # written as "not x <= bound" so that a NaN fails the check
         if not np.max(np.abs(block - block.T)) <= 1e-12:
@@ -214,7 +215,7 @@ def walk_decompose(op: WalkOperator, cap: int = DEFAULT_DENSE_CAP) -> SpectralDe
     fwd = np.flatnonzero(np.arange(op.dimension) < op.shift)
     rev = op.shift[fwd]
     # U' is passed as a temporary, so that _cayley_eigh can free it
-    eigenvalues, o = _cayley_eigh(_symmetric_unitary(op, cap, fwd, rev), _cayley_image)
+    eigenvalues, o = _cayley_eigh(_symmetric_unitary(op), _cayley_image)
 
     # Q is unitary: U'O = O Lambda and O^T O = I say UV = V Lambda and V*V = I;
     # the residuals' workspace is freed before V = Q O is formed
@@ -265,29 +266,22 @@ def _walk_residual(
     return residual
 
 
-def _symmetric_unitary(
-    op: WalkOperator, cap: int, fwd: np.ndarray, rev: np.ndarray
-) -> np.ndarray:
-    """U' = Q* U Q, formed in the buffer of the dense U."""
-    u = materialize_dense(op, cap)
-    _combine_pairs(u.T, fwd, rev, 1j)  # U Q
-    _combine_pairs(u, fwd, rev, -1j)  # Q* (U Q)
-    u /= 2
+def _symmetric_unitary(op: WalkOperator) -> np.ndarray:
+    """U' = Q^T C Q from the coin blocks.  Row a of sqrt2 Q is 1 at
+    min(a, rev a) and +i (a < rev a) or -i at max(a, rev a), so the coin entry
+    C_k[i, j] / 2 of a node with arcs a_i and a_j lands, weighted by their two
+    rows, in the 2 x 2 block of their pairs.  Both ends of an edge add to their
+    pair's diagonal block: np.add.at keeps both where a fancy += keeps one."""
+    arcs, rev = np.arange(op.dimension), op.shift
+    # each arc's two columns of sqrt2 Q and its entries there
+    pair = np.stack([np.minimum(arcs, rev), np.maximum(arcs, rev)], axis=1)
+    weight = np.stack([np.ones(op.dimension), np.where(arcs < rev, 1j, -1j)], axis=1)
+    u = np.zeros((op.dimension, op.dimension), dtype=complex)
+    for fans in op.graph.fan_classes:
+        rows, w = pair[fans][..., None, None], weight[fans][..., None, None]
+        cols, v = rows.transpose(0, 3, 4, 1, 2), w.transpose(0, 3, 4, 1, 2)
+        np.add.at(u, (rows, cols), w * (op.blocks[fans.shape[1]][:, None, :, None] / 2) * v)
     return u
-
-
-def _combine_pairs(
-    m: np.ndarray, fwd: np.ndarray, rev: np.ndarray, phase: complex
-) -> np.ndarray:
-    """In place over the rows of m: row a <- row a + row rev a and row rev a
-    <- phase (row a - row rev a), for the arcs a in ``fwd``.  With phase -i
-    that makes m sqrt2 Q* m, and on the columns (m.T) with phase +i sqrt2 m Q."""
-    a, b = m[fwd], m[rev]
-    m[fwd] = a + b
-    a -= b
-    a *= phase
-    m[rev] = a
-    return m
 
 
 def _cayley_eigh(u: np.ndarray, image: Callable) -> tuple[np.ndarray, np.ndarray]:

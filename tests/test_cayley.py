@@ -1,14 +1,17 @@
 """The Cayley eigensolvers behind ``walk_decompose`` and ``decompose`` against
 the Schur oracle.
 
-``walk_decompose`` turns the walk unitary U into the symmetric unitary
-U' = Q*UQ, one real 2 x 2 rotation per arc pair, and diagonalizes the real
-Cayley image of U' with numpy's ``eigh``, the map's pole placed by an
-eigenvalues-only pass.  ``decompose`` runs the same pole-placed core on the
+``walk_decompose`` writes the symmetric unitary U' = Q*UQ = Q^T C Q straight
+from the coin blocks, and diagonalizes its real Cayley image with numpy's
+``eigh``, the map's pole placed by an eigenvalues-only pass.  U' made from
+the dense U by pair combinations over its columns and rows is kept here as
+its bit-exact oracle.  ``decompose`` runs the same pole-placed core on the
 complex Cayley image of any dense unitary.  The complex Schur form of U,
 from ``scipy.linalg.schur``, is kept here as the oracle whose Cesaro
 averages and degeneracy groups both must reproduce.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from test_cesaro_kernel import BUILTINS, COINS, connected_graphs
 import arcwalk as aw
 from arcwalk import spectral
 from arcwalk.cli import main
+from arcwalk.operators import DEFAULT_DENSE_CAP, DenseCapExceeded
 from arcwalk.spectral import SpectralError, _group_by_argument
 
 
@@ -89,6 +93,76 @@ def test_degenerate_groups_match_schur(name):
 )
 def test_matches_schur_on_random_graphs(graph, coin):
     assert_matches_schur(graph, coin)
+
+
+def combine_pairs(m, fwd, rev, phase):
+    """In place over the rows of m: row a <- row a + row rev a and row rev a
+    <- phase (row a - row rev a), for the arcs a in ``fwd``.  With phase -i
+    that makes m sqrt2 Q* m, and on the columns (m.T) with phase +i sqrt2 m Q."""
+    a, b = m[fwd], m[rev]
+    m[fwd] = a + b
+    a -= b
+    a *= phase
+    m[rev] = a
+    return m
+
+
+def two_pass_symmetric_unitary(op):
+    """U' = Q* U Q from the dense U by two passes of pair combinations."""
+    fwd = np.flatnonzero(np.arange(op.dimension) < op.shift)
+    rev = op.shift[fwd]
+    u = aw.materialize_dense(op)
+    combine_pairs(u.T, fwd, rev, 1j)  # U Q
+    combine_pairs(u, fwd, rev, -1j)  # Q* (U Q)
+    u /= 2
+    return u
+
+
+def assert_symmetric_unitary_matches_two_passes(graph, coin):
+    op = aw.build_walk_operator(graph, coin)
+    u = spectral._symmetric_unitary(op)
+    assert np.array_equal(u, two_pass_symmetric_unitary(op))
+    assert np.array_equal(u, u.T)
+
+
+# cycle(6), karate and three_community have edges whose two ends share a
+# degree class: a fancy += keeps one end of their diagonal blocks only
+@pytest.mark.parametrize("coin", COINS, ids=lambda c: c.value)
+@pytest.mark.parametrize("name", [*BUILTINS, "path(3)"])
+def test_symmetric_unitary_matches_two_passes_on_builtins(name, coin):
+    assert_symmetric_unitary_matches_two_passes(aw.builtin(name), coin)
+
+
+@pytest.mark.parametrize("coin", COINS, ids=lambda c: c.value)
+def test_symmetric_unitary_matches_two_passes_on_planted_80(planted_80, coin):
+    assert_symmetric_unitary_matches_two_passes(planted_80, coin)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    graph=st.booleans().flatmap(lambda bip: connected_graphs(bip)),
+    coin=st.sampled_from(COINS),
+)
+def test_symmetric_unitary_matches_two_passes_on_random_graphs(graph, coin):
+    assert_symmetric_unitary_matches_two_passes(graph, coin)
+
+
+def test_walk_decompose_above_the_cap_allocates_no_dense_array():
+    graph = aw.builtin(f"cycle({DEFAULT_DENSE_CAP // 2 + 1})")
+    op = aw.build_walk_operator(graph, aw.CoinKind.FOURIER)
+    d = op.dimension
+    tracemalloc.start()
+    try:
+        with pytest.raises(DenseCapExceeded) as raised:
+            aw.walk_decompose(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(raised.value) == f"D={d} exceeds dense materialization cap {DEFAULT_DENSE_CAP}"
+    # below even one real D x D array (a complex one takes 16 D^2 bytes)
+    assert peak < 8 * d**2
+    with pytest.raises(DenseCapExceeded, match="D=156 exceeds dense materialization cap 155"):
+        aw.walk_decompose(aw.build_walk_operator(aw.builtin("karate"), aw.CoinKind.GROVER), cap=155)
 
 
 def spectrum_with(angles, seed=None):

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import stat
+import sys
 
 import numpy as np
 import pytest
@@ -222,6 +223,22 @@ def test_default_detect_over_dense_cap_names_the_way_out(capsys):
     err = capsys.readouterr().err
     assert "D=156 exceeds dense materialization cap 100" in err
     assert "--mode average-finite" in err and "--dense-cap" in err
+
+
+@pytest.mark.parametrize("coin", ["fourier", "grover"])
+@pytest.mark.parametrize(
+    "command", [["detect"], ["average"], ["sweep", "--q-list", "0.005,0.01"], ["spectrum"]], ids=lambda c: c[0]
+)
+def test_exact_commands_build_no_dense_unitary(command, coin, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("materialize_dense was called")
+
+    # in every module that holds the name, so that an import by name is caught
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "arcwalk" and hasattr(module, "materialize_dense"):
+            monkeypatch.setattr(module, "materialize_dense", refuse)
+    assert main([*command, "--graph", "builtin:karate", "--coin", coin]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]
 
 
 def test_spectrum_over_dense_cap_names_the_flag(capsys):
