@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, GraphError
+from .graph import Graph
 
 __all__ = ["stationary", "relaxation_trace"]
 
@@ -34,8 +34,7 @@ def relaxation_trace(graph: Graph, start: int, steps: int) -> tuple[np.ndarray, 
     """
     if steps < 1:
         raise ValueError("trace needs at least one step")
-    if not 1 <= start <= graph.node_count:
-        raise GraphError(f"node {start} out of range 1..{graph.node_count}")
+    graph.degree(start)  # raises GraphError for a node out of range
     n = graph.node_count
     trace = np.empty((steps, n))
     p = np.zeros(n)

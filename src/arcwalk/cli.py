@@ -155,8 +155,8 @@ def _run_evolve(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
 
 
 def _run_average(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
-    if config.start is not None and not 1 <= config.start <= graph.node_count:
-        raise GraphError(f"node {config.start} out of range 1..{graph.node_count}")
+    if config.start is not None:
+        graph.degree(config.start)  # raises GraphError for a node out of range
     params, p, norm = _averages(config, graph)
     if config.start is None:
         ids = list(range(1, graph.node_count + 1))

@@ -19,7 +19,8 @@ probability is the sum of squares of its 2k rows, one ``einsum`` per
 class, so |psi|^2 never forms a (D, B) array.
 :meth:`WalkOperator.apply` takes and returns complex states arcs-first in
 the graph's basis order, shape (D,) or (D, B), and packs them into and out
-of the layout around the same step.
+of the layout around the same step.  Only this module and ``evolution``
+know the layout: ``spectral`` checks its eigenbases through ``apply``.
 """
 
 from __future__ import annotations

@@ -20,7 +20,11 @@
 * :func:`decompose` takes any dense unitary U and returns its
   :class:`SpectralDecomposition` from the same pole-placed core on the
   complex Cayley image i(I - W)(I + W)^-1, which is Hermitian with U's
-  eigenvectors.  Both bases pass ``_check_basis``.
+  eigenvectors.
+* Every eigenbasis here, the two above and T's below, passes one check,
+  ``_check_basis``: U's eigenvalues on the unit circle, orthonormality and
+  residuals |M v - lambda v| within 1e-8, the walk's M v from
+  :meth:`WalkOperator.apply`, so no code here knows the stepping layout.
 * :func:`grover_average_matrix` gives the Grover walk's exact averages in
   node space by the spectral mapping theorem (Szegedy 2004; Higuchi, Konno,
   Sato and Segawa 2014), with no D x D array.  With (d* f)_a =
@@ -168,8 +172,10 @@ def _group_by_argument(eigenvalues: np.ndarray) -> tuple[np.ndarray, ...]:
 # pole goes to the opposite point.
 _FIRST_POLE = 2.0
 _POLE_TRUST = 1e-6
-# columns per block of U V - V Lambda and of V*V, which are never held whole
-_BLOCK = 128
+# columns per block of U V - V Lambda and of V*V, which are never held
+# whole; at 128 columns the temporaries of WalkOperator.apply raised the
+# peak RSS of small graphs (karate spectrum: 34.2 MB at 64, 35.4 MB at 128)
+_BLOCK = 64
 
 
 def decompose(unitary: np.ndarray) -> SpectralDecomposition:
@@ -180,8 +186,7 @@ def decompose(unitary: np.ndarray) -> SpectralDecomposition:
     raises :class:`SpectralError`."""
     u = _checked_unitary(unitary)
     eigenvalues, z = _cayley_eigh(u, _hermitian_cayley_image)
-    residual = _product_residual(u.__matmul__, eigenvalues, z)
-    _check_basis(eigenvalues, z, residual, np.abs(np.abs(eigenvalues) - 1.0))
+    _check_basis(eigenvalues, z, u.__matmul__, np.abs(np.abs(eigenvalues) - 1.0))
     return SpectralDecomposition(eigenvalues, z, _group_by_argument(eigenvalues))
 
 
@@ -200,7 +205,7 @@ def walk_decompose(op: WalkOperator, cap: int = DEFAULT_DENSE_CAP) -> SpectralDe
     in real arithmetic from the walk's time-reversal symmetry (module
     docstring), U' written from the coin blocks.  Every coin block must be
     symmetric within 1e-12 and unitary within 1e-10, and the basis must pass
-    :func:`_check_basis` with U stepped in the operator's real layout; a
+    :func:`_check_basis` with U applied by :meth:`WalkOperator.apply`; a
     failure raises :class:`SpectralError`.  Above ``cap`` arcs it raises
     :class:`DenseCapExceeded` before any D x D array is made."""
     _check_dense_cap(op, cap)
@@ -211,59 +216,24 @@ def walk_decompose(op: WalkOperator, cap: int = DEFAULT_DENSE_CAP) -> SpectralDe
         if not np.max(np.abs(block.conj().T @ block - np.eye(k))) <= 1e-10:
             raise SpectralError(f"the degree-{k} coin is not unitary within 1e-10")
     # U' and O keep the two components of the arc pair (a, rev a), a < rev a,
-    # at the indices a and rev a
+    # at the indices a and rev a, and V = QO holds (o_a +- i o_rev a) / sqrt2
+    # there
     fwd = np.flatnonzero(np.arange(op.dimension) < op.shift)
     rev = op.shift[fwd]
+
+    def lift(o: np.ndarray) -> np.ndarray:  # V = Q O
+        v = np.empty(o.shape, dtype=complex)
+        v.real[fwd] = v.real[rev] = o[fwd] / np.sqrt(2)
+        v.imag[fwd] = o[rev] / np.sqrt(2)
+        v.imag[rev] = -v.imag[fwd]
+        return v
+
     # U' is passed as a temporary, so that _cayley_eigh can free it
     eigenvalues, o = _cayley_eigh(_symmetric_unitary(op), _cayley_image)
-
     # Q is unitary: U'O = O Lambda and O^T O = I say UV = V Lambda and V*V = I;
-    # the residuals' workspace is freed before V = Q O is formed
-    off_circle = np.abs(np.abs(eigenvalues) - 1.0)
-    _check_basis(eigenvalues, o, _walk_residual(op, eigenvalues, o, fwd, rev), off_circle)
-    v = np.empty(o.shape, dtype=complex)
-    v.real[fwd] = v.real[rev] = o[fwd] / np.sqrt(2)
-    v.imag[fwd] = o[rev] / np.sqrt(2)
-    v.imag[rev] = -v.imag[fwd]
-    return SpectralDecomposition(eigenvalues, v, _group_by_argument(eigenvalues))
-
-
-def _walk_residual(
-    op: WalkOperator, eigenvalues: np.ndarray, o: np.ndarray, fwd: np.ndarray, rev: np.ndarray
-) -> Callable[[slice], np.ndarray]:
-    """|U v - lambda v| for the columns v = Q o of a block of O, stepped in the
-    operator's real layout in one workspace that every block reuses."""
-    d = op.dimension
-    # the rows of Re v[fwd], Re v[rev], Im v[fwd] and Im v[rev]: with
-    # a = o[fwd] / sqrt2 and r = o[rev] / sqrt2, v holds (a, a, r, -r) there
-    parts = op.arc_rows[:, [fwd, rev]].reshape(4, -1)
-    rows = parts.ravel()
-    space = np.empty((2, 2 * d * _BLOCK))
-
-    def residual(cols: slice) -> np.ndarray:
-        a, r = o[fwd, cols], o[rev, cols]
-        a /= np.sqrt(2)
-        r /= np.sqrt(2)
-        b = a.shape[1]
-        x, y = (flat[: 2 * d * b].reshape(2 * d, b) for flat in space)
-        x[parts[0]] = x[parts[1]] = a
-        x[parts[2]] = r
-        x[parts[3]] = -r
-        op.step_classed(x, y)
-        # U v - lambda v in the same four parts, where lambda v holds
-        # (c a - s r, c a + s r, c r + s a, s a - c r) for lambda = c + i s
-        uv = np.take(x, rows, axis=0, out=y).reshape(4, -1, b)
-        lam = eigenvalues[cols]
-        ca, cr, sa, sr = a * lam.real, r * lam.real, a * lam.imag, r * lam.imag
-        uv[:2] -= ca
-        uv[0] += sr
-        uv[1] -= sr
-        uv[2:] -= sa
-        uv[2] -= cr
-        uv[3] += cr
-        return np.sqrt(np.einsum("rb,rb->b", y, y))
-
-    return residual
+    # the residuals step one block of V at a time through op.apply
+    _check_basis(eigenvalues, o, op.apply, np.abs(np.abs(eigenvalues) - 1.0), lift)
+    return SpectralDecomposition(eigenvalues, lift(o), _group_by_argument(eigenvalues))
 
 
 def _symmetric_unitary(op: WalkOperator) -> np.ndarray:
@@ -369,39 +339,28 @@ def _gram_drift(m: np.ndarray) -> float:
 
 
 def _check_basis(
-    eigenvalues: np.ndarray, vectors: np.ndarray, residual: Callable[[slice], np.ndarray],
-    off_circle: np.ndarray,
+    eigenvalues: np.ndarray, basis: np.ndarray, apply: Callable[[np.ndarray], np.ndarray],
+    off_circle: np.ndarray, lift: Callable[[np.ndarray], np.ndarray] = lambda block: block,
 ) -> None:
     """Raise :class:`SpectralError` unless ``off_circle``, how far each
-    eigenvalue puts U's off the unit circle, is within 1e-10, every residual
-    |M v - lambda v| is within 1e-8 and V*V = I within 1e-10; ``residual``
-    gives the residuals of a block of columns."""
+    eigenvalue puts U's off the unit circle, is within 1e-10, ``basis`` is
+    orthonormal within 1e-10 and every residual |M v - lambda v| is within
+    1e-8, where v = lift(b) for a column b of ``basis``, formed one block of
+    columns at a time, and ``apply`` computes M v."""
     # written as "not x <= bound" so that a NaN fails the check
     if not np.max(off_circle) <= 1e-10:
         raise SpectralError("computed eigenvalues leave the unit circle")
     norms = np.empty(eigenvalues.size)
     for start in range(0, eigenvalues.size, _BLOCK):
         cols = slice(start, start + _BLOCK)
-        norms[cols] = residual(cols)
+        v = lift(basis[:, cols])
+        norms[cols] = np.linalg.norm(apply(v) - v * eigenvalues[cols], axis=0)
     worst = np.max(norms)
     if not worst <= 1e-8:
         raise SpectralError(f"eigenvector residual {worst:.2e} exceeds 1e-8")
-    drift = _gram_drift(vectors)
+    drift = _gram_drift(basis)
     if not drift <= 1e-10:
         raise SpectralError(f"eigenvectors are not orthonormal: max|V*V - I| = {drift:.2e}")
-
-
-def _product_residual(
-    apply: Callable[[np.ndarray], np.ndarray], eigenvalues: np.ndarray, vectors: np.ndarray
-) -> Callable[[slice], np.ndarray]:
-    """|M v - lambda v| for a block of columns of ``vectors``, where
-    ``apply`` computes M @ v."""
-
-    def residual(cols: slice) -> np.ndarray:
-        v = vectors[:, cols]
-        return np.linalg.norm(apply(v) - v * eigenvalues[cols], axis=0)
-
-    return residual
 
 
 def grover_average_matrix(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -417,7 +376,7 @@ def grover_average_matrix(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     adj[tail, head] = 1.0
     t = adj / np.sqrt(np.outer(deg, deg))
     lam, f = np.linalg.eigh(t)  # ascending
-    _check_basis(lam, f, _product_residual(t.__matmul__, lam, f), np.abs(lam) - 1.0)
+    _check_basis(lam, f, t.__matmul__, np.abs(lam) - 1.0)
     g = f / np.sqrt(deg)[:, None]
     colors = graph.colors
     # T's eigenvalue 1 (top) is simple on a connected graph and -1 (bottom)

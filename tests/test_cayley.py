@@ -307,22 +307,18 @@ def test_bad_coin_block_is_a_spectral_error(corrupt, match):
 
 @pytest.mark.parametrize("coin", COINS, ids=lambda c: c.value)
 @pytest.mark.parametrize("name", ["three_community", "karate"])
-def test_layout_residuals_match_the_dense_product(name, coin):
-    # the residual check steps V = QO in the operator's real layout; with
-    # the eigenvalues shifted by one place every residual is of order 1
+def test_wrong_symmetric_unitary_is_a_spectral_error(name, coin, monkeypatch, capsys):
+    # conj(U') is still symmetric and unitary, but its eigenpairs are not
+    # U's: only the residual check, with U applied by the operator, sees it
+    symmetric_unitary = spectral._symmetric_unitary
+    monkeypatch.setattr(spectral, "_symmetric_unitary", lambda op: symmetric_unitary(op).conj())
     op = aw.build_walk_operator(aw.builtin(name), coin)
-    dec = aw.walk_decompose(op)
-    fwd = np.flatnonzero(np.arange(op.dimension) < op.shift)
-    rev = op.shift[fwd]
-    v = dec.eigenvectors
-    o = np.empty(v.shape)
-    o[fwd], o[rev] = np.sqrt(2) * v[fwd].real, np.sqrt(2) * v[fwd].imag
-    u = aw.materialize_dense(op)
-    for eigenvalues in (dec.eigenvalues, np.roll(dec.eigenvalues, 1)):
-        residual = spectral._walk_residual(op, eigenvalues, o, fwd, rev)
-        got = np.concatenate([residual(slice(s, s + 128)) for s in range(0, op.dimension, 128)])
-        expected = np.linalg.norm(u @ v - v * eigenvalues, axis=0)
-        assert np.abs(got - expected).max() <= 1e-12
+    with pytest.raises(SpectralError, match="residual"):
+        aw.walk_decompose(op)
+    assert main(["detect", "--graph", "builtin:karate"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "arcwalk: numerical error:" in err and "residual" in err
 
 
 def corrupt_eigh(monkeypatch, how):
@@ -331,7 +327,8 @@ def corrupt_eigh(monkeypatch, how):
     def corrupted(h):
         lam, o = eigh(h)
         if how == "swapped":
-            o[:, [0, 1]] = o[:, [1, 0]]
+            # the two sides of the widest gap, so never one degenerate group
+            o[:, [0, -1]] = o[:, [-1, 0]]
         elif how == "stretched":
             o[:, 0] *= 1 + 1e-6
         else:
@@ -346,12 +343,14 @@ def corrupt_eigh(monkeypatch, how):
     "how,match",
     [("swapped", "residual"), ("stretched", "not orthonormal"), ("nan", "residual")],
 )
-def test_corrupted_eigh_is_a_spectral_error(how, match, monkeypatch, capsys):
+@pytest.mark.parametrize("coin", COINS, ids=lambda c: c.value)
+def test_corrupted_eigh_is_a_spectral_error(coin, how, match, monkeypatch, capsys):
+    # Grover detect checks the eigh of the node-space T, not walk_decompose's
     corrupt_eigh(monkeypatch, how)
-    op = aw.build_walk_operator(aw.builtin("three_community"), aw.CoinKind.FOURIER)
+    op = aw.build_walk_operator(aw.builtin("three_community"), coin)
     with pytest.raises(SpectralError, match=match):
         aw.walk_decompose(op)
-    assert main(["detect", "--graph", "builtin:karate", "--coin", "fourier"]) == 4
+    assert main(["detect", "--graph", "builtin:karate", "--coin", coin.value]) == 4
     out, err = capsys.readouterr()
     assert out == ""
     assert "arcwalk: numerical error:" in err and match in err
