@@ -28,12 +28,7 @@ from .community import (
 from .evolution import DEFAULT_AVERAGE_STEPS, average_matrices, transition_rows
 from .graph import Graph, GraphError, betti_number, builtin, is_bipartite, load_edge_list, load_pajek
 from .io import OutputDocument, emit_heatmap_csv, format_float, write_atomic
-from .operators import (
-    DEFAULT_DENSE_CAP,
-    CoinKind,
-    DenseCapExceeded,
-    build_walk_operator,
-)
+from .operators import CoinKind, DenseCapExceeded, build_walk_operator
 from .spectral import (
     DEFAULT_DEGENERACY_TOL,
     SpectralError,
@@ -68,7 +63,6 @@ class RunConfig:
     q_list: tuple[float, ...] = ()
     output: str | None = None
     format: str = "json"
-    dense_cap: int = DEFAULT_DENSE_CAP
 
 
 def _load_graph(source: str) -> Graph:
@@ -108,8 +102,7 @@ def _resolve_mode(config: RunConfig) -> str:
 
 
 def _averages(config: RunConfig, graph: Graph) -> tuple[dict, np.ndarray, np.ndarray]:
-    options = (config.steps, config.dense_cap)
-    return average_matrices(graph, _coin_kind(config.coin), _resolve_mode(config), *options)
+    return average_matrices(graph, _coin_kind(config.coin), _resolve_mode(config), config.steps)
 
 
 def _threshold(config: RunConfig, graph: Graph) -> float:
@@ -167,7 +160,7 @@ def _run_average(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
 
 def _run_spectrum(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
     op = build_walk_operator(graph, _coin_kind(config.coin))
-    dec = walk_decompose(op, config.dense_cap)
+    dec = walk_decompose(op)
     report = degeneracy_report(dec, graph)
     # a degenerate group's basis is arbitrary, its mean node profile is not
     profiles = eigenstate_node_probability(dec, graph)
@@ -367,9 +360,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--coin", choices=["fourier", "grover"])
         p.add_argument("--output", help="output path (default: stdout)")
         p.add_argument("--format", choices=["json", "csv"])
-        dense = "cap on the arc count D of the dense D x D arrays of exact Fourier averages"
-        dense += f" and of spectrum (default {DEFAULT_DENSE_CAP})"
-        p.add_argument("--dense-cap", type=int, help=dense)
         return p
 
     def averaging(p: argparse.ArgumentParser) -> None:
@@ -432,9 +422,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, "config", exc)
     except DenseCapExceeded as exc:
-        # only spectrum and exact Fourier averages build a D x D array
-        way_out = "raise" if args.command == "spectrum" else "use --mode average-finite or raise"
-        return _fail(EXIT_CONFIG, "config", f"{exc}; {way_out} --dense-cap")
+        # only spectrum and exact Fourier averages build a D x D array, and
+        # only the averages have a mode that does without it
+        way_out = "" if args.command == "spectrum" else "; use --mode average-finite"
+        return _fail(EXIT_CONFIG, "config", f"{exc}{way_out}")
     if not config.output:
         sys.stdout.write(text)
         return 0

@@ -35,7 +35,7 @@ import threading
 import numpy as np
 
 from .graph import Graph
-from .operators import DEFAULT_DENSE_CAP, CoinKind, WalkOperator, build_walk_operator
+from .operators import CoinKind, WalkOperator, build_walk_operator
 from .spectral import _transition_matrices, grover_average_matrix, infinite_time_average_matrix, walk_decompose
 
 __all__ = ["average_matrices", "transition_rows", "finite_time_average_matrix", "DEFAULT_AVERAGE_STEPS"]
@@ -200,7 +200,6 @@ def average_matrices(
     coin: CoinKind,
     mode: str = "average-infinite",
     steps: int = DEFAULT_AVERAGE_STEPS,
-    dense_cap: int = DEFAULT_DENSE_CAP,
 ) -> tuple[dict, np.ndarray, np.ndarray]:
     """Time-averaged (p, P) of the ``coin`` walk on ``graph``, indexed
     [start, target], and the parameter record that documents carry for them.
@@ -208,9 +207,10 @@ def average_matrices(
     "average-finite" steps over t = 1..steps, which the record's
     ``window_start`` of 1 states; "average-infinite" is the exact Cesaro
     limit, in node space for the Grover coin and from the eigenvectors of the
-    D x D U' = Q^T C Q, refused above ``dense_cap`` arcs, for the Fourier coin,
-    whose two eigen passes set a floor of ~30 s and 0.73 GB at D ~ 4.2k: use
-    "average-finite" there.  Raises ValueError for another mode.
+    D x D U' = Q^T C Q, refused above ``DEFAULT_DENSE_CAP`` arcs, for the
+    Fourier coin, where a ``detect`` at D = 4,232 took 24.1 s and 734 MB on 2
+    cores (46664ce): use "average-finite" there.  Raises ValueError for
+    another mode.
     """
     if mode == "average-finite":
         p, norm = finite_time_average_matrix(build_walk_operator(graph, coin), steps)
@@ -220,6 +220,6 @@ def average_matrices(
     if coin is CoinKind.GROVER:
         p, norm = grover_average_matrix(graph)
         return {"mode": mode, "eigensolver": "grover-spectral-map"}, p, norm
-    dec = walk_decompose(build_walk_operator(graph, coin), dense_cap)
+    dec = walk_decompose(build_walk_operator(graph, coin))
     p, norm = infinite_time_average_matrix(dec, graph)
     return {"mode": mode, "eigensolver": "cayley-real-evd"}, p, norm

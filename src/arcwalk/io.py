@@ -78,11 +78,9 @@ def _flat(meta: dict, prefix: str = ""):
             yield name, value
 
 
-def emit_heatmap_csv(matrix: np.ndarray, row_ids, col_ids=None) -> str:
+def emit_heatmap_csv(matrix: np.ndarray, row_ids, col_ids) -> str:
     """Labeled CSV of a matrix: header of target ids, one row per initial node."""
     matrix = np.asarray(matrix, dtype=float)
-    if col_ids is None:
-        col_ids = row_ids
     if matrix.shape != (len(row_ids), len(col_ids)):
         raise ValueError("matrix shape does not match the id labels")
     lines = [",".join(["l"] + [str(c) for c in col_ids])]

@@ -167,17 +167,17 @@ def build_walk_operator(graph: Graph, coin: CoinKind) -> WalkOperator:
     return WalkOperator(graph, coin)
 
 
-def _check_dense_cap(op: WalkOperator, cap: int) -> None:
-    if op.dimension > cap:
-        raise DenseCapExceeded(f"D={op.dimension} exceeds dense materialization cap {cap}")
+def _check_cap(op: WalkOperator) -> None:
+    if op.dimension > DEFAULT_DENSE_CAP:
+        raise DenseCapExceeded(f"D={op.dimension} exceeds dense materialization cap {DEFAULT_DENSE_CAP}")
 
 
-def materialize_dense(op: WalkOperator, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
-    """Dense D x D matrix of the walk unitary; refused above ``cap`` arcs.
+def materialize_dense(op: WalkOperator) -> np.ndarray:
+    """Dense D x D matrix of the walk unitary; refused above ``DEFAULT_DENSE_CAP`` arcs.
 
     Its only nonzeros are U[rev a, b] = C_k[slot a, slot b] for the arcs a, b
     of one node of degree k, written in place; no command builds it."""
-    _check_dense_cap(op, cap)
+    _check_cap(op)
     u = np.zeros((op.dimension, op.dimension), dtype=complex)
     for arcs in op.graph.fan_classes:
         u[op.shift[arcs][:, :, None], arcs[:, None, :]] = op.blocks[arcs.shape[1]]

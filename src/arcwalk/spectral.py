@@ -74,7 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, GraphError, betti_number, is_bipartite
-from .operators import DEFAULT_DENSE_CAP, WalkOperator, _check_dense_cap
+from .operators import WalkOperator, _check_cap
 
 __all__ = [
     "SpectralDecomposition",
@@ -200,15 +200,15 @@ def _checked_unitary(unitary: np.ndarray) -> np.ndarray:
     return u
 
 
-def walk_decompose(op: WalkOperator, cap: int = DEFAULT_DENSE_CAP) -> SpectralDecomposition:
+def walk_decompose(op: WalkOperator) -> SpectralDecomposition:
     """Eigendecomposition of the walk unitary U = SC with degeneracy grouping,
     in real arithmetic from the walk's time-reversal symmetry (module
     docstring), U' written from the coin blocks.  Every coin block must be
     symmetric within 1e-12 and unitary within 1e-10, and the basis must pass
     :func:`_check_basis` with U applied by :meth:`WalkOperator.apply`; a
-    failure raises :class:`SpectralError`.  Above ``cap`` arcs it raises
-    :class:`DenseCapExceeded` before any D x D array is made."""
-    _check_dense_cap(op, cap)
+    failure raises :class:`SpectralError`.  Above ``DEFAULT_DENSE_CAP`` arcs it
+    raises :class:`DenseCapExceeded` before any D x D array is made."""
+    _check_cap(op)
     for k, block in op.blocks.items():
         # written as "not x <= bound" so that a NaN fails the check
         if not np.max(np.abs(block - block.T)) <= 1e-12:

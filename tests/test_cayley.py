@@ -148,21 +148,25 @@ def test_symmetric_unitary_matches_two_passes_on_random_graphs(graph, coin):
 
 
 def test_walk_decompose_above_the_cap_allocates_no_dense_array():
-    graph = aw.builtin(f"cycle({DEFAULT_DENSE_CAP // 2 + 1})")
-    op = aw.build_walk_operator(graph, aw.CoinKind.FOURIER)
-    d = op.dimension
-    tracemalloc.start()
-    try:
-        with pytest.raises(DenseCapExceeded) as raised:
-            aw.walk_decompose(op)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert str(raised.value) == f"D={d} exceeds dense materialization cap {DEFAULT_DENSE_CAP}"
-    # below even one real D x D array (a complex one takes 16 D^2 bytes)
-    assert peak < 8 * d**2
-    with pytest.raises(DenseCapExceeded, match="D=156 exceeds dense materialization cap 155"):
-        aw.walk_decompose(aw.build_walk_operator(aw.builtin("karate"), aw.CoinKind.GROVER), cap=155)
+    # degree-2 fans only, and complete(79) (D = 6162), one class of degree 78
+    cases = [
+        (f"cycle({DEFAULT_DENSE_CAP // 2 + 1})", aw.CoinKind.FOURIER),
+        ("complete(79)", aw.CoinKind.FOURIER),
+        ("complete(79)", aw.CoinKind.GROVER),
+    ]
+    for name, coin in cases:
+        op = aw.build_walk_operator(aw.builtin(name), coin)
+        d = op.dimension
+        tracemalloc.start()
+        try:
+            with pytest.raises(DenseCapExceeded) as raised:
+                aw.walk_decompose(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(raised.value) == f"D={d} exceeds dense materialization cap {DEFAULT_DENSE_CAP}"
+        # below even one real D x D array (a complex one takes 16 D^2 bytes)
+        assert peak < 8 * d**2
 
 
 def spectrum_with(angles, seed=None):

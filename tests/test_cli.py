@@ -20,13 +20,14 @@ def run_json(config):
 
 
 def test_emit_heatmap_identity():
-    csv = emit_heatmap_csv(np.eye(2), [1, 2])
+    csv = emit_heatmap_csv(np.eye(2), [1, 2], [1, 2])
     assert csv == "l,1,2\n1,1.0,0.0\n2,0.0,1.0"
 
 
 def test_emit_heatmap_three_community(three_fourier_avg):
     _, norm = three_fourier_avg
-    csv = emit_heatmap_csv(norm, list(range(1, 22)))
+    ids = list(range(1, 22))
+    csv = emit_heatmap_csv(norm, ids, ids)
     lines = csv.splitlines()
     assert len(lines) == 22
     assert lines[0] == "l," + ",".join(str(i) for i in range(1, 22))
@@ -213,16 +214,22 @@ def test_main_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.net"
     bad.write_text("*Edges\n1 2\n")
     assert main(["spectrum", "--graph", f"pajek:{bad}"]) == 3
-    # config error: dense cap exceeded
-    assert main(["spectrum", "--graph", "builtin:karate", "--dense-cap", "10"]) == 2
+    # config error: dense cap exceeded (complete(79) has D = 79 * 78 = 6162 arcs)
+    assert main(["spectrum", "--graph", "builtin:complete(79)"]) == 2
     capsys.readouterr()
 
 
 def test_default_detect_over_dense_cap_names_the_way_out(capsys):
-    assert main(["detect", "--graph", "builtin:karate", "--dense-cap", "100"]) == 2
-    err = capsys.readouterr().err
-    assert "D=156 exceeds dense materialization cap 100" in err
-    assert "--mode average-finite" in err and "--dense-cap" in err
+    # complete(79) has D = 6162 arcs, above the fixed cap of 6000; the exact
+    # Fourier averages can only be left for the finite mode
+    for command in (["detect"], ["average"], ["sweep", "--q-list", "0.001"]):
+        assert main([*command, "--graph", "builtin:complete(79)", "--coin", "fourier"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "arcwalk: config error: D=6162 exceeds dense materialization cap 6000;"
+            " use --mode average-finite\n"
+        )
 
 
 @pytest.mark.parametrize("coin", ["fourier", "grover"])
@@ -241,19 +248,21 @@ def test_exact_commands_build_no_dense_unitary(command, coin, monkeypatch, capsy
     assert json.loads(capsys.readouterr().out)["payload"]
 
 
-def test_spectrum_over_dense_cap_names_the_flag(capsys):
-    assert main(["spectrum", "--graph", "builtin:karate", "--dense-cap", "10"]) == 2
-    err = capsys.readouterr().err
-    assert "config error: D=156 exceeds dense materialization cap 10; raise --dense-cap" in err
-    assert "--mode" not in err
+def test_spectrum_over_dense_cap_names_no_flag(capsys):
+    # spectrum has no mode without the D x D eigenproblem, and no flag lifts the cap
+    for coin in ("fourier", "grover"):
+        assert main(["spectrum", "--graph", "builtin:complete(79)", "--coin", coin]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "arcwalk: config error: D=6162 exceeds dense materialization cap 6000\n"
 
 
 def test_default_mode_is_infinite_at_every_size(capsys):
-    # D = 46 * 45 = 2070 arcs; the dense cap stops the run before any eigensolver
-    config = RunConfig(command="detect", graph_source="builtin:complete(46)", dense_cap=2000)
+    # D = 79 * 78 = 6162 arcs; the dense cap stops the run before any eigensolver
+    config = RunConfig(command="detect", graph_source="builtin:complete(79)")
     assert _resolve_mode(config) == "average-infinite"
-    assert main(["detect", "--graph", "builtin:complete(46)", "--dense-cap", "2000"]) == 2
-    assert "D=2070" in capsys.readouterr().err
+    assert main(["detect", "--graph", "builtin:complete(79)"]) == 2
+    assert "D=6162" in capsys.readouterr().err
 
 
 def test_main_edgelist_file(tmp_path):
@@ -319,6 +328,7 @@ def test_bad_inputs_are_config_errors(argv, capsys):
         ["spectrum", "--bins", "10"],
         ["detect", "--marginal-band", "0.2"],
         ["detect", "--include-t0"],
+        ["detect", "--dense-cap", "100"],
     ],
 )
 def test_fixed_constants_are_not_flags(argv, capsys):
@@ -388,7 +398,7 @@ def test_flags_set_the_run_config_fields():
     argv = [
         "detect", "--graph", "builtin:karate", "--coin", "grover", "--mode", "average-finite",
         "--steps", "7", "--threshold", "0.01",
-        "--output", "out.json", "--format", "csv", "--dense-cap", "99",
+        "--output", "out.json", "--format", "csv",
     ]
     config = cli._config_from_args(cli._build_parser().parse_args(argv))
     assert config == RunConfig(
@@ -400,7 +410,6 @@ def test_flags_set_the_run_config_fields():
         threshold="0.01",
         output="out.json",
         format="csv",
-        dense_cap=99,
     )
     assert _resolve_mode(config) == "average-finite"
 

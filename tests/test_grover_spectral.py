@@ -10,7 +10,6 @@ where Schur is slow.
 
 import json
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,8 +22,6 @@ import arcwalk as aw
 from arcwalk import evolution, spectral
 from arcwalk.cli import main
 from arcwalk.spectral import SpectralError, _check_basis, _group_by_argument
-
-GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 # the spectral-map oracle: a dense D x D eigenbasis of U
@@ -267,11 +264,12 @@ def test_cli_numerical_failure_exits_4_without_a_partition(monkeypatch, capsys):
 
 
 def test_cli_grover_detect_ignores_the_dense_cap(capsys):
-    argv = ["detect", "--graph", "builtin:karate", "--coin", "grover", "--dense-cap", "100"]
-    assert main(argv) == 0
-    payload = json.loads(capsys.readouterr().out)["payload"]
-    golden = json.loads((GOLDEN / "karate-grover-detect.json").read_text())["payload"]
-    assert (payload["hubs"], payload["assignment"]) == (golden["hubs"], golden["assignment"])
+    # complete(79) has D = 6162 arcs, above the cap that stops exact Fourier
+    assert main(["detect", "--graph", "builtin:complete(79)", "--coin", "grover"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["metadata"]["graph"]["arcs"] == 6162
+    assert doc["metadata"]["parameters"]["eigensolver"] == "grover-spectral-map"
+    assert len(doc["payload"]["assignment"]) == 79
 
 
 def test_exact_grover_detect_above_the_dense_cap_holds_no_dense_array(tmp_path, capsys):

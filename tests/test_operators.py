@@ -1,4 +1,4 @@
-from types import SimpleNamespace
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,16 +239,20 @@ def test_dimension_mismatch_rejected(karate):
 
 
 def test_dense_cap(karate):
-    op = aw.build_walk_operator(karate, aw.CoinKind.FOURIER)
-    with pytest.raises(DenseCapExceeded, match="D=156 exceeds dense materialization cap 155"):
-        aw.materialize_dense(op, cap=155)
-    assert aw.materialize_dense(op, cap=156).shape == (156, 156)
-    assert DEFAULT_DENSE_CAP >= 156
-    aw.materialize_dense(op)
-    # the default cap refuses before any array is built
-    too_large = SimpleNamespace(dimension=DEFAULT_DENSE_CAP + 1)
-    with pytest.raises(DenseCapExceeded, match=f"cap {DEFAULT_DENSE_CAP}"):
-        aw.materialize_dense(too_large)
+    # the paper's largest graph, USAir97 (D = 4252), stays under the fixed cap
+    assert 4252 < DEFAULT_DENSE_CAP == 6000
+    assert aw.materialize_dense(aw.build_walk_operator(karate, FOURIER)).shape == (156, 156)
+    # complete(79), D = 6162, is refused before any D x D array is built
+    op = aw.build_walk_operator(aw.builtin("complete(79)"), FOURIER)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DenseCapExceeded, match="^D=6162 exceeds dense materialization cap 6000$"):
+            aw.materialize_dense(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # below even one real D x D array (a complex one takes 16 D^2 bytes)
+    assert peak < 8 * op.dimension**2
 
 
 def verify_shift_equivalence(n):
