@@ -207,7 +207,7 @@ def average_matrices(
     "average-finite" steps over t = 1..steps, which the record's
     ``window_start`` of 1 states; "average-infinite" is the exact Cesaro
     limit, in node space for the Grover coin and from the eigenvectors of the
-    D x D U' = Q^T C Q, refused above ``DEFAULT_DENSE_CAP`` arcs, for the
+    D x D U' = Q^T C Q, refused above ``DENSE_CAP`` arcs, for the
     Fourier coin, where a ``detect`` at D = 4,232 took 24.1 s and 734 MB on 2
     cores (46664ce): use "average-finite" there.  Raises ValueError for
     another mode.

@@ -38,11 +38,11 @@ __all__ = [
     "WalkOperator",
     "build_walk_operator",
     "materialize_dense",
-    "DEFAULT_DENSE_CAP",
+    "DENSE_CAP",
     "DenseCapExceeded",
 ]
 
-DEFAULT_DENSE_CAP = 6000
+DENSE_CAP = 6000
 
 
 class DenseCapExceeded(RuntimeError):
@@ -168,12 +168,12 @@ def build_walk_operator(graph: Graph, coin: CoinKind) -> WalkOperator:
 
 
 def _check_cap(op: WalkOperator) -> None:
-    if op.dimension > DEFAULT_DENSE_CAP:
-        raise DenseCapExceeded(f"D={op.dimension} exceeds dense materialization cap {DEFAULT_DENSE_CAP}")
+    if op.dimension > DENSE_CAP:
+        raise DenseCapExceeded(f"D={op.dimension} exceeds dense materialization cap {DENSE_CAP}")
 
 
 def materialize_dense(op: WalkOperator) -> np.ndarray:
-    """Dense D x D matrix of the walk unitary; refused above ``DEFAULT_DENSE_CAP`` arcs.
+    """Dense D x D matrix of the walk unitary; refused above ``DENSE_CAP`` arcs.
 
     Its only nonzeros are U[rev a, b] = C_k[slot a, slot b] for the arcs a, b
     of one node of degree k, written in place; no command builds it."""

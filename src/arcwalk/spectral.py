@@ -206,7 +206,7 @@ def walk_decompose(op: WalkOperator) -> SpectralDecomposition:
     docstring), U' written from the coin blocks.  Every coin block must be
     symmetric within 1e-12 and unitary within 1e-10, and the basis must pass
     :func:`_check_basis` with U applied by :meth:`WalkOperator.apply`; a
-    failure raises :class:`SpectralError`.  Above ``DEFAULT_DENSE_CAP`` arcs it
+    failure raises :class:`SpectralError`.  Above ``DENSE_CAP`` arcs it
     raises :class:`DenseCapExceeded` before any D x D array is made."""
     _check_cap(op)
     for k, block in op.blocks.items():

@@ -23,7 +23,7 @@ from test_cesaro_kernel import BUILTINS, COINS, connected_graphs
 import arcwalk as aw
 from arcwalk import spectral
 from arcwalk.cli import main
-from arcwalk.operators import DEFAULT_DENSE_CAP, DenseCapExceeded
+from arcwalk.operators import DENSE_CAP, DenseCapExceeded
 from arcwalk.spectral import SpectralError, _group_by_argument
 
 
@@ -150,7 +150,7 @@ def test_symmetric_unitary_matches_two_passes_on_random_graphs(graph, coin):
 def test_walk_decompose_above_the_cap_allocates_no_dense_array():
     # degree-2 fans only, and complete(79) (D = 6162), one class of degree 78
     cases = [
-        (f"cycle({DEFAULT_DENSE_CAP // 2 + 1})", aw.CoinKind.FOURIER),
+        (f"cycle({DENSE_CAP // 2 + 1})", aw.CoinKind.FOURIER),
         ("complete(79)", aw.CoinKind.FOURIER),
         ("complete(79)", aw.CoinKind.GROVER),
     ]
@@ -164,7 +164,7 @@ def test_walk_decompose_above_the_cap_allocates_no_dense_array():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert str(raised.value) == f"D={d} exceeds dense materialization cap {DEFAULT_DENSE_CAP}"
+        assert str(raised.value) == f"D={d} exceeds dense materialization cap {DENSE_CAP}"
         # below even one real D x D array (a complex one takes 16 D^2 bytes)
         assert peak < 8 * d**2
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from test_cesaro_kernel import connected_graphs
 
 import arcwalk as aw
-from arcwalk.operators import DEFAULT_DENSE_CAP, DenseCapExceeded, coin_matrix
+from arcwalk.operators import DENSE_CAP, DenseCapExceeded, _check_cap, coin_matrix
 
 FOURIER, GROVER = aw.CoinKind.FOURIER, aw.CoinKind.GROVER
 
@@ -240,8 +240,12 @@ def test_dimension_mismatch_rejected(karate):
 
 def test_dense_cap(karate):
     # the paper's largest graph, USAir97 (D = 4252), stays under the fixed cap
-    assert 4252 < DEFAULT_DENSE_CAP == 6000
+    assert 4252 < DENSE_CAP == 6000
     assert aw.materialize_dense(aw.build_walk_operator(karate, FOURIER)).shape == (156, 156)
+    # D equal to the cap is accepted (the check alone, no dense array)
+    at_cap = aw.build_walk_operator(aw.builtin(f"cycle({DENSE_CAP // 2})"), FOURIER)
+    assert at_cap.dimension == DENSE_CAP
+    _check_cap(at_cap)
     # complete(79), D = 6162, is refused before any D x D array is built
     op = aw.build_walk_operator(aw.builtin("complete(79)"), FOURIER)
     tracemalloc.start()
