@@ -5,7 +5,8 @@ with a metadata block, written atomically when an output path is given.
 Exit codes: 2 for configuration errors (an output path that cannot be
 written among them), 3 for data errors, 4 for numerical failures; ``main``
 alone words them.  The averaging commands check their options and take
-(p, P) and the parameter record from ``evolution.average_matrices``.
+the parameter record and the rows of (p, P) they read from
+``evolution.average_rows``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .community import (
     margin_report,
     sweep,
 )
-from .evolution import DEFAULT_AVERAGE_STEPS, average_matrices, transition_rows
+from .evolution import DEFAULT_AVERAGE_STEPS, average_rows, transition_rows
 from .graph import Graph, GraphError, betti_number, builtin, is_bipartite, load_edge_list, load_pajek
 from .io import OutputDocument, emit_heatmap_csv, format_float, write_atomic
 from .operators import CoinKind, DenseCapExceeded, build_walk_operator
@@ -92,7 +93,7 @@ def _coin_kind(name: str) -> CoinKind:
 
 
 def _resolve_mode(config: RunConfig) -> str:
-    """The averaging mode, once the options that average_matrices would
+    """The averaging mode, once the options that average_rows would
     refuse with a ValueError are checked."""
     if config.mode not in ("average-finite", "average-infinite"):
         raise ConfigError(f"unknown averaging mode {config.mode!r}")
@@ -101,8 +102,12 @@ def _resolve_mode(config: RunConfig) -> str:
     return config.mode
 
 
-def _averages(config: RunConfig, graph: Graph) -> tuple[dict, np.ndarray, np.ndarray]:
-    return average_matrices(graph, _coin_kind(config.coin), _resolve_mode(config), config.steps)
+def _averages(config: RunConfig, graph: Graph):
+    return average_rows(graph, _coin_kind(config.coin), _resolve_mode(config), config.steps)
+
+
+def _normalized(rows):
+    return lambda nodes: rows(nodes)[1]
 
 
 def _threshold(config: RunConfig, graph: Graph) -> float:
@@ -150,12 +155,13 @@ def _run_evolve(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
 def _run_average(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
     if config.start is not None:
         graph.degree(config.start)  # raises GraphError for a node out of range
-    params, p, norm = _averages(config, graph)
+    params, rows = _averages(config, graph)
     if config.start is None:
+        p, norm = rows(slice(None))
         ids = list(range(1, graph.node_count + 1))
         return params, {"node_ids": ids, "probability": p, "normalized": norm}
-    row = config.start - 1
-    return params, {"start": config.start, "probability": p[row], "normalized": norm[row]}
+    p, norm = rows(config.start - 1)
+    return params, {"start": config.start, "probability": p, "normalized": norm}
 
 
 def _run_spectrum(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
@@ -185,8 +191,9 @@ def _run_spectrum(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
 
 
 def _run_detect(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
-    params, _, norm = _averages(config, graph)
+    params, rows = _averages(config, graph)
     q = _threshold(config, graph)
+    norm = _normalized(rows)
     partition = detect(norm, graph, q, source=params["mode"])
     margins = margin_report(norm, partition)
     payload = {
@@ -211,8 +218,8 @@ def _run_sweep(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
     qs = list(config.q_list)
     if not all(np.isfinite(q) and q > 0 for q in qs) or qs != sorted(qs):
         raise ConfigError("--q-list must hold finite positive thresholds in ascending order")
-    params, _, norm = _averages(config, graph)
-    entries = sweep(norm, graph, config.q_list)
+    params, rows = _averages(config, graph)
+    entries = sweep(_normalized(rows), graph, config.q_list)
     payload = {
         "entries": [
             {"q": q, "count": count, "sizes": list(sizes)} for q, count, sizes in entries

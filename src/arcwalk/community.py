@@ -9,10 +9,12 @@ singleton communities, surfacing outliers instead of forcing a fit.
 
 :func:`detect` returns a :class:`CommunityPartition`; :func:`sweep` returns
 plain (q, count, sizes) tuples, one per threshold; :func:`margin_report`
-computes every node's margin against every hub from the same matrix and
+computes every node's margin against every hub from the hubs' rows and
 flags it marginal within the fixed band DEFAULT_MARGINAL_BAND (10 % of the
 threshold), which ``detect`` documents record.  Every margin and the
 threshold are in the document, so another band can be recomputed from them.
+Given a callable from node indices to rows of the matrix, ``detect`` reads
+the rows of the candidates it visits and ``margin_report`` the hubs'.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
 ]
 
 DEFAULT_MARGINAL_BAND = 0.1
+_FIRST_BATCH = 8  # candidates whose rows detect asks for first
 
 
 @dataclass(frozen=True)
@@ -77,19 +80,26 @@ def _candidate_order(graph: Graph) -> list[int]:
     return sorted(range(graph.node_count), key=lambda i: (-int(graph.degrees[i]), i))
 
 
-def detect(
-    matrix: np.ndarray, graph: Graph, threshold: float, source: str = "average"
-) -> CommunityPartition:
-    """Partition the graph given the full N x N normalized average matrix."""
+def _rows(matrix, nodes: np.ndarray) -> np.ndarray:
+    return matrix(nodes) if callable(matrix) else np.asarray(matrix, dtype=float)[nodes]
+
+
+def detect(matrix, graph: Graph, threshold: float, source: str = "average") -> CommunityPartition:
+    """Partition the graph given the N x N normalized average matrix, or a
+    callable from 0-based node indices to those rows of it, which is asked
+    for the candidates in batches of 8, 16, 32, ... until all are assigned."""
     n = graph.node_count
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape != (n, n):
-        raise ValueError(f"expected a {n}x{n} matrix, got {matrix.shape}")
+    if not callable(matrix) and np.shape(matrix) != (n, n):
+        raise ValueError(f"expected a {n}x{n} matrix, got {np.shape(matrix)}")
     if not threshold > 0:
         raise ValueError("threshold must be positive")
+    order = _candidate_order(graph)
+    rows: list[np.ndarray] = []
     assignment: dict[int, int] = {}
     hubs: list[int] = []
-    for cand in _candidate_order(graph):
+    for visited, cand in enumerate(order):
+        if visited == len(rows):
+            rows.extend(_rows(matrix, np.array(order[visited : 2 * visited + _FIRST_BATCH])))
         if cand in assignment:
             community = assignment[cand]
         else:
@@ -98,7 +108,7 @@ def detect(
             assignment[cand] = community
         members = [
             l
-            for l in np.flatnonzero(matrix[cand] > threshold)
+            for l in np.flatnonzero(rows[visited] > threshold)
             if int(l) not in assignment
         ]
         for l in members:
@@ -113,11 +123,10 @@ def detect(
     )
 
 
-def sweep(
-    matrix: np.ndarray, graph: Graph, thresholds
-) -> tuple[tuple[float, int, tuple[int, ...]], ...]:
+def sweep(matrix, graph: Graph, thresholds) -> tuple[tuple[float, int, tuple[int, ...]], ...]:
     """Run detection per threshold; thresholds must be ascending.
 
+    ``matrix`` is what :func:`detect` takes, asked again per threshold.
     Returns one (q, community count, community sizes) entry per threshold.
     """
     values = [float(q) for q in thresholds]
@@ -132,18 +141,20 @@ def sweep(
     return tuple(entries)
 
 
-def margin_report(matrix: np.ndarray, partition: CommunityPartition) -> list[MarginEntry]:
-    """Margins of every node against every hub.
+def margin_report(matrix, partition: CommunityPartition) -> list[MarginEntry]:
+    """Margins of every node against every hub, from the hubs' rows of
+    ``matrix`` (what :func:`detect` takes).
 
     A node is flagged marginal against a hub when |P(hub -> node) - q| is
     below DEFAULT_MARGINAL_BAND * q, i.e. its classification would flip
     under a small threshold change.
     """
     q = partition.threshold
+    hub_rows = _rows(matrix, np.array(partition.hubs) - 1)
     entries = []
     for node in sorted(partition.assignment):
-        for hub in partition.hubs:
-            margin = float(matrix[hub - 1, node - 1] - q)
+        for hub, row in zip(partition.hubs, hub_rows):
+            margin = float(row[node - 1] - q)
             marginal = abs(margin) < DEFAULT_MARGINAL_BAND * q
             entries.append(MarginEntry(node=node, hub=hub, margin=margin, marginal=marginal))
     return entries

@@ -5,14 +5,17 @@ started once per outgoing arc and the resulting node probabilities are
 averaged with weight 1/k_i.  The normalized row divides by the target
 degree k_l, which removes the degree bias of the raw probabilities.
 
-One streaming core, ``_node_probabilities``, steps a batch of start arcs in
-the operator's real layout (``operators`` module docstring), each walk a 1
-in its start arc's real row, and yields their (N, B) node probabilities at
-t = 0..T, rows in the operator's ``node_order``.  Two folds over it return
-arrays in node order: :func:`transition_rows`, the rows p(i -> l; t) of one
-start node at every t, and :func:`finite_time_average_matrix`, their mean
-over the window t = 1..T for all start nodes.  The latter splits the start
-arcs into balanced column chunks and steps them on one thread per usable
+One streaming core, ``_node_probabilities``, steps a batch of walks in the
+operator's real layout (``operators`` module docstring), each started as a
+1 in the real or imaginary rows of its start arcs, and yields their (N, B)
+node probabilities at t = 0..T, rows in the operator's ``node_order``.  Two
+folds over it return arrays in node order: :func:`transition_rows`, the rows
+p(i -> l; t) of one start node at every t, and ``_window_rows``, their mean
+over the window t = 1..T for any set of start nodes, stepping only those
+nodes' start arcs; :func:`finite_time_average_matrix` calls it for all
+nodes.  A real (Grover) coin steps the imaginary rows as the real ones, so
+there one column carries two start arcs of a node.  The columns are split
+into balanced chunks and stepped on one thread per usable
 core, while every node's real GEMM stays small enough for BLAS to run it on
 the calling thread: (2k)^2 B below ``_SERIAL_GEMM`` (2^18).  numpy releases
 the GIL in the GEMMs, gathers and ``einsum`` folds of a step.  Each thread
@@ -21,9 +24,10 @@ arrays, and all chunks in flight together hold at most ``_CHUNK_ARCS``
 (1,024) columns.  The caller makes every thread's arrays (``_workspace``)
 before the threads start and the threads reuse them for each of their
 chunks, so the threads allocate nothing large and the peak memory does not
-depend on their scheduling.
+depend on their scheduling.  Batches are padded with zero states to whole
+groups of ``_ALIGN`` columns, so a row is bit-identical in every batch.
 
-:func:`average_matrices` alone picks the averaging kernel for every caller:
+:func:`average_rows` alone picks the averaging kernel for every caller:
 this stepping, or one of ``spectral``'s exact kernels.
 """
 
@@ -38,13 +42,13 @@ from .graph import Graph
 from .operators import CoinKind, WalkOperator, build_walk_operator
 from .spectral import _transition_matrices, grover_average_matrix, infinite_time_average_matrix, walk_decompose
 
-__all__ = ["average_matrices", "transition_rows", "finite_time_average_matrix", "DEFAULT_AVERAGE_STEPS"]
+__all__ = ["average_matrices", "average_rows", "transition_rows", "finite_time_average_matrix", "DEFAULT_AVERAGE_STEPS"]
 
 DEFAULT_AVERAGE_STEPS = 100
-_CHUNK_ARCS = 1024  # start arcs stepped at once by finite_time_average_matrix
-# chunks start at multiples of _ALIGN arcs: a GEMM kernel may round the
-# columns past its last full panel differently, and aligned chunks give
-# every start arc the same kernel however the columns are split (OpenBLAS's
+_CHUNK_ARCS = 1024  # columns stepped at once by _window_rows
+# batches and chunks are whole groups of _ALIGN columns: a GEMM kernel may
+# round the columns past its last full panel differently, and aligned chunks
+# give every column the same kernel however the columns are split (OpenBLAS's
 # SkylakeX dgemm: splits at multiples of 4 columns changed the results for
 # blocks of 16 rows or more, at multiples of 8 no column changed)
 _ALIGN = 8
@@ -72,19 +76,18 @@ def _workspace(op: WalkOperator, width: int) -> list[np.ndarray]:
     return [np.empty(2 * d * width), np.empty(2 * d * width), np.empty(n * width)]
 
 
-def _node_probabilities(op: WalkOperator, starts: np.ndarray, steps: int, space: list | None = None):
-    """Yield the (N, B) node probabilities, rows in ``op.node_order``, at
-    t = 0..steps of the B walks started on the basis arcs ``starts``; column
-    b belongs to starts[b].  The same array is yielded each time, overwritten
-    by the next step.  The arrays live in ``space``, a :func:`_workspace` at
-    least B wide, or in a new one."""
-    b = len(starts)
+def _node_probabilities(op: WalkOperator, rows, columns, b: int, steps: int, space: list | None = None):
+    """Yield the (N, b) node probabilities, rows in ``op.node_order``, at
+    t = 0..steps of b walks, the walk in column columns[j] started with a 1
+    in real-layout row rows[j] for every j.  The same array is yielded each
+    time, overwritten by the next step.  The arrays live in ``space``, a
+    :func:`_workspace` at least b wide, or in a new one."""
     d, n = op.dimension, op.graph.node_count
     if space is None:
         space = _workspace(op, b)
-    x, work, probs = (flat[: rows * b].reshape(rows, b) for flat, rows in zip(space, (2 * d, 2 * d, n)))
+    x, work, probs = (flat[: r * b].reshape(r, b) for flat, r in zip(space, (2 * d, 2 * d, n)))
     x.fill(0)
-    x[op.arc_rows[0, starts], np.arange(b)] = 1.0
+    x[rows, columns] = 1.0
     for t in range(steps + 1):
         if t:
             op.step_classed(x, work)
@@ -108,7 +111,7 @@ def transition_rows(
     else:
         arcs = np.array([graph.arc_index(node - 1, slot)])
     rows = np.empty((steps + 1, graph.node_count))
-    for t, probs in enumerate(_node_probabilities(op, arcs, steps)):
+    for t, probs in enumerate(_node_probabilities(op, op.arc_rows[0, arcs], np.arange(len(arcs)), len(arcs), steps)):
         rows[t, op.node_order] = probs.mean(axis=1)
     return rows
 
@@ -136,10 +139,11 @@ def _run_threads(task, chunks: list, spaces: list) -> None:
         raise errors[0]
 
 
-def _chunk_bounds(d: int, max_degree: int) -> tuple[np.ndarray, int]:
-    """Start-arc bounds of the chunks for ``d`` arcs and the threads that
-    step them: whole groups of _ALIGN arcs per chunk, as few chunks as the
-    caps allow, and as many chunks on every thread."""
+def _chunk_bounds(columns: int, d: int, max_degree: int) -> tuple[np.ndarray, int]:
+    """Bounds of the chunks for a batch of ``columns`` walks, padded to whole
+    groups of _ALIGN columns, and the threads that step them: as few chunks
+    as the caps allow, and as many chunks on every thread.  A column takes
+    32 ``d`` bytes for an operator of ``d`` arcs, however narrow the batch."""
     threads = max(1, min(_usable_cores(), _CHUNK_ARCS // _ALIGN))
     serial = (_SERIAL_GEMM - 1) // (2 * max_degree) ** 2
     if serial < _MIN_THREAD_WIDTH:
@@ -147,32 +151,35 @@ def _chunk_bounds(d: int, max_degree: int) -> tuple[np.ndarray, int]:
     width = min(_CHUNK_ARCS // threads, _CHUNK_BYTES // (32 * d))
     if threads > 1:
         width = min(width, serial)
-    groups = -(-d // _ALIGN)
+    groups = -(-columns // _ALIGN)
     count = -(-groups // max(1, width // _ALIGN))
     threads = min(threads, count)
     count = min(groups, -(-count // threads) * threads)
-    return np.minimum(np.arange(count + 1) * groups // count * _ALIGN, d), threads
+    return np.arange(count + 1) * groups // count * _ALIGN, threads
 
 
-def finite_time_average_matrix(
-    op: WalkOperator, steps: int = DEFAULT_AVERAGE_STEPS
-) -> tuple[np.ndarray, np.ndarray]:
-    """Time-averaged (p, P) matrices over all start nodes.
-
-    The window is t = 1..steps.  The t = 0..steps mean of p is
-    (steps p + I) / (steps + 1), since t = 0 only weights the diagonal.
-    Returns two (N, N) arrays indexed [start, target].  Work is chunked over
-    initial arcs and threads to bound memory on large graphs (module
-    docstring).  Raises :class:`SpectralError` unless every row of p sums to
-    1 within 1e-10.
-    """
+def _window_rows(op: WalkOperator, nodes: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``nodes`` (0-based, in that order) of the time-averaged (p, P)
+    over the window t = 1..steps, stepped from those nodes' start arcs
+    alone.  Raises :class:`SpectralError` unless each of these rows of p
+    sums to 1 within 1e-10."""
     if steps < 1:
         raise ValueError("averaging window must contain at least one step")
     graph = op.graph
-    d, n = graph.arc_count, graph.node_count
-    bounds, threads = _chunk_bounds(d, max(op.blocks))
-    # [start arc, target node], arcs in basis order, nodes in op.node_order
-    arc_target_prob = np.empty((d, n))
+    n = graph.node_count
+    # a real coin steps the imaginary rows as it steps the real ones, so a
+    # column can carry two start arcs of one node, one in each
+    pack = 1 if any(block.imag.any() for block in op.blocks.values()) else 2
+    degrees = graph.degrees[nodes]
+    widths = -(-degrees // pack)
+    first = np.cumsum(widths) - widths  # each node's first column
+    slot = np.arange(degrees.sum()) - np.repeat(np.cumsum(degrees) - degrees, degrees)
+    arcs = np.repeat(graph.arc_offsets[nodes], degrees) + slot
+    columns = np.repeat(first, degrees) + slot // pack
+    rows = op.arc_rows[slot % pack, arcs]
+    bounds, threads = _chunk_bounds(int(widths.sum()), graph.arc_count, max(op.blocks))
+    # [column, target node], nodes in op.node_order
+    column_target_prob = np.empty((bounds[-1], n))
 
     # every thread's arrays are made here, before any thread starts, so
     # that they are all alive at once however the threads are scheduled
@@ -182,17 +189,54 @@ def finite_time_average_matrix(
     def window_mean(chunk, space):
         lo, hi = chunk
         walk, flat = space
+        i, j = np.searchsorted(columns, (lo, hi))
         total = flat[: n * (hi - lo)].reshape(n, hi - lo)
         total.fill(0)
-        for t, probs in enumerate(_node_probabilities(op, np.arange(lo, hi), steps, walk)):
+        for t, probs in enumerate(_node_probabilities(op, rows[i:j], columns[i:j] - lo, hi - lo, steps, walk)):
             if t:
                 total += probs
-        arc_target_prob[lo:hi] = np.divide(total, steps, out=total).T
+        column_target_prob[lo:hi] = np.divide(total, steps, out=total).T
 
     _run_threads(window_mean, list(zip(bounds[:-1], bounds[1:])), spaces)
-    block = np.empty((n, n))
-    block[:, op.node_order] = graph.fan_sum(arc_target_prob)
-    return _transition_matrices(block, graph)
+    block = np.zeros((len(nodes), n))
+    for s in range(widths.max()):  # each node's columns, summed in order
+        block[widths > s] += column_target_prob[first[widths > s] + s]
+    return _transition_matrices(block[:, np.argsort(op.node_order)], graph, nodes)
+
+
+def finite_time_average_matrix(
+    op: WalkOperator, steps: int = DEFAULT_AVERAGE_STEPS
+) -> tuple[np.ndarray, np.ndarray]:
+    """Time-averaged (p, P) matrices over all start nodes, two (N, N) arrays
+    indexed [start, target], over the window t = 1..steps (module docstring).
+    The t = 0..steps mean of p is (steps p + I) / (steps + 1), since t = 0
+    only weights the diagonal.  Raises :class:`SpectralError` unless every
+    row of p sums to 1 within 1e-10."""
+    return _window_rows(op, np.arange(op.graph.node_count), steps)
+
+
+def average_rows(graph: Graph, coin: CoinKind, mode: str = "average-infinite", steps: int = DEFAULT_AVERAGE_STEPS):
+    """The record of :func:`average_matrices` and a function from 0-based
+    node indices, or a slice, to those rows of its (p, P).  "average-finite"
+    steps only the nodes asked for that no earlier call stepped: ``detect``
+    steps the candidates it visits, ``sweep`` those of all its thresholds,
+    ``average --start i`` node i alone."""
+    if mode != "average-finite":
+        record, p, norm = average_matrices(graph, coin, mode)
+        return record, lambda nodes: (p[nodes], norm[nodes])
+    op = build_walk_operator(graph, coin)
+    n = graph.node_count
+    p, norm, done = np.empty((n, n)), np.empty((n, n)), np.zeros(n, dtype=bool)
+
+    def rows(nodes):
+        todo = np.unique(np.arange(n)[nodes])
+        todo = todo[~done[todo]]
+        if len(todo):
+            p[todo], norm[todo] = _window_rows(op, todo, steps)
+            done[todo] = True
+        return p[nodes], norm[nodes]
+
+    return {"mode": mode, "steps": steps, "window_start": 1}, rows
 
 
 def average_matrices(
@@ -204,17 +248,20 @@ def average_matrices(
     """Time-averaged (p, P) of the ``coin`` walk on ``graph``, indexed
     [start, target], and the parameter record that documents carry for them.
 
-    "average-finite" steps over t = 1..steps, which the record's
-    ``window_start`` of 1 states; "average-infinite" is the exact Cesaro
+    "average-finite" steps every start node over t = 1..steps, which the
+    record's ``window_start`` of 1 states (:func:`average_rows` steps only
+    the rows asked for); "average-infinite" is the exact Cesaro
     limit, in node space for the Grover coin and from the eigenvectors of the
     D x D U' = Q^T C Q, refused above ``DENSE_CAP`` arcs, for the
     Fourier coin, where a ``detect`` at D = 4,232 took 24.1 s and 734 MB on 2
-    cores (46664ce): use "average-finite" there.  Raises ValueError for
+    cores (46664ce).  "average-finite" is far cheaper there, but another
+    answer, not a faster exact one: T = 100 flips 668 of the 4,316 threshold
+    decisions in that graph's 13 highest-degree rows.  Raises ValueError for
     another mode.
     """
     if mode == "average-finite":
-        p, norm = finite_time_average_matrix(build_walk_operator(graph, coin), steps)
-        return {"mode": mode, "steps": steps, "window_start": 1}, p, norm
+        record, rows = average_rows(graph, coin, mode, steps)
+        return (record, *rows(slice(None)))
     if mode != "average-infinite":
         raise ValueError(f"unknown averaging mode {mode!r}")
     if coin is CoinKind.GROVER:

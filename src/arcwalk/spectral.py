@@ -424,11 +424,12 @@ def grover_average_matrix(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     return _transition_matrices(block, graph)
 
 
-def _transition_matrices(block: np.ndarray, graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """(p, p / k_target) from the fan-summed [start, target] block, which
-    becomes p, divided in place by k_start.  Raises :class:`SpectralError`
-    unless every row of p sums to 1 within 1e-10."""
-    block /= graph.degrees[:, None]
+def _transition_matrices(block: np.ndarray, graph: Graph, starts=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """(p, p / k_target) from the fan-summed [start, target] block of the
+    start nodes ``starts`` (all of them by default), which becomes p,
+    divided in place by k_start.  Raises :class:`SpectralError` unless every
+    row of p sums to 1 within 1e-10."""
+    block /= graph.degrees[starts, None]
     # written as "not x <= bound" so that a NaN fails the check
     drift = np.max(np.abs(block.sum(axis=1) - 1.0))
     if not drift <= 1e-10:

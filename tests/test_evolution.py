@@ -188,7 +188,7 @@ def test_real_layout_probabilities_match_dense_oracle(graph, kind):
     op = aw.build_walk_operator(graph, kind)
     starts = np.arange(graph.arc_count)
     expected = row_layout_steps(graph, aw.materialize_dense(op), starts, 7)
-    for t, probs in enumerate(evolution._node_probabilities(op, starts, 7)):
+    for t, probs in enumerate(evolution._node_probabilities(op, op.arc_rows[0, starts], starts, len(starts), 7)):
         assert np.abs(probs.T - expected[t][:, op.node_order]).max() <= 1e-14
 
 
@@ -229,10 +229,13 @@ def test_average_matrix_matches_row_layout_oracle(three_community, kind, chunk_a
 @pytest.mark.parametrize("kind", list(aw.CoinKind))
 def test_average_matrix_is_independent_of_threads_and_chunks(name, kind, monkeypatch):
     # every start arc's walk is the same arithmetic however the start arcs
-    # are split into chunks and the chunks over threads, so p is bit-identical;
-    # more threads than cores and a short switch interval interleave the
-    # threads' writes, which a lost one would show
+    # are split into batches and chunks and the chunks over threads, so p is
+    # bit-identical, for all nodes and for rows on demand alike; more threads
+    # than cores and a short switch interval interleave the threads' writes,
+    # which a lost one would show
     op = aw.build_walk_operator(aw.builtin(name), kind)
+    n = op.graph.node_count
+    batches = [np.arange(n)[::-1], np.arange(n)[n // 2 :], np.array([n - 1, 0, 5])]
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
@@ -243,6 +246,9 @@ def test_average_matrix_is_independent_of_threads_and_chunks(name, kind, monkeyp
                 monkeypatch.setattr(evolution, "_CHUNK_ARCS", chunk_arcs)
                 got = aw.finite_time_average_matrix(op, steps=10)
                 assert np.array_equal(got[0], p) and np.array_equal(got[1], norm)
+                for nodes in batches:
+                    rows = evolution._window_rows(op, nodes, 10)
+                    assert np.array_equal(rows[0], p[nodes]) and np.array_equal(rows[1], norm[nodes])
                 monkeypatch.undo()
     finally:
         sys.setswitchinterval(interval)
@@ -252,20 +258,24 @@ def test_average_matrix_is_independent_of_threads_and_chunks(name, kind, monkeyp
 @pytest.mark.parametrize("d, max_degree", [(78, 7), (704, 13), (704, 15), (4232, 22), (824, 60)])
 def test_chunks_bound_memory_and_keep_threaded_gemms_serial(d, max_degree, cores, monkeypatch):
     monkeypatch.setattr(evolution, "_usable_cores", lambda: cores)
-    bounds, threads = evolution._chunk_bounds(d, max_degree)
-    widths = np.diff(bounds)
-    assert bounds[0] == 0 and bounds[-1] == d and widths.min() > 0
-    assert np.all(bounds[:-1] % evolution._ALIGN == 0)
-    assert 1 <= threads <= cores and widths.max() * threads <= evolution._CHUNK_ARCS
-    # two (2D, B) float64 arrays per thread: the state and the coin's output
-    assert widths.max() * 32 * d <= max(evolution._CHUNK_BYTES, 32 * d * evolution._ALIGN)
-    if threads > 1:
-        # OpenBLAS would hand a larger real GEMM to its own pool
-        assert evolution._SERIAL_GEMM == 1 << 18
-        assert (2 * max_degree) ** 2 * widths.max() < evolution._SERIAL_GEMM
-        assert len(widths) % threads == 0
-    if max_degree > 32:
-        assert threads == 1
+    # every start arc, and batches of fewer columns than D, which still take
+    # 32 D bytes per column
+    for columns in (d, d // 2 - 3, d // 10 + 1):
+        bounds, threads = evolution._chunk_bounds(columns, d, max_degree)
+        widths = np.diff(bounds)
+        padded = -(-columns // evolution._ALIGN) * evolution._ALIGN
+        assert bounds[0] == 0 and bounds[-1] == padded and widths.min() > 0
+        assert np.all(bounds % evolution._ALIGN == 0)
+        assert 1 <= threads <= cores and widths.max() * threads <= evolution._CHUNK_ARCS
+        # two (2D, B) float64 arrays per thread: the state and the coin's output
+        assert widths.max() * 32 * d <= max(evolution._CHUNK_BYTES, 32 * d * evolution._ALIGN)
+        if threads > 1:
+            # OpenBLAS would hand a larger real GEMM to its own pool
+            assert evolution._SERIAL_GEMM == 1 << 18
+            assert (2 * max_degree) ** 2 * widths.max() < evolution._SERIAL_GEMM
+            assert len(widths) % threads == 0
+        if max_degree > 32:
+            assert threads == 1
 
 
 def test_thread_failure_is_raised_to_the_caller(three_community, monkeypatch):
@@ -275,11 +285,12 @@ def test_thread_failure_is_raised_to_the_caller(three_community, monkeypatch):
     calls = []
     probabilities = evolution._node_probabilities
 
-    def failing_on_second_chunk(op, starts, steps, space):
-        calls.append(starts[0])
-        if starts[0] == 8:  # the chunk the second thread takes first
+    def failing_on_second_chunk(op, rows, columns, width, steps, space):
+        start = int(np.flatnonzero(op.arc_rows[0] == rows[0])[0])
+        calls.append(start)
+        if start == 8:  # the chunk the second thread takes first
             raise RuntimeError("step failed")
-        return probabilities(op, starts, steps, space)
+        return probabilities(op, rows, columns, width, steps, space)
 
     monkeypatch.setattr(evolution, "_node_probabilities", failing_on_second_chunk)
     with pytest.raises(RuntimeError, match="step failed"):
@@ -301,7 +312,7 @@ def test_thread_arrays_are_made_before_the_threads_start(three_community, monkey
         return workspace(op, width)
 
     monkeypatch.setattr(evolution, "_workspace", recording)
-    bounds, threads = evolution._chunk_bounds(op.dimension, max(op.blocks))
+    bounds, threads = evolution._chunk_bounds(op.dimension, op.dimension, max(op.blocks))
     assert threads == 2 and len(bounds) - 1 > threads  # several chunks per thread
     aw.finite_time_average_matrix(op, steps=3)
     assert made_on == [threading.main_thread()] * threads
