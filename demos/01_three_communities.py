@@ -17,7 +17,8 @@ def main() -> None:
     g = aw.builtin("three_community")
     print(f"graph: N={g.node_count} nodes, D={g.arc_count} directed arcs")
 
-    _, _, norm = aw.average_matrices(g, aw.CoinKind.FOURIER)
+    _, rows = aw.average_rows(g, aw.CoinKind.FOURIER)
+    _, norm = rows(slice(None))
 
     q = 1.0 / g.arc_count
     print(f"\nclassical stationary level 1/D = {q:.6f}")
@@ -38,7 +39,8 @@ def main() -> None:
           f"({worst.margin:.2e}); no node is marginal on this graph.")
 
     # the finite-time average at T=100 tells the same story
-    _, _, norm_fin = aw.average_matrices(g, aw.CoinKind.FOURIER, "average-finite", steps=100)
+    _, rows_fin = aw.average_rows(g, aw.CoinKind.FOURIER, "average-finite", steps=100)
+    _, norm_fin = rows_fin(slice(None))
     dev = np.abs(norm - norm_fin).max() / norm.max()
     print(f"T=100 finite-time average deviates from the Cesaro limit by "
           f"{100 * dev:.1f}% of the matrix maximum.")

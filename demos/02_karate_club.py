@@ -15,7 +15,8 @@ FACTION_34 = {9, 10, 15, 16, 19, 21, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33,
 
 def main() -> None:
     g = aw.builtin("karate")
-    _, _, norm = aw.average_matrices(g, aw.CoinKind.FOURIER)
+    _, rows = aw.average_rows(g, aw.CoinKind.FOURIER)
+    _, norm = rows(slice(None))
 
     q = 1.0 / g.arc_count
     print(f"karate club: N={g.node_count}, D={g.arc_count}, threshold q = 1/156 = {q:.6f}")

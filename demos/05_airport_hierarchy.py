@@ -34,7 +34,8 @@ def main() -> None:
           f"b1={aw.betti_number(g)}")
 
     print("computing Fourier infinite-time averages...")
-    _, _, norm = aw.average_matrices(g, aw.CoinKind.FOURIER)
+    _, rows = aw.average_rows(g, aw.CoinKind.FOURIER)
+    _, norm = rows(slice(None))
 
     print("\nthreshold sweep:")
     for q, count, sizes in aw.sweep(norm, g, Q_LIST):

@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .classical import relaxation_trace, stationary
 from .community import CommunityPartition, MarginEntry, detect, margin_report, sweep
-from .evolution import average_matrices, finite_time_average_matrix, transition_rows
+from .evolution import average_rows, finite_time_average_matrix, transition_rows
 from .graph import (
     Graph,
     GraphError,
@@ -50,7 +50,7 @@ __all__ = [
     "DenseCapExceeded",
     "build_walk_operator",
     "materialize_dense",
-    "average_matrices",
+    "average_rows",
     "transition_rows",
     "finite_time_average_matrix",
     "SpectralDecomposition",

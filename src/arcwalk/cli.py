@@ -6,7 +6,7 @@ Exit codes: 2 for configuration errors (an output path that cannot be
 written among them), 3 for data errors, 4 for numerical failures; ``main``
 alone words them.  The averaging commands check their options and take
 the parameter record and the rows of (p, P) they read from
-``evolution.average_rows``.
+``evolution.average_rows``, the library's one averaging entry.
 """
 
 from __future__ import annotations

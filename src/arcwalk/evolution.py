@@ -27,8 +27,9 @@ chunks, so the threads allocate nothing large and the peak memory does not
 depend on their scheduling.  Batches are padded with zero states to whole
 groups of ``_ALIGN`` columns, so a row is bit-identical in every batch.
 
-:func:`average_rows` alone picks the averaging kernel for every caller:
-this stepping, or one of ``spectral``'s exact kernels.
+:func:`average_rows` is the one averaging entry: it alone picks the
+averaging kernel for every caller, this stepping or one of ``spectral``'s
+exact kernels, and hands out the rows of (p, P) on demand.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .graph import Graph
 from .operators import CoinKind, WalkOperator, build_walk_operator
 from .spectral import _transition_matrices, grover_average_matrix, infinite_time_average_matrix, walk_decompose
 
-__all__ = ["average_matrices", "average_rows", "transition_rows", "finite_time_average_matrix", "DEFAULT_AVERAGE_STEPS"]
+__all__ = ["average_rows", "transition_rows", "finite_time_average_matrix", "DEFAULT_AVERAGE_STEPS"]
 
 DEFAULT_AVERAGE_STEPS = 100
 _CHUNK_ARCS = 1024  # columns stepped at once by _window_rows
@@ -163,8 +164,6 @@ def _window_rows(op: WalkOperator, nodes: np.ndarray, steps: int) -> tuple[np.nd
     over the window t = 1..steps, stepped from those nodes' start arcs
     alone.  Raises :class:`SpectralError` unless each of these rows of p
     sums to 1 within 1e-10."""
-    if steps < 1:
-        raise ValueError("averaging window must contain at least one step")
     graph = op.graph
     n = graph.node_count
     # a real coin steps the imaginary rows as it steps the real ones, so a
@@ -212,61 +211,60 @@ def finite_time_average_matrix(
     The t = 0..steps mean of p is (steps p + I) / (steps + 1), since t = 0
     only weights the diagonal.  Raises :class:`SpectralError` unless every
     row of p sums to 1 within 1e-10."""
+    if steps < 1:
+        raise ValueError("averaging window must contain at least one step")
     return _window_rows(op, np.arange(op.graph.node_count), steps)
 
 
 def average_rows(graph: Graph, coin: CoinKind, mode: str = "average-infinite", steps: int = DEFAULT_AVERAGE_STEPS):
-    """The record of :func:`average_matrices` and a function from 0-based
-    node indices, or a slice, to those rows of its (p, P).  "average-finite"
-    steps only the nodes asked for that no earlier call stepped: ``detect``
-    steps the candidates it visits, ``sweep`` those of all its thresholds,
-    ``average --start i`` node i alone."""
-    if mode != "average-finite":
-        record, p, norm = average_matrices(graph, coin, mode)
-        return record, lambda nodes: (p[nodes], norm[nodes])
-    op = build_walk_operator(graph, coin)
+    """The parameter record that documents carry for the time-averaged (p, P)
+    of the ``coin`` walk on ``graph``, and a function from 0-based node
+    indices, or a slice, to those rows of p and P, indexed [start, target],
+    as new arrays that the caller owns: ``rows(slice(None))`` gives both
+    whole matrices.
+
+    "average-infinite" is the exact Cesaro limit, computed here for all
+    nodes: in node space for the Grover coin, and from the eigenvectors of
+    the D x D U' = Q^T C Q, refused above ``DENSE_CAP`` arcs, for the Fourier
+    coin, where a ``detect`` at D = 4,232 took 24.1 s and 734 MB on 2 cores
+    (46664ce).  "average-finite" averages over t = 1..steps, which the
+    record's ``window_start`` of 1 states, and steps only the nodes asked for
+    that no earlier call stepped: ``detect`` steps the candidates it visits,
+    ``sweep`` those of all its thresholds, ``average --start i`` node i
+    alone.  It is far cheaper at D = 4,232, but another answer, not a faster
+    exact one: T = 100 flips 668 of the 4,316 threshold decisions in that
+    graph's 13 highest-degree rows.  Raises ValueError for another mode, or
+    for ``steps`` below 1 in finite mode.
+    """
     n = graph.node_count
-    p, norm, done = np.empty((n, n)), np.empty((n, n)), np.zeros(n, dtype=bool)
+    if mode == "average-finite":
+        if steps < 1:
+            raise ValueError("averaging window must contain at least one step")
+        op = build_walk_operator(graph, coin)
+        p, norm, done = np.empty((n, n)), np.empty((n, n)), np.zeros(n, dtype=bool)
+        record = {"mode": mode, "steps": steps, "window_start": 1}
+    elif mode == "average-infinite":
+        if coin is CoinKind.GROVER:
+            p, norm = grover_average_matrix(graph)
+            record = {"mode": mode, "eigensolver": "grover-spectral-map"}
+        else:
+            p, norm = infinite_time_average_matrix(walk_decompose(build_walk_operator(graph, coin)), graph)
+            record = {"mode": mode, "eigensolver": "cayley-real-evd"}
+        done = np.ones(n, dtype=bool)  # every exact row is computed here
+    else:
+        raise ValueError(f"unknown averaging mode {mode!r}")
 
     def rows(nodes):
-        todo = np.unique(np.arange(n)[nodes])
-        todo = todo[~done[todo]]
+        # a mask, not np.unique: its first call in a process raised the
+        # peak RSS of an exact Grover detect on planted-80 by 0.4 MB
+        asked = np.zeros(n, dtype=bool)
+        asked[nodes] = True
+        todo = np.flatnonzero(asked & ~done)
         if len(todo):
             p[todo], norm[todo] = _window_rows(op, todo, steps)
             done[todo] = True
-        return p[nodes], norm[nodes]
+        # copies, a slice's too: an edit by the caller must not reach the
+        # rows that later calls hand out
+        return p[nodes].copy(), norm[nodes].copy()
 
-    return {"mode": mode, "steps": steps, "window_start": 1}, rows
-
-
-def average_matrices(
-    graph: Graph,
-    coin: CoinKind,
-    mode: str = "average-infinite",
-    steps: int = DEFAULT_AVERAGE_STEPS,
-) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Time-averaged (p, P) of the ``coin`` walk on ``graph``, indexed
-    [start, target], and the parameter record that documents carry for them.
-
-    "average-finite" steps every start node over t = 1..steps, which the
-    record's ``window_start`` of 1 states (:func:`average_rows` steps only
-    the rows asked for); "average-infinite" is the exact Cesaro
-    limit, in node space for the Grover coin and from the eigenvectors of the
-    D x D U' = Q^T C Q, refused above ``DENSE_CAP`` arcs, for the
-    Fourier coin, where a ``detect`` at D = 4,232 took 24.1 s and 734 MB on 2
-    cores (46664ce).  "average-finite" is far cheaper there, but another
-    answer, not a faster exact one: T = 100 flips 668 of the 4,316 threshold
-    decisions in that graph's 13 highest-degree rows.  Raises ValueError for
-    another mode.
-    """
-    if mode == "average-finite":
-        record, rows = average_rows(graph, coin, mode, steps)
-        return (record, *rows(slice(None)))
-    if mode != "average-infinite":
-        raise ValueError(f"unknown averaging mode {mode!r}")
-    if coin is CoinKind.GROVER:
-        p, norm = grover_average_matrix(graph)
-        return {"mode": mode, "eigensolver": "grover-spectral-map"}, p, norm
-    dec = walk_decompose(build_walk_operator(graph, coin))
-    p, norm = infinite_time_average_matrix(dec, graph)
-    return {"mode": mode, "eigensolver": "cayley-real-evd"}, p, norm
+    return record, rows

@@ -2,10 +2,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import arcwalk as aw
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# one Hypothesis profile for every property test, which then sets only its
+# max_examples: no deadline, since an example's time varies with the graph
+# drawn and the machine's load.  Re-registering the active profile takes
+# effect at once; under CI Hypothesis loads its own "ci" profile, which is
+# derandomized and has no deadline either
+settings.register_profile("default", deadline=None)
 
 
 @pytest.fixture(scope="session")
@@ -35,12 +43,12 @@ def karate_fourier_dec(karate):
 
 @pytest.fixture(scope="session")
 def three_fourier_avg(three_community):
-    return aw.average_matrices(three_community, aw.CoinKind.FOURIER)[1:]
+    return aw.average_rows(three_community, aw.CoinKind.FOURIER)[1](slice(None))
 
 
 @pytest.fixture(scope="session")
 def karate_fourier_avg(karate):
-    return aw.average_matrices(karate, aw.CoinKind.FOURIER)[1:]
+    return aw.average_rows(karate, aw.CoinKind.FOURIER)[1](slice(None))
 
 
 @pytest.fixture

@@ -149,7 +149,7 @@ def test_criterion_07_airport_hierarchy(capsys):
     airport = usair_graph()
     if airport is None:
         skip_line(capsys, 7, "airport threshold sweep", "usair97.net not supplied")
-    _, _, norm = aw.average_matrices(airport, aw.CoinKind.FOURIER)
+    _, norm = aw.average_rows(airport, aw.CoinKind.FOURIER)[1](slice(None))
     entries = aw.sweep(norm, airport, list(Q_AIRPORT))
     ok = True
     notes = []

@@ -86,7 +86,7 @@ def test_degenerate_groups_match_schur(name):
     assert max(len(g) for g in dec.groups) > 1
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(
     graph=st.booleans().flatmap(lambda bip: connected_graphs(bip)),
     coin=st.sampled_from(COINS),
@@ -138,7 +138,7 @@ def test_symmetric_unitary_matches_two_passes_on_planted_80(planted_80, coin):
     assert_symmetric_unitary_matches_two_passes(planted_80, coin)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     graph=st.booleans().flatmap(lambda bip: connected_graphs(bip)),
     coin=st.sampled_from(COINS),

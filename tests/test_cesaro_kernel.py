@@ -100,7 +100,7 @@ def connected_graphs(draw, bipartite):
     return graph
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(
     graph=st.booleans().flatmap(lambda bip: connected_graphs(bip)),
     coin=st.sampled_from(COINS),

@@ -177,7 +177,7 @@ def row_layout_steps(graph, u, arcs, steps):
     return probs
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(
     graph=st.booleans().flatmap(lambda bip: connected_graphs(bip)),
     kind=st.sampled_from(list(aw.CoinKind)),
@@ -343,7 +343,7 @@ def test_cli_evolve_matches_row_layout_oracle(karate, slot):
         assert np.abs(row["normalized"] - probs.mean(axis=0) / karate.degrees).max() <= 1e-12
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(
     graph=st.booleans().flatmap(lambda bip: connected_graphs(bip)),
     kind=st.sampled_from(list(aw.CoinKind)),
@@ -388,10 +388,11 @@ def kernel_matrices(graph, kind, mode, steps):
     "name",
     ["three_community", "karate", "square_triangle", "path(3)", "cycle(6)", "complete(5)", "planted-80"],
 )
-def test_average_matrices_is_the_kernel_call_with_its_record(name, kind, case, request):
+def test_average_rows_is_the_kernel_call_with_its_record(name, kind, case, request):
     graph = request.getfixturevalue("planted_80") if name == "planted-80" else aw.builtin(name)
     mode, steps = AVERAGING_CASES[case]
-    params, p, norm = aw.average_matrices(graph, kind, mode, steps)
+    params, rows = aw.average_rows(graph, kind, mode, steps)
+    p, norm = rows(slice(None))
     p_ref, norm_ref = kernel_matrices(graph, kind, mode, steps)
     assert np.array_equal(p, p_ref) and np.array_equal(norm, norm_ref)
     if mode == "average-finite":
@@ -400,6 +401,22 @@ def test_average_matrices_is_the_kernel_call_with_its_record(name, kind, case, r
         assert params == {"mode": mode, "eigensolver": EXACT_SOLVER[kind]}
 
 
-def test_average_matrices_rejects_an_unknown_mode(karate):
+def test_average_rows_rejects_an_unknown_mode_at_the_call(karate):
     with pytest.raises(ValueError, match="unknown averaging mode 'median'"):
-        aw.average_matrices(karate, aw.CoinKind.FOURIER, "median")
+        aw.average_rows(karate, aw.CoinKind.FOURIER, "median")
+
+
+def test_average_rows_rejects_an_empty_window_at_the_call(karate):
+    with pytest.raises(ValueError, match="at least one step"):
+        aw.average_rows(karate, aw.CoinKind.FOURIER, "average-finite", 0)
+
+
+@pytest.mark.parametrize("mode", ["average-infinite", "average-finite"])
+@pytest.mark.parametrize("nodes", [slice(None), slice(2, 5), 3, [3, 0]], ids=["all", "slice", "index", "array"])
+def test_rows_hands_out_arrays_the_caller_owns(karate, mode, nodes):
+    _, rows = aw.average_rows(karate, aw.CoinKind.FOURIER, mode, 20)
+    p, norm = rows(nodes)
+    kept = p.copy(), norm.copy()
+    p[...] = norm[...] = 0.0
+    again = rows(nodes)
+    assert np.array_equal(again[0], kept[0]) and np.array_equal(again[1], kept[1])

@@ -219,7 +219,7 @@ def test_fan_sum_matches_reduceat_when_class_size_equals_degree():
     assert_fan_sum_matches_reduceat(aw.Graph.from_edges(K4_PENDANT))
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(graph=st.booleans().flatmap(lambda bip: connected_graphs(bip)))
 def test_fan_sum_matches_reduceat_on_random_graphs(graph):
     assert_fan_sum_matches_reduceat(graph)
@@ -310,7 +310,7 @@ def assert_matches_graph_oracle(graph):
     assert aw.betti_number(graph) == betti_oracle(graph)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(graph=st.booleans().flatmap(lambda bip: connected_graphs(bip)))
 def test_stored_facts_match_the_oracle_on_random_graphs(graph):
     assert_matches_graph_oracle(graph)

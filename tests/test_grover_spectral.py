@@ -177,7 +177,7 @@ def test_matches_schur_oracle(name):
     assert_matches_schur(GRAPHS[name])
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(graph=st.booleans().flatmap(lambda bip: connected_graphs(bip)))
 def test_matches_schur_oracle_on_random_graphs(graph):
     assert_matches_schur(graph)

@@ -13,7 +13,7 @@ from arcwalk.cli import RunConfig, main, run
 from arcwalk.community import _candidate_order
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     graph=st.booleans().flatmap(lambda bip: connected_graphs(bip)),
     kind=st.sampled_from(list(aw.CoinKind)),
@@ -59,8 +59,8 @@ def planted_source(tmp_path, perfbench):
 def test_detect_sweep_and_margins_on_demand_equal_the_full_matrix(name, kind, request):
     graph = request.getfixturevalue("planted_80") if name == "planted-80" else aw.builtin(name)
     for mode, steps in [("average-finite", 100), ("average-finite", 7), ("average-infinite", 100)]:
-        _, _, norm = aw.average_matrices(graph, kind, mode, steps)
-        _, rows = evolution.average_rows(graph, kind, mode, steps)
+        _, norm = aw.average_rows(graph, kind, mode, steps)[1](slice(None))
+        _, rows = aw.average_rows(graph, kind, mode, steps)
 
         def on_demand(nodes):
             return rows(nodes)[1]
@@ -113,7 +113,7 @@ def test_each_row_is_stepped_once_per_command(tmp_path, perfbench, monkeypatch):
 def test_average_start_steps_only_that_node(karate, kind, stepped):
     doc = run(RunConfig("average", "builtin:karate", coin=kind.value, mode="average-finite", start=34))
     assert sum(stepped) == karate.degree(34)
-    _, p, norm = aw.average_matrices(karate, kind, "average-finite")
+    p, norm = aw.average_rows(karate, kind, "average-finite")[1](slice(None))
     assert np.array_equal(doc.payload["probability"], p[33])
     assert np.array_equal(doc.payload["normalized"], norm[33])
 

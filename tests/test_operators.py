@@ -130,7 +130,7 @@ def test_apply_matches_dense_when_class_size_equals_degree(kind):
     assert_apply_matches_dense(g, kind)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(
     graph=st.booleans().flatmap(lambda bip: connected_graphs(bip)),
     kind=st.sampled_from(list(aw.CoinKind)),
@@ -161,7 +161,7 @@ def stars_and_paths(draw):
     return aw.Graph.from_edges([(i, i + 1) for i in range(n - 1)])
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     graph=st.one_of(stars_and_paths(), st.booleans().flatmap(lambda bip: connected_graphs(bip))),
     kind=st.sampled_from(list(aw.CoinKind)),

@@ -9,6 +9,7 @@ from arcwalk.spectral import (
     DEFAULT_DEGENERACY_TOL,
     SpectralError,
     _cycle_arcs,
+    _gram_drift,
     _group_by_argument,
     argument_histogram,
     eigenstate_node_probability,
@@ -44,6 +45,40 @@ def test_decompose_rejects_nan_and_inf(bad):
     u[1, 2] = bad
     with pytest.raises(SpectralError, match="not unitary"):
         aw.decompose(u)
+
+
+def blockwise_gram_drift(m):
+    """max |M*M - I| over the upper triangle of M*M, formed 64 rows at a
+    time: the oracle for the one product of _gram_drift."""
+    drift = 0.0
+    for start in range(0, m.shape[1], 64):
+        rows = m[:, start : start + 64].conj().T
+        gram = rows @ m[:, start:]
+        gram[:, : rows.shape[0]] -= np.eye(rows.shape[0])
+        drift = np.maximum(drift, np.max(np.abs(gram)))
+    return float(drift)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("d", [1, 5, 63, 65, 130, 201])
+def test_gram_drift_equals_the_blockwise_oracle(rng, d, dtype):
+    m = rng.standard_normal((d, d))
+    if dtype is complex:
+        m = m + 1j * rng.standard_normal((d, d))
+    q, _ = np.linalg.qr(m)
+    assert _gram_drift(m) == pytest.approx(blockwise_gram_drift(m), rel=1e-12)
+    assert _gram_drift(q) == pytest.approx(blockwise_gram_drift(q), abs=1e-14)
+    assert _gram_drift(q) <= 1e-13
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_gram_drift_keeps_a_nan(rng, dtype):
+    q, _ = np.linalg.qr(rng.standard_normal((70, 70)).astype(dtype))
+    q[40, 67] = np.nan
+    assert np.isnan(_gram_drift(q))
+    with pytest.raises(SpectralError, match="not unitary"):
+        aw.decompose(q)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -286,7 +321,7 @@ def ringed_graphs(draw):
     return graph, [label[i] + 1 for i in range(ring)]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(case=ringed_graphs(), eigenvalue=st.sampled_from([1, -1]))
 def test_loop_eigenvector_on_random_rings(case, eigenvalue):
     graph, ring = case
