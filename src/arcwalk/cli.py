@@ -2,11 +2,11 @@
 
 One command is one process; results are emitted as JSON or CSV documents
 with a metadata block, written atomically when an output path is given.
-Exit codes: 2 for configuration errors (an output path that cannot be
-written among them), 3 for data errors, 4 for numerical failures; ``main``
-alone words them.  The averaging commands check their options and take
-the parameter record and the rows of (p, P) they read from
-``evolution.average_rows``, the library's one averaging entry.
+Exit codes: 2 for configuration errors (an output path or a stdout that
+cannot be written among them), 3 for data errors, 4 for numerical
+failures; ``main`` alone words them.  The averaging commands check their
+options and take the parameter record and the rows of (p, P) they read
+from ``evolution.average_rows``, the library's one averaging entry.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ class RunConfig:
     coin: str = "fourier"
     mode: str = "average-infinite"
     start: int | None = None
-    slot: int | None = None
     steps: int = DEFAULT_AVERAGE_STEPS
     threshold: str = "auto"
     q_list: tuple[float, ...] = ()
@@ -143,11 +142,9 @@ def _run_evolve(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
     if config.start is None:
         raise ConfigError("evolve requires --start")
     op = build_walk_operator(graph, _coin_kind(config.coin))
-    if config.slot is not None and not 0 <= config.slot < graph.degree(config.start):
-        raise ConfigError(f"slot {config.slot} out of range for node {config.start}")
     rows = [
         {"t": t, "probability": p, "normalized": p / graph.degrees}
-        for t, p in enumerate(transition_rows(op, config.start, config.steps, config.slot))
+        for t, p in enumerate(transition_rows(op, config.start, config.steps))
     ]
     return {"start": config.start, "steps": config.steps}, {"start": config.start, "rows": rows}
 
@@ -379,7 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("evolve", "time evolution of a transition row")
     p.add_argument("--start", type=int, required=True)
-    p.add_argument("--slot", type=int)
     p.add_argument("--steps", type=int, default=15)
 
     p = command("average", "time-averaged transition probabilities")
@@ -433,13 +429,16 @@ def main(argv: list[str] | None = None) -> int:
         # only the averages have a mode that does without it
         way_out = "" if args.command == "spectrum" else "; use --mode average-finite"
         return _fail(EXIT_CONFIG, "config", f"{exc}{way_out}")
-    if not config.output:
-        sys.stdout.write(text)
-        return 0
     try:
-        write_atomic(config.output, text)
+        if config.output:
+            write_atomic(config.output, text)
+        else:
+            # flushed here, so that a failed write is reported here; the
+            # interpreter's own flush at exit then finds nothing to write
+            sys.stdout.write(text)
+            sys.stdout.flush()
     except OSError as exc:
-        return _fail(EXIT_CONFIG, "config", f"cannot write {config.output}: {exc}")
+        return _fail(EXIT_CONFIG, "config", f"cannot write {config.output or 'stdout'}: {exc}")
     return 0
 
 

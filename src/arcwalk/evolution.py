@@ -5,19 +5,20 @@ started once per outgoing arc and the resulting node probabilities are
 averaged with weight 1/k_i.  The normalized row divides by the target
 degree k_l, which removes the degree bias of the raw probabilities.
 
-One streaming core, ``_node_probabilities``, steps a batch of walks in the
-operator's real layout (``operators`` module docstring), each started as a
-1 in the real or imaginary rows of its start arcs, and yields their (N, B)
-node probabilities at t = 0..T, rows in the operator's ``node_order``.  Two
-folds over it return arrays in node order: :func:`transition_rows`, the rows
-p(i -> l; t) of one start node at every t, and ``_window_rows``, their mean
-over the window t = 1..T for any set of start nodes, stepping only those
-nodes' start arcs; :func:`finite_time_average_matrix` calls it for all
-nodes.  A real (Grover) coin steps the imaginary rows as the real ones, so
-there one column carries two start arcs of a node.  The columns are split
-into balanced chunks and stepped on one thread per usable
-core, while every node's real GEMM stays small enough for BLAS to run it on
-the calling thread: (2k)^2 B below ``_SERIAL_GEMM`` (2^18).  numpy releases
+One start builder, ``_starts``, maps start nodes to the rows and columns of
+the operator's real layout (``operators`` module docstring) where their
+walks start, a 1 on each outgoing arc.  A real (Grover) coin steps the
+imaginary rows as the real ones, so there one column carries two start arcs
+of a node.  One streaming core, ``_node_probabilities``, steps such a batch
+and yields its (N, B) node probabilities at t = 0..T, rows in the
+operator's ``node_order``.  Two folds over it return arrays in node order:
+:func:`transition_rows`, the rows p(i -> l; t) of one start node at every
+t, and ``_window_rows``, their mean over the window t = 1..T for any set of
+start nodes, stepping only those nodes' start arcs;
+:func:`finite_time_average_matrix` calls it for all nodes.  Its columns are
+split into balanced chunks and stepped on one thread per usable core, while
+every node's real GEMM stays small enough for BLAS to run it on the calling
+thread: (2k)^2 B below ``_SERIAL_GEMM`` (2^18).  numpy releases
 the GIL in the GEMMs, gathers and ``einsum`` folds of a step.  Each thread
 holds about 32 D B bytes for a chunk of B columns, two (2D, B) float64
 arrays, and all chunks in flight together hold at most ``_CHUNK_ARCS``
@@ -95,26 +96,35 @@ def _node_probabilities(op: WalkOperator, rows, columns, b: int, steps: int, spa
         yield op.probabilities_classed(x, probs)
 
 
-def transition_rows(
-    op: WalkOperator, node: int, steps: int, slot: int | None = None
-) -> np.ndarray:
+def _starts(op: WalkOperator, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Where the walks from ``nodes`` (0-based, in that order) start: a 1 in
+    real-layout row rows[j] of column columns[j], once per outgoing arc,
+    columns ascending.  Node nodes[m] owns the widths[m] columns from
+    first[m] on, ceil(k/2) of them for a real coin (module docstring) and k
+    otherwise."""
+    pack = 1 if any(block.imag.any() for block in op.blocks.values()) else 2
+    degrees = op.graph.degrees[nodes]
+    widths = -(-degrees // pack)
+    first = np.cumsum(widths) - widths
+    slot = np.arange(degrees.sum()) - np.repeat(np.cumsum(degrees) - degrees, degrees)
+    arcs = np.repeat(op.graph.arc_offsets[nodes], degrees) + slot
+    return op.arc_rows[slot % pack, arcs], np.repeat(first, degrees) + slot // pack, first, widths
+
+
+def transition_rows(op: WalkOperator, node: int, steps: int) -> np.ndarray:
     """p(node -> l; t) for t = 0..steps as a (steps + 1, N) array.
 
     ``node`` is 1-based.  The walk starts on each outgoing arc of ``node``,
-    weighted 1/k, or only on the arc at ``slot`` (0-based) when given.
+    weighted 1/k (module docstring).
     """
     if steps < 0:
         raise ValueError("step count must be non-negative")
-    graph = op.graph
-    degree = graph.degree(node)
-    if slot is None:
-        arcs = graph.arc_offsets[node - 1] + np.arange(degree)
-    else:
-        arcs = np.array([graph.arc_index(node - 1, slot)])
-    rows = np.empty((steps + 1, graph.node_count))
-    for t, probs in enumerate(_node_probabilities(op, op.arc_rows[0, arcs], np.arange(len(arcs)), len(arcs), steps)):
-        rows[t, op.node_order] = probs.mean(axis=1)
-    return rows
+    degree = op.graph.degree(node)
+    rows, columns, _, widths = _starts(op, np.array([node - 1]))
+    out = np.empty((steps + 1, op.graph.node_count))
+    for t, probs in enumerate(_node_probabilities(op, rows, columns, int(widths[0]), steps)):
+        out[t, op.node_order] = probs.sum(axis=1) / degree
+    return out
 
 
 def _run_threads(task, chunks: list, spaces: list) -> None:
@@ -166,16 +176,7 @@ def _window_rows(op: WalkOperator, nodes: np.ndarray, steps: int) -> tuple[np.nd
     sums to 1 within 1e-10."""
     graph = op.graph
     n = graph.node_count
-    # a real coin steps the imaginary rows as it steps the real ones, so a
-    # column can carry two start arcs of one node, one in each
-    pack = 1 if any(block.imag.any() for block in op.blocks.values()) else 2
-    degrees = graph.degrees[nodes]
-    widths = -(-degrees // pack)
-    first = np.cumsum(widths) - widths  # each node's first column
-    slot = np.arange(degrees.sum()) - np.repeat(np.cumsum(degrees) - degrees, degrees)
-    arcs = np.repeat(graph.arc_offsets[nodes], degrees) + slot
-    columns = np.repeat(first, degrees) + slot // pack
-    rows = op.arc_rows[slot % pack, arcs]
+    rows, columns, first, widths = _starts(op, nodes)
     bounds, threads = _chunk_bounds(int(widths.sum()), graph.arc_count, max(op.blocks))
     # [column, target node], nodes in op.node_order
     column_target_prob = np.empty((bounds[-1], n))

@@ -140,14 +140,6 @@ class Graph:
             raise GraphError(f"node {node} out of range 1..{self.node_count}")
         return int(self.degrees[node - 1])
 
-    def arc_index(self, tail: int, slot: int) -> int:
-        """Flat arc index of the arc leaving 0-based ``tail`` at ``slot``."""
-        if not 0 <= tail < self.node_count:
-            raise GraphError(f"node index {tail} out of range")
-        if not 0 <= slot < self.degrees[tail]:
-            raise GraphError(f"slot {slot} out of range for node of degree {self.degrees[tail]}")
-        return int(self.arc_offsets[tail] + slot)
-
     def arc_between(self, tail: int, head: int) -> int:
         """Flat index of the arc from 0-based ``tail`` to 0-based ``head``."""
         row = self.adjacency[tail] if 0 <= tail < self.node_count else ()
@@ -164,8 +156,9 @@ class Graph:
         return out
 
     @classmethod
-    def from_edges(cls, edges, node_count: int | None = None) -> "Graph":
-        """Build a graph from 0-based undirected edge pairs.
+    def from_edges(cls, edges) -> "Graph":
+        """Build a graph from 0-based undirected edge pairs on the nodes
+        0..(largest id).
 
         Rejects negative ids, duplicate edges and isolated nodes, and, through
         the construction checks, self-loops and disconnected graphs.
@@ -180,11 +173,8 @@ class Graph:
                 raise GraphError(f"duplicate edge {key[0] + 1}-{key[1] + 1}")
             edge_set.add(key)
             max_node = max(max_node, a, b)
-        n = max_node + 1 if node_count is None else node_count
-        adj: list[list[int]] = [[] for _ in range(n)]
+        adj: list[list[int]] = [[] for _ in range(max_node + 1)]
         for a, b in edge_set:
-            if b >= n:
-                raise GraphError(f"edge endpoint {b + 1} exceeds declared node count {n}")
             adj[a].append(b)
             adj[b].append(a)
         for i, nbrs in enumerate(adj):
@@ -286,7 +276,8 @@ def load_pajek(text: str) -> Graph:
     missing = sorted(set(range(1, n_declared + 1)) - mentioned)
     if missing:
         raise GraphError(f"isolated declared vertex {missing[0]}")
-    return Graph.from_edges([(a - 1, b - 1) for a, b in edges], node_count=n_declared)
+    # every declared vertex is named by an edge, so the largest id is n_declared
+    return Graph.from_edges([(a - 1, b - 1) for a, b in edges])
 
 
 def betti_number(graph: Graph) -> int:

@@ -19,8 +19,9 @@ probability is the sum of squares of its 2k rows, one ``einsum`` per
 class, so |psi|^2 never forms a (D, B) array.
 :meth:`WalkOperator.apply` takes and returns complex states arcs-first in
 the graph's basis order, shape (D,) or (D, B), and packs them into and out
-of the layout around the same step.  Only this module and ``evolution``
-know the layout: ``spectral`` checks its eigenbases through ``apply``.
+of the layout around the same step.  Only this module and ``evolution``'s
+one start builder, where every walk it steps starts, know the layout:
+``spectral`` checks its eigenbases through ``apply``.
 """
 
 from __future__ import annotations

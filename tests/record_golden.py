@@ -2,7 +2,7 @@
 
 Every CLI command runs on ``three_community`` and ``karate`` under both coins;
 ``average`` runs in both modes with and without ``--start``, ``detect`` in
-both modes, and ``evolve`` with and without ``--slot``.  Each document is the
+both modes, and ``evolve`` from nodes 1 and 3.  Each document is the
 command's JSON output, stored as ``tests/golden/<case>.json``.
 
 Run from the repository root:
@@ -34,7 +34,7 @@ def _cases() -> dict[str, list[str]]:
             common = ["--graph", f"builtin:{graph}", "--coin", coin]
             variants = {
                 "evolve": ["evolve", "--start", "1"],
-                "evolve-slot": ["evolve", "--start", "3", "--slot", "2"],
+                "evolve-start3": ["evolve", "--start", "3"],
                 "average": ["average"],
                 "average-start": ["average", "--start", "2"],
                 "average-finite": ["average", "--mode", "average-finite"],

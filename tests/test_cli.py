@@ -1,9 +1,12 @@
 import argparse
 import dataclasses
+import errno
 import json
 import os
 import stat
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,8 @@ from arcwalk.cli import ConfigError, RunConfig, _resolve_mode, main, render, run
 from arcwalk.community import DEFAULT_MARGINAL_BAND
 from arcwalk.io import OutputDocument, _flat, emit_heatmap_csv, format_float
 from arcwalk.spectral import DEFAULT_DEGENERACY_TOL
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_json(config):
@@ -308,8 +313,6 @@ def test_average_csv_matrix(capsys):
         ["sweep", "--graph", "builtin:karate", "--q-list", "0,0.01"],
         ["sweep", "--graph", "builtin:karate", "--q-list", "0.1,x"],
         ["detect", "--graph", "builtin:karate", "--threshold", "nan"],
-        ["evolve", "--graph", "builtin:karate", "--start", "1", "--slot", "16"],
-        ["evolve", "--graph", "builtin:karate", "--start", "1", "--slot", "-1"],
         # non-finite values would be written as Infinity, which is not JSON
         ["detect", "--graph", "builtin:karate", "--threshold", "inf"],
         ["detect", "--graph", "builtin:karate", "--threshold", "1e400"],
@@ -329,6 +332,8 @@ def test_bad_inputs_are_config_errors(argv, capsys):
         ["detect", "--marginal-band", "0.2"],
         ["detect", "--include-t0"],
         ["detect", "--dense-cap", "100"],
+        # every walk starts on all arcs of its node
+        ["evolve", "--slot", "0", "--start", "1"],
     ],
 )
 def test_fixed_constants_are_not_flags(argv, capsys):
@@ -446,10 +451,10 @@ def test_average_start_out_of_range_is_data_error(start, capsys):
     assert f"data error: node {start} out of range 1..34" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("slot", [[], ["--slot", "0"]])
-def test_evolve_start_out_of_range_is_data_error(slot, capsys):
-    assert main(["evolve", "--graph", "builtin:karate", "--start", "35", *slot]) == 3
-    assert "data error: node 35 out of range 1..34" in capsys.readouterr().err
+@pytest.mark.parametrize("start", [0, 35])
+def test_evolve_start_out_of_range_is_data_error(start, capsys):
+    assert main(["evolve", "--graph", "builtin:karate", "--start", str(start)]) == 3
+    assert f"data error: node {start} out of range 1..34" in capsys.readouterr().err
 
 
 def test_average_start_last_node_is_its_row(capsys):
@@ -538,6 +543,41 @@ def test_unwritable_output_is_a_config_error(tmp_path, capsys):
     assert main(argv) == 2
     assert f"arcwalk: config error: cannot write {tmp_path}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_stdout_that_cannot_be_written_is_a_config_error(monkeypatch, capsys):
+    class FullStdout:
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    assert main(["classical", "--graph", "builtin:path(2)", "--start", "1", "--steps", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"arcwalk: config error: cannot write stdout: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_exits_2_with_one_line():
+    # the interpreter flushes stdout again at exit, which must add no error
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    argv = ["classical", "--graph", "builtin:path(2)", "--start", "1", "--steps", "1"]
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "arcwalk.cli", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=120,
+        )
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [
+        f"arcwalk: config error: cannot write stdout: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    ]
 
 
 def test_lost_group_in_exact_fourier_detect_is_a_numerical_error(monkeypatch, capsys):

@@ -14,20 +14,27 @@ from arcwalk.graph import GraphError
 from arcwalk.spectral import grover_average_matrix
 
 
+def one_arc_probabilities(op, arc, steps):
+    """Node probabilities, in node order, at t = 0..steps of the one walk
+    started on basis arc ``arc``."""
+    return [
+        probs[np.argsort(op.node_order), 0].copy()
+        for probs in evolution._node_probabilities(op, op.arc_rows[0, [arc]], [0], 1, steps)
+    ]
+
+
 def test_basis_state(karate, three_community):
     # a walk started on one arc is the delta on its tail at t = 0
     op = aw.build_walk_operator(karate, aw.CoinKind.FOURIER)
-    assert aw.transition_rows(op, 1, 0, slot=0)[0, 0] == 1.0
+    assert one_arc_probabilities(op, 0, 0)[0][0] == 1.0
     op = aw.build_walk_operator(three_community, aw.CoinKind.FOURIER)
-    assert aw.transition_rows(op, 13, 0, slot=2)[0, 12] == 1.0
+    assert one_arc_probabilities(op, three_community.arc_offsets[12] + 2, 0)[0][12] == 1.0
 
 
 def test_basis_state_rejects_bad_arc(karate):
     op = aw.build_walk_operator(karate, aw.CoinKind.FOURIER)
-    with pytest.raises(GraphError):
-        aw.transition_rows(op, 1, 0, slot=99)
-    with pytest.raises(GraphError):
-        aw.transition_rows(op, 0, 0, slot=0)
+    with pytest.raises(GraphError, match="out of range 1..34"):
+        aw.transition_rows(op, 0, 0)
     with pytest.raises(GraphError, match="out of range 1..34"):
         aw.transition_rows(op, 35, 0)
 
@@ -48,11 +55,11 @@ def test_one_step_matches_dense_oracle():
     g = aw.builtin("cycle(3)")
     op = aw.build_walk_operator(g, aw.CoinKind.FOURIER)
     u = aw.materialize_dense(op)
-    oracle = u[:, g.arc_index(0, 0)]
+    oracle = u[:, g.arc_offsets[0]]
     expected = np.add.reduceat(np.abs(oracle) ** 2, g.arc_offsets[:-1])
-    rows = aw.transition_rows(op, 1, 1, slot=0)
-    assert rows.shape == (2, 3)
-    assert np.allclose(rows[1], expected, atol=1e-12)
+    probs = one_arc_probabilities(op, g.arc_offsets[0], 1)
+    assert len(probs) == 2
+    assert np.allclose(probs[1], expected, atol=1e-12)
 
 
 def test_transition_row_t0_is_identity(karate):
@@ -72,7 +79,7 @@ def test_transition_matches_matrix_power(t):
     k = 2
     expected = np.zeros(4)
     for j in range(k):
-        col = ut[:, g.arc_index(0, j)]
+        col = ut[:, g.arc_offsets[0] + j]
         expected += np.add.reduceat(np.abs(col) ** 2, g.arc_offsets[:-1]) / k
     rows = aw.transition_rows(op, 1, t)
     assert rows.shape == (t + 1, 4)
@@ -328,15 +335,13 @@ def test_transition_matches_row_layout_oracle(karate, t):
         assert np.abs(rows[t] - expected).max() <= 1e-12
 
 
-@pytest.mark.parametrize("slot", [None, 2])
-def test_cli_evolve_matches_row_layout_oracle(karate, slot):
-    config = RunConfig(command="evolve", graph_source="builtin:karate", start=3, slot=slot, steps=9)
+@pytest.mark.parametrize("kind", list(aw.CoinKind))
+def test_cli_evolve_matches_row_layout_oracle(karate, kind):
+    # node 3 has degree 10, so a real (Grover) coin packs its walks into 5 columns
+    config = RunConfig(command="evolve", graph_source="builtin:karate", coin=kind.value, start=3, steps=9)
     rows = run(config).payload["rows"]
-    u = aw.materialize_dense(aw.build_walk_operator(karate, aw.CoinKind.FOURIER))
-    arcs = node_arcs(karate, 3)
-    if slot is not None:
-        arcs = arcs[slot : slot + 1]
-    expected = row_layout_steps(karate, u, arcs, 9)
+    u = aw.materialize_dense(aw.build_walk_operator(karate, kind))
+    expected = row_layout_steps(karate, u, node_arcs(karate, 3), 9)
     assert [row["t"] for row in rows] == list(range(10))
     for row, probs in zip(rows, expected):
         assert np.abs(row["probability"] - probs.mean(axis=0)).max() <= 1e-12

@@ -216,11 +216,11 @@ def test_dangling_bond_behavior():
     # deterministically reversed; the neighbor's coin decides what returns
     g = aw.builtin("path(3)")
     # start on arc 1 -> 2, node 1 dangling
-    rows = aw.transition_rows(aw.build_walk_operator(g, aw.CoinKind.GROVER), 1, 2, slot=0)
+    rows = aw.transition_rows(aw.build_walk_operator(g, aw.CoinKind.GROVER), 1, 2)
     assert rows[1, 1] == 1.0  # now on arc 2 -> 1
     assert rows[2, 2] == pytest.approx(1.0)  # swap coin passes through
 
-    rows = aw.transition_rows(aw.build_walk_operator(g, aw.CoinKind.FOURIER), 1, 2, slot=0)
+    rows = aw.transition_rows(aw.build_walk_operator(g, aw.CoinKind.FOURIER), 1, 2)
     assert rows[2, 0] == pytest.approx(0.5)  # half the amplitude returns toward node 1
     assert rows[2, 2] == pytest.approx(0.5)
 
