@@ -28,7 +28,7 @@ from .community import (
 )
 from .evolution import DEFAULT_AVERAGE_STEPS, average_rows, transition_rows
 from .graph import Graph, GraphError, betti_number, builtin, is_bipartite, load_edge_list, load_pajek
-from .io import OutputDocument, emit_heatmap_csv, format_float, write_atomic
+from .io import OutputDocument, csv_table, write_atomic
 from .operators import CoinKind, DenseCapExceeded, build_walk_operator
 from .spectral import (
     DEFAULT_DEGENERACY_TOL,
@@ -270,58 +270,43 @@ def run(config: RunConfig) -> OutputDocument:
     return OutputDocument(_metadata(config, graph, parameters), payload)
 
 
-def _csv_evolve(doc: OutputDocument) -> list[str]:
-    n = doc.metadata["graph"]["nodes"]
-    header = "t,kind," + ",".join(str(i) for i in range(1, n + 1))
-    lines = [header]
-    for row in doc.payload["rows"]:
-        for kind in ("probability", "normalized"):
-            values = ",".join(format_float(v) for v in row[kind])
-            lines.append(f"{row['t']},{kind},{values}")
-    return lines
+# each renderer returns the header and the rows of its command's CSV table,
+# from the payload and the node ids 1..N
+def _csv_evolve(payload: dict, ids: range):
+    kinds = ("probability", "normalized")
+    rows = ([row["t"], kind, *row[kind]] for row in payload["rows"] for kind in kinds)
+    return ["t", "kind", *ids], rows
 
 
-def _csv_average(doc: OutputDocument) -> list[str]:
-    ids = list(range(1, doc.metadata["graph"]["nodes"] + 1))
-    rows = [doc.payload["start"]] if "start" in doc.payload else ids
-    return emit_heatmap_csv(np.atleast_2d(doc.payload["normalized"]), rows, ids).splitlines()
+def _csv_average(payload: dict, ids: range):
+    starts = [payload["start"]] if "start" in payload else ids
+    rows = zip(starts, np.atleast_2d(payload["normalized"]))
+    return ["l", *ids], ([start, *row] for start, row in rows)
 
 
-def _csv_spectrum(doc: OutputDocument) -> list[str]:
-    lines = ["mu,re,im"]
-    for mu, v in enumerate(doc.payload["eigenvalues"]):
-        lines.append(f"{mu},{format_float(v.real)},{format_float(v.imag)}")
-    return lines
+def _csv_spectrum(payload: dict, ids: range):
+    rows = ([mu, v.real, v.imag] for mu, v in enumerate(payload["eigenvalues"]))
+    return ["mu", "re", "im"], rows
 
 
-def _csv_detect(doc: OutputDocument) -> list[str]:
-    lines = ["node,community,hub,margin,marginal"]
-    flagged = {(m["node"], m["hub"]): m for m in doc.payload["margins"]}
-    for node, comm in sorted(doc.payload["assignment"].items(), key=lambda kv: int(kv[0])):
-        hub = doc.payload["hubs"][comm]
+def _csv_detect(payload: dict, ids: range):
+    flagged = {(m["node"], m["hub"]): m for m in payload["margins"]}
+    rows = []
+    for node, comm in sorted(payload["assignment"].items(), key=lambda kv: int(kv[0])):
+        hub = payload["hubs"][comm]
         entry = flagged[(int(node), hub)]
-        lines.append(
-            f"{node},{comm},{hub},{format_float(entry['margin'])},{entry['marginal']}"
-        )
-    return lines
+        rows.append([node, comm, hub, entry["margin"], entry["marginal"]])
+    return ["node", "community", "hub", "margin", "marginal"], rows
 
 
-def _csv_sweep(doc: OutputDocument) -> list[str]:
-    lines = ["q,count,sizes"]
-    for entry in doc.payload["entries"]:
-        sizes = ";".join(str(s) for s in entry["sizes"])
-        lines.append(f"{format_float(entry['q'])},{entry['count']},{sizes}")
-    return lines
+def _csv_sweep(payload: dict, ids: range):
+    rows = ([e["q"], e["count"], ";".join(map(str, e["sizes"]))] for e in payload["entries"])
+    return ["q", "count", "sizes"], rows
 
 
-def _csv_classical(doc: OutputDocument) -> list[str]:
-    n = doc.metadata["graph"]["nodes"]
-    header = "t,tv," + ",".join(str(i) for i in range(1, n + 1))
-    lines = [header]
-    for row in doc.payload["trace"]:
-        values = ",".join(format_float(v) for v in row["probability"])
-        lines.append(f"{row['t']},{format_float(row['tv_to_stationary'])},{values}")
-    return lines
+def _csv_classical(payload: dict, ids: range):
+    rows = ([r["t"], r["tv_to_stationary"], *r["probability"]] for r in payload["trace"])
+    return ["t", "tv", *ids], rows
 
 
 _CSV_RENDERERS = {
@@ -337,8 +322,9 @@ _CSV_RENDERERS = {
 def render(doc: OutputDocument, fmt: str) -> str:
     if fmt == "json":
         return doc.to_json()
-    command = doc.metadata["command"]
-    lines = doc.metadata_comment_lines() + _CSV_RENDERERS[command](doc)
+    renderer = _CSV_RENDERERS[doc.metadata["command"]]
+    ids = range(1, doc.metadata["graph"]["nodes"] + 1)
+    lines = doc.metadata_comment_lines() + csv_table(*renderer(doc.payload, ids))
     return "\n".join(lines) + "\n"
 
 
@@ -361,7 +347,8 @@ def _build_parser() -> argparse.ArgumentParser:
             required=True,
             help="builtin:NAME | edgelist:PATH | pajek:PATH",
         )
-        p.add_argument("--coin", choices=["fourier", "grover"])
+        if name != "classical":  # a classical random walk has no coin
+            p.add_argument("--coin", choices=["fourier", "grover"])
         p.add_argument("--output", help="output path (default: stdout)")
         p.add_argument("--format", choices=["json", "csv"])
         return p

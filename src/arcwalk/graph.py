@@ -183,6 +183,28 @@ class Graph:
         return cls(tuple(tuple(sorted(nbrs)) for nbrs in adj))
 
 
+def _records(text: str, comment: str):
+    """(line number, tokens, stripped line) of each line not blank or a comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith(comment):
+            yield lineno, line.split(), line
+
+
+def _edge_ids(lineno: int, parts: list[str], line: str, positive: bool = False) -> tuple[int, int]:
+    """The two node ids that open an edge record; with ``positive``, ids
+    below 1 are refused before a self-loop is."""
+    try:
+        a, b = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise GraphError(f"line {lineno}: non-integer node id in {line!r}") from None
+    if positive and (a < 1 or b < 1):
+        raise GraphError(f"line {lineno}: node ids must be positive")
+    if a == b:
+        raise GraphError(f"line {lineno}: self-loop at node {a}")
+    return a, b
+
+
 def load_edge_list(text: str) -> Graph:
     """Parse a whitespace-separated, 1-indexed edge list.
 
@@ -191,21 +213,10 @@ def load_edge_list(text: str) -> Graph:
     """
     raw_edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, parts, line in _records(text, "#"):
         if len(parts) != 2:
             raise GraphError(f"line {lineno}: expected two node ids, got {line!r}")
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphError(f"line {lineno}: non-integer node id in {line!r}") from None
-        if a < 1 or b < 1:
-            raise GraphError(f"line {lineno}: node ids must be positive")
-        if a == b:
-            raise GraphError(f"line {lineno}: self-loop at node {a}")
+        a, b = _edge_ids(lineno, parts, line, positive=True)
         key = (min(a, b), max(a, b))
         if key in seen:
             raise GraphError(f"line {lineno}: duplicate edge {a}-{b}")
@@ -224,15 +235,11 @@ def load_pajek(text: str) -> Graph:
     Both ``*Edges`` and ``*Arcs`` sections are treated symmetrically and
     any weight column is discarded.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
     n_declared: int | None = None
     edges: list[tuple[int, int]] = []
     edge_seen: set[tuple[int, int]] = set()
     section = None
-    for lineno, line in enumerate(lines, start=1):
-        if not line or line.startswith("%"):
-            continue
-        parts = line.split()
+    for lineno, parts, line in _records(text, "%"):
         # the whole first token, so that *Edgeslist and *Arcslist (one node
         # and its neighbours per line) are not read as (a, b) pairs
         header = parts[0].lower()
@@ -253,12 +260,7 @@ def load_pajek(text: str) -> Graph:
         elif section == "edges":
             if len(parts) < 2:
                 raise GraphError(f"line {lineno}: malformed edge record {line!r}")
-            try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphError(f"line {lineno}: non-integer node id in {line!r}") from None
-            if a == b:
-                raise GraphError(f"line {lineno}: self-loop at node {a}")
+            a, b = _edge_ids(lineno, parts, line)
             if not (1 <= a <= n_declared and 1 <= b <= n_declared):
                 raise GraphError(
                     f"line {lineno}: node id outside declared range 1..{n_declared}"

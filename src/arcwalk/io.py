@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["OutputDocument", "emit_heatmap_csv", "format_float", "write_atomic"]
+__all__ = ["OutputDocument", "csv_table", "format_float", "write_atomic"]
 
 
 def _round12(x: float) -> float:
@@ -60,8 +60,8 @@ class OutputDocument:
 
 
 def _header_text(value) -> str:
-    """A metadata value as the CSV header writes it: floats, in lists too,
-    as the JSON document writes them."""
+    """A metadata value or a table cell as the CSV output writes it: floats,
+    in lists too, as the JSON document writes them."""
     if isinstance(value, (np.floating, float)):
         return format_float(value)
     if isinstance(value, list):
@@ -78,15 +78,11 @@ def _flat(meta: dict, prefix: str = ""):
             yield name, value
 
 
-def emit_heatmap_csv(matrix: np.ndarray, row_ids, col_ids) -> str:
-    """Labeled CSV of a matrix: header of target ids, one row per initial node."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape != (len(row_ids), len(col_ids)):
-        raise ValueError("matrix shape does not match the id labels")
-    lines = [",".join(["l"] + [str(c) for c in col_ids])]
-    for rid, row in zip(row_ids, matrix):
-        lines.append(",".join([str(rid)] + [format_float(v) for v in row]))
-    return "\n".join(lines)
+def csv_table(header, rows) -> list[str]:
+    """CSV lines of a header and rows of cells, each cell written as a '#'
+    metadata value is: a float as the JSON document writes it, anything
+    else with ``str``."""
+    return [",".join(_header_text(cell) for cell in row) for row in [header, *rows]]
 
 
 def write_atomic(path: str, text: str) -> None:

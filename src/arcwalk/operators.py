@@ -18,10 +18,12 @@ Grover block, and the Fourier k = 1 block) applies its k x k block to the
 probability is the sum of squares of its 2k rows, one ``einsum`` per
 class, so |psi|^2 never forms a (D, B) array.
 :meth:`WalkOperator.apply` takes and returns complex states arcs-first in
-the graph's basis order, shape (D,) or (D, B), and packs them into and out
-of the layout around the same step.  Only this module and ``evolution``'s
-one start builder, where every walk it steps starts, know the layout:
-``spectral`` checks its eigenbases through ``apply``.
+the graph's basis order, shape (D,) or (D, B), and applies the complex coin
+blocks to them directly, fan class by fan class, writing each result to the
+reverse arcs; :func:`materialize_dense` is ``apply`` on the identity.  Only
+this module and ``evolution``'s one start builder, where every walk it steps
+starts, know the real layout: ``spectral`` checks its eigenbases through
+``apply``.
 """
 
 from __future__ import annotations
@@ -154,10 +156,11 @@ class WalkOperator:
         if psi.shape[0] != self.dimension:
             raise ValueError(f"state dimension {psi.shape[0]} does not match D={self.dimension}")
         columns = psi.reshape(self.dimension, -1)
-        x = np.empty((2 * self.dimension, columns.shape[1]))
-        x[self.arc_rows[0]], x[self.arc_rows[1]] = columns.real, columns.imag
-        self.step_classed(x, np.empty_like(x))
-        return (x[self.arc_rows[0]] + 1j * x[self.arc_rows[1]]).reshape(psi.shape)
+        out = np.empty(columns.shape, dtype=complex)
+        # (U psi)[rev a] = (C_k psi)[a] for the arcs a of each fan of degree k
+        for arcs in self.graph.fan_classes:
+            out[self.shift[arcs]] = self.blocks[arcs.shape[1]] @ columns[arcs]
+        return out.reshape(psi.shape)
 
     def apply_amplitudes(self, psi: np.ndarray) -> np.ndarray:
         """Apply U to amplitude vector(s) of shape (..., D)."""
@@ -174,12 +177,7 @@ def _check_cap(op: WalkOperator) -> None:
 
 
 def materialize_dense(op: WalkOperator) -> np.ndarray:
-    """Dense D x D matrix of the walk unitary; refused above ``DENSE_CAP`` arcs.
-
-    Its only nonzeros are U[rev a, b] = C_k[slot a, slot b] for the arcs a, b
-    of one node of degree k, written in place; no command builds it."""
+    """Dense D x D matrix of the walk unitary, U applied to the identity;
+    refused above ``DENSE_CAP`` arcs.  No command builds it."""
     _check_cap(op)
-    u = np.zeros((op.dimension, op.dimension), dtype=complex)
-    for arcs in op.graph.fan_classes:
-        u[op.shift[arcs][:, :, None], arcs[:, None, :]] = op.blocks[arcs.shape[1]]
-    return u
+    return op.apply(np.eye(op.dimension, dtype=complex))

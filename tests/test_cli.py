@@ -14,7 +14,7 @@ import pytest
 from arcwalk import cli, evolution, operators
 from arcwalk.cli import ConfigError, RunConfig, _resolve_mode, main, render, run
 from arcwalk.community import DEFAULT_MARGINAL_BAND
-from arcwalk.io import OutputDocument, _flat, emit_heatmap_csv, format_float
+from arcwalk.io import OutputDocument, _flat, csv_table, format_float
 from arcwalk.spectral import DEFAULT_DEGENERACY_TOL
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -24,18 +24,15 @@ def run_json(config):
     return json.loads(render(run(config), "json"))
 
 
-def test_emit_heatmap_identity():
-    csv = emit_heatmap_csv(np.eye(2), [1, 2], [1, 2])
-    assert csv == "l,1,2\n1,1.0,0.0\n2,0.0,1.0"
-
-
-def test_emit_heatmap_three_community(three_fourier_avg):
-    _, norm = three_fourier_avg
-    ids = list(range(1, 22))
-    csv = emit_heatmap_csv(norm, ids, ids)
-    lines = csv.splitlines()
-    assert len(lines) == 22
-    assert lines[0] == "l," + ",".join(str(i) for i in range(1, 22))
+def test_csv_table_writes_cells_as_the_header_does():
+    # floats as the JSON document writes them, numpy ones too; the rest with str
+    rows = [[1, "probability", np.float64(1 / 156), 0.0], [2, True, 1e-14, np.int64(3)]]
+    assert csv_table(["t", "kind", 1, 2], iter(rows)) == [
+        "t,kind,1,2",
+        "1,probability,0.00641025641026,0.0",
+        "2,True,1e-14,3",
+    ]
+    assert csv_table(["l"], []) == ["l"]
 
 
 def test_format_float_sig_digits():
@@ -334,6 +331,8 @@ def test_bad_inputs_are_config_errors(argv, capsys):
         ["detect", "--dense-cap", "100"],
         # every walk starts on all arcs of its node
         ["evolve", "--slot", "0", "--start", "1"],
+        # a classical random walk has no coin
+        ["classical", "--coin", "grover", "--start", "1"],
     ],
 )
 def test_fixed_constants_are_not_flags(argv, capsys):

@@ -11,14 +11,19 @@ Spectrum eigenvalues are compared with their IPRs as (eigenvalue, IPR) pairs
 sorted by argument: the eigensolver's order is arbitrary, and each member of
 a degenerate group reports the IPR of the group's mean node profile, which
 does not depend on the basis chosen inside the group.
+
+The CSV gate compares the ``--format csv`` output of one case per layout with
+``tests/golden/csv/``: ``#`` metadata lines and non-numeric cells exactly,
+numeric cells as decimals within the same 1e-12.  Spectrum rows are compared
+in the same argument order, each row renumbered by its place in it.
 """
 
 import cmath
 import math
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 
 import pytest
-from record_golden import CASES, GOLDEN_DIR, cli_document, strict_json
+from record_golden import CASES, CSV_CASES, CSV_DIR, GOLDEN_DIR, cli_document, cli_text, strict_json
 
 FLOAT_ATOL = Decimal("1e-12")
 
@@ -69,6 +74,38 @@ def test_matches_golden(case):
 
 def test_every_golden_document_has_a_case():
     assert sorted(p.stem for p in GOLDEN_DIR.glob("*.json")) == sorted(CASES)
+
+
+def _cell(text: str):
+    try:
+        value = Decimal(text)
+    except InvalidOperation:
+        return text
+    return value if value.is_finite() else text
+
+
+def _csv_rows(text: str) -> tuple[list[str], list[list]]:
+    lines = text.splitlines()
+    comments = [line for line in lines if line.startswith("#")]
+    rows = [[_cell(c) for c in line.split(",")] for line in lines[len(comments):]]
+    if rows[0] == ["mu", "re", "im"]:
+        body = sorted(rows[1:], key=lambda row: _angle({"re": float(row[1]), "im": float(row[2])}))
+        rows = rows[:1] + [[mu, re, im] for mu, (_, re, im) in enumerate(body)]
+    return comments, rows
+
+
+@pytest.mark.parametrize("case", sorted(CSV_CASES))
+def test_csv_matches_golden(case):
+    ref_comments, ref_rows = _csv_rows((CSV_DIR / f"{case}.csv").read_text())
+    got_comments, got_rows = _csv_rows(cli_text(CSV_CASES[case]))
+    assert got_comments == ref_comments
+    mismatches: list[str] = []
+    _diff(ref_rows, got_rows, "csv", mismatches)
+    assert not mismatches, "\n".join(mismatches[:20])
+
+
+def test_every_golden_csv_has_a_case():
+    assert sorted(p.stem for p in CSV_DIR.glob("*.csv")) == sorted(CSV_CASES)
 
 
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])

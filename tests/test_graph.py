@@ -97,6 +97,25 @@ def test_pajek_rejects(text, fragment):
         aw.load_pajek(text)
 
 
+@pytest.mark.parametrize(
+    "load,text,message",
+    [
+        # line numbers count the blank and comment lines the readers skip
+        (aw.load_edge_list, "# ids\n\n1 x\n", "line 3: non-integer node id in '1 x'"),
+        (aw.load_edge_list, "1 2\n2 2\n", "line 2: self-loop at node 2"),
+        # an edge list refuses an id below 1 before a self-loop
+        (aw.load_edge_list, "0 0\n", "line 1: node ids must be positive"),
+        (aw.load_pajek, "% ids\n*Vertices 2\n\n*Edges\n1 2.5 1\n", "line 5: non-integer node id in '1 2.5 1'"),
+        (aw.load_pajek, "*Vertices 2\n*Edges\n2 2 1.0\n", "line 3: self-loop at node 2"),
+        (aw.load_pajek, "*Vertices 2\n*Edges\n0 0\n", "line 3: self-loop at node 0"),
+    ],
+)
+def test_loaders_share_their_edge_record_errors(load, text, message):
+    with pytest.raises(GraphError) as info:
+        load(text)
+    assert str(info.value) == message
+
+
 def test_karate_dimensions(karate):
     assert karate.node_count == 34
     assert karate.arc_count == 156
