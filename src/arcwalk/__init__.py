@@ -13,6 +13,7 @@ from .classical import relaxation_trace, stationary
 from .community import CommunityPartition, MarginEntry, detect, margin_report, sweep
 from .evolution import average_rows, finite_time_average_matrix, transition_rows
 from .graph import (
+    ConfigError,
     Graph,
     GraphError,
     betti_number,
@@ -40,6 +41,7 @@ __all__ = [
     "__version__",
     "Graph",
     "GraphError",
+    "ConfigError",
     "load_edge_list",
     "load_pajek",
     "betti_number",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph
+from .graph import ConfigError, Graph
 
 __all__ = ["stationary", "relaxation_trace"]
 
@@ -30,10 +30,10 @@ def relaxation_trace(graph: Graph, start: int, steps: int) -> tuple[np.ndarray, 
     Returns the (steps, N) distributions at t = 1..steps and the (steps,)
     total-variation distance to the stationary distribution at each step.
     Convergence claims only make sense on non-bipartite graphs, where the
-    walk is aperiodic.
+    walk is aperiodic.  Raises :class:`ConfigError` for ``steps`` below 1.
     """
     if steps < 1:
-        raise ValueError("trace needs at least one step")
+        raise ConfigError("trace needs at least one step")
     graph.degree(start)  # raises GraphError for a node out of range
     n = graph.node_count
     trace = np.empty((steps, n))

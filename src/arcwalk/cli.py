@@ -4,9 +4,12 @@ One command is one process; results are emitted as JSON or CSV documents
 with a metadata block, written atomically when an output path is given.
 Exit codes: 2 for configuration errors (an output path or a stdout that
 cannot be written among them), 3 for data errors, 4 for numerical
-failures; ``main`` alone words them.  The averaging commands check their
-options and take the parameter record and the rows of (p, P) they read
-from ``evolution.average_rows``, the library's one averaging entry.
+failures; ``main`` alone words them.  The library refuses a bad averaging
+mode or window, threshold, threshold list or step count with
+``graph.ConfigError``, re-exported here, before it computes anything; the
+CLI checks only the command, the format, the output path, the graph
+source's scheme, the coin name, the text of ``--threshold`` and
+``--q-list``, whether ``--start`` is given, and ``steps >= 0``.
 """
 
 from __future__ import annotations
@@ -20,14 +23,9 @@ import numpy as np
 
 from . import __version__
 from .classical import relaxation_trace, stationary
-from .community import (
-    DEFAULT_MARGINAL_BAND,
-    detect,
-    margin_report,
-    sweep,
-)
+from .community import DEFAULT_MARGINAL_BAND, detect, margin_report, sweep
 from .evolution import DEFAULT_AVERAGE_STEPS, average_rows, transition_rows
-from .graph import Graph, GraphError, betti_number, builtin, is_bipartite, load_edge_list, load_pajek
+from .graph import ConfigError, Graph, GraphError, betti_number, builtin, is_bipartite, load_edge_list, load_pajek
 from .io import OutputDocument, csv_table, write_atomic
 from .operators import CoinKind, DenseCapExceeded, build_walk_operator
 from .spectral import (
@@ -45,10 +43,6 @@ __all__ = ["RunConfig", "ConfigError", "run", "main"]
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
-
-
-class ConfigError(ValueError):
-    """Invalid run configuration."""
 
 
 @dataclass
@@ -91,20 +85,6 @@ def _coin_kind(name: str) -> CoinKind:
         raise ConfigError(f"unknown coin {name!r}; choose fourier or grover") from None
 
 
-def _resolve_mode(config: RunConfig) -> str:
-    """The averaging mode, once the options that average_rows would
-    refuse with a ValueError are checked."""
-    if config.mode not in ("average-finite", "average-infinite"):
-        raise ConfigError(f"unknown averaging mode {config.mode!r}")
-    if config.mode == "average-finite" and config.steps < 1:
-        raise ConfigError("average-finite needs --steps of at least 1")
-    return config.mode
-
-
-def _averages(config: RunConfig, graph: Graph):
-    return average_rows(graph, _coin_kind(config.coin), _resolve_mode(config), config.steps)
-
-
 def _normalized(rows):
     return lambda nodes: rows(nodes)[1]
 
@@ -113,12 +93,9 @@ def _threshold(config: RunConfig, graph: Graph) -> float:
     if config.threshold == "auto":
         return 1.0 / graph.arc_count
     try:
-        q = float(config.threshold)
+        return float(config.threshold)
     except ValueError:
         raise ConfigError(f"threshold must be a number or 'auto', got {config.threshold!r}") from None
-    if not (np.isfinite(q) and q > 0):
-        raise ConfigError(f"threshold must be finite and positive, got {config.threshold!r}")
-    return q
 
 
 def _metadata(config: RunConfig, graph: Graph, parameters: dict) -> dict:
@@ -152,7 +129,7 @@ def _run_evolve(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
 def _run_average(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
     if config.start is not None:
         graph.degree(config.start)  # raises GraphError for a node out of range
-    params, rows = _averages(config, graph)
+    params, rows = average_rows(graph, _coin_kind(config.coin), config.mode, config.steps)
     if config.start is None:
         p, norm = rows(slice(None))
         ids = list(range(1, graph.node_count + 1))
@@ -188,10 +165,10 @@ def _run_spectrum(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
 
 
 def _run_detect(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
-    params, rows = _averages(config, graph)
+    params, rows = average_rows(graph, _coin_kind(config.coin), config.mode, config.steps)
     q = _threshold(config, graph)
     norm = _normalized(rows)
-    partition = detect(norm, graph, q, source=params["mode"])
+    partition = detect(norm, graph, q)
     margins = margin_report(norm, partition)
     payload = {
         "threshold": q,
@@ -210,12 +187,7 @@ def _run_detect(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
 
 
 def _run_sweep(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
-    if not config.q_list:
-        raise ConfigError("sweep requires --q-list")
-    qs = list(config.q_list)
-    if not all(np.isfinite(q) and q > 0 for q in qs) or qs != sorted(qs):
-        raise ConfigError("--q-list must hold finite positive thresholds in ascending order")
-    params, rows = _averages(config, graph)
+    params, rows = average_rows(graph, _coin_kind(config.coin), config.mode, config.steps)
     entries = sweep(_normalized(rows), graph, config.q_list)
     payload = {
         "entries": [
@@ -228,8 +200,6 @@ def _run_sweep(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
 def _run_classical(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
     if config.start is None:
         raise ConfigError("classical requires --start")
-    if config.steps < 1:
-        raise ConfigError("classical needs --steps of at least 1")
     trace, tv = relaxation_trace(graph, config.start, config.steps)
     flat = stationary(graph)
     payload = {

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import ConfigError, Graph
 
 __all__ = [
     "CommunityPartition",
@@ -87,12 +87,14 @@ def _rows(matrix, nodes: np.ndarray) -> np.ndarray:
 def detect(matrix, graph: Graph, threshold: float, source: str = "average") -> CommunityPartition:
     """Partition the graph given the N x N normalized average matrix, or a
     callable from 0-based node indices to those rows of it, which is asked
-    for the candidates in batches of 8, 16, 32, ... until all are assigned."""
+    for the candidates in batches of 8, 16, 32, ... until all are assigned.
+    Raises :class:`ConfigError` before reading a row unless the threshold is
+    finite and positive."""
     n = graph.node_count
     if not callable(matrix) and np.shape(matrix) != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got {np.shape(matrix)}")
-    if not threshold > 0:
-        raise ValueError("threshold must be positive")
+    if not (np.isfinite(threshold) and threshold > 0):
+        raise ConfigError(f"threshold must be finite and positive, got {threshold}")
     order = _candidate_order(graph)
     rows: list[np.ndarray] = []
     assignment: dict[int, int] = {}
@@ -124,16 +126,15 @@ def detect(matrix, graph: Graph, threshold: float, source: str = "average") -> C
 
 
 def sweep(matrix, graph: Graph, thresholds) -> tuple[tuple[float, int, tuple[int, ...]], ...]:
-    """Run detection per threshold; thresholds must be ascending.
-
-    ``matrix`` is what :func:`detect` takes, asked again per threshold.
-    Returns one (q, community count, community sizes) entry per threshold.
-    """
+    """One (q, community count, community sizes) entry per threshold, from a
+    detection per threshold; ``matrix`` is what :func:`detect` takes, asked
+    again per threshold.  Raises :class:`ConfigError` before the first
+    detection unless the thresholds are finite, positive and ascending."""
     values = [float(q) for q in thresholds]
     if not values:
-        raise ValueError("threshold list is empty")
-    if any(b < a for a, b in zip(values, values[1:])):
-        raise ValueError("threshold list must be ascending")
+        raise ConfigError("threshold list is empty")
+    if not all(np.isfinite(q) and q > 0 for q in values) or values != sorted(values):
+        raise ConfigError(f"thresholds must be finite, positive and ascending, got {values}")
     entries = []
     for q in values:
         part = detect(matrix, graph, q)

@@ -14,11 +14,11 @@ and yields its (N, B) node probabilities at t = 0..T, rows in the
 operator's ``node_order``.  Two folds over it return arrays in node order:
 :func:`transition_rows`, the rows p(i -> l; t) of one start node at every
 t, and ``_window_rows``, their mean over the window t = 1..T for any set of
-start nodes, stepping only those nodes' start arcs;
-:func:`finite_time_average_matrix` calls it for all nodes.  Its columns are
-split into balanced chunks and stepped on one thread per usable core, while
-every node's real GEMM stays small enough for BLAS to run it on the calling
-thread: (2k)^2 B below ``_SERIAL_GEMM`` (2^18).  numpy releases
+start nodes, stepping only those nodes' start arcs, all of them for
+:func:`finite_time_average_matrix` (through :func:`average_rows`).  Its
+columns are split into balanced chunks and stepped on one thread per usable
+core, while every node's real GEMM stays small enough for BLAS to run it on
+the calling thread: (2k)^2 B below ``_SERIAL_GEMM`` (2^18).  numpy releases
 the GIL in the GEMMs, gathers and ``einsum`` folds of a step.  Each thread
 holds about 32 D B bytes for a chunk of B columns, two (2D, B) float64
 arrays, and all chunks in flight together hold at most ``_CHUNK_ARCS``
@@ -30,7 +30,9 @@ groups of ``_ALIGN`` columns, so a row is bit-identical in every batch.
 
 :func:`average_rows` is the one averaging entry: it alone picks the
 averaging kernel for every caller, this stepping or one of ``spectral``'s
-exact kernels, and hands out the rows of (p, P) on demand.
+exact kernels, and hands out the rows of (p, P) on demand.  It checks its
+options at the call and computes nothing until a row is read, so a bad
+option is refused before any eigensolver or stepping runs.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import threading
 
 import numpy as np
 
-from .graph import Graph
+from .graph import ConfigError, Graph
 from .operators import CoinKind, WalkOperator, build_walk_operator
 from .spectral import _transition_matrices, grover_average_matrix, infinite_time_average_matrix, walk_decompose
 
@@ -115,10 +117,11 @@ def transition_rows(op: WalkOperator, node: int, steps: int) -> np.ndarray:
     """p(node -> l; t) for t = 0..steps as a (steps + 1, N) array.
 
     ``node`` is 1-based.  The walk starts on each outgoing arc of ``node``,
-    weighted 1/k (module docstring).
+    weighted 1/k (module docstring).  Raises :class:`ConfigError` for
+    negative ``steps``.
     """
     if steps < 0:
-        raise ValueError("step count must be non-negative")
+        raise ConfigError("step count must be non-negative")
     degree = op.graph.degree(node)
     rows, columns, _, widths = _starts(op, np.array([node - 1]))
     out = np.empty((steps + 1, op.graph.node_count))
@@ -204,17 +207,13 @@ def _window_rows(op: WalkOperator, nodes: np.ndarray, steps: int) -> tuple[np.nd
     return _transition_matrices(block[:, np.argsort(op.node_order)], graph, nodes)
 
 
-def finite_time_average_matrix(
-    op: WalkOperator, steps: int = DEFAULT_AVERAGE_STEPS
-) -> tuple[np.ndarray, np.ndarray]:
+def finite_time_average_matrix(op: WalkOperator, steps: int = DEFAULT_AVERAGE_STEPS) -> tuple[np.ndarray, np.ndarray]:
     """Time-averaged (p, P) matrices over all start nodes, two (N, N) arrays
     indexed [start, target], over the window t = 1..steps (module docstring).
     The t = 0..steps mean of p is (steps p + I) / (steps + 1), since t = 0
     only weights the diagonal.  Raises :class:`SpectralError` unless every
     row of p sums to 1 within 1e-10."""
-    if steps < 1:
-        raise ValueError("averaging window must contain at least one step")
-    return _window_rows(op, np.arange(op.graph.node_count), steps)
+    return average_rows(op.graph, op.coin, "average-finite", steps)[1](slice(None))
 
 
 def average_rows(graph: Graph, coin: CoinKind, mode: str = "average-infinite", steps: int = DEFAULT_AVERAGE_STEPS):
@@ -222,48 +221,53 @@ def average_rows(graph: Graph, coin: CoinKind, mode: str = "average-infinite", s
     of the ``coin`` walk on ``graph``, and a function from 0-based node
     indices, or a slice, to those rows of p and P, indexed [start, target],
     as new arrays that the caller owns: ``rows(slice(None))`` gives both
-    whole matrices.
+    whole matrices.  The call only builds the record, after raising
+    :class:`ConfigError` for another mode or for ``steps`` below 1 in finite
+    mode; rows are computed in ``rows`` calls, where :class:`SpectralError`
+    and :class:`DenseCapExceeded` surface.
 
-    "average-infinite" is the exact Cesaro limit, computed here for all
-    nodes: in node space for the Grover coin, and from the eigenvectors of
-    the D x D U' = Q^T C Q, refused above ``DENSE_CAP`` arcs, for the Fourier
-    coin, where a ``detect`` at D = 4,232 took 24.1 s and 734 MB on 2 cores
-    (46664ce).  "average-finite" averages over t = 1..steps, which the
-    record's ``window_start`` of 1 states, and steps only the nodes asked for
-    that no earlier call stepped: ``detect`` steps the candidates it visits,
-    ``sweep`` those of all its thresholds, ``average --start i`` node i
-    alone.  It is far cheaper at D = 4,232, but another answer, not a faster
-    exact one: T = 100 flips 668 of the 4,316 threshold decisions in that
-    graph's 13 highest-degree rows.  Raises ValueError for another mode, or
-    for ``steps`` below 1 in finite mode.
+    "average-infinite" is the exact Cesaro limit, computed for all nodes at
+    the first read: in node space for the Grover coin, and from the
+    eigenvectors of the D x D U' = Q^T C Q, refused above ``DENSE_CAP`` arcs,
+    for the Fourier coin, where a ``detect`` at D = 4,232 took 24.1 s and
+    734 MB on 2 cores (46664ce).  "average-finite" averages over t =
+    1..steps, which the record's ``window_start`` of 1 states, and steps
+    only the nodes asked for that no earlier call stepped: ``detect`` steps
+    the candidates it visits, ``sweep`` those of all its thresholds,
+    ``average --start i`` node i alone.  It is far cheaper at D = 4,232, but
+    another answer, not a faster exact one: T = 100 flips 668 of the 4,316
+    threshold decisions in that graph's 13 highest-degree rows.
     """
-    n = graph.node_count
     if mode == "average-finite":
         if steps < 1:
-            raise ValueError("averaging window must contain at least one step")
-        op = build_walk_operator(graph, coin)
-        p, norm, done = np.empty((n, n)), np.empty((n, n)), np.zeros(n, dtype=bool)
+            raise ConfigError("averaging window must contain at least one step")
         record = {"mode": mode, "steps": steps, "window_start": 1}
     elif mode == "average-infinite":
-        if coin is CoinKind.GROVER:
-            p, norm = grover_average_matrix(graph)
-            record = {"mode": mode, "eigensolver": "grover-spectral-map"}
-        else:
-            p, norm = infinite_time_average_matrix(walk_decompose(build_walk_operator(graph, coin)), graph)
-            record = {"mode": mode, "eigensolver": "cayley-real-evd"}
-        done = np.ones(n, dtype=bool)  # every exact row is computed here
+        record = {"mode": mode, "eigensolver": "grover-spectral-map" if coin is CoinKind.GROVER else "cayley-real-evd"}
     else:
-        raise ValueError(f"unknown averaging mode {mode!r}")
+        raise ConfigError(f"unknown averaging mode {mode!r}")
+    n = graph.node_count
+    done = np.zeros(n, dtype=bool)
+    p = norm = op = None
 
     def rows(nodes):
+        nonlocal p, norm, op
         # a mask, not np.unique: its first call in a process raised the
         # peak RSS of an exact Grover detect on planted-80 by 0.4 MB
         asked = np.zeros(n, dtype=bool)
         asked[nodes] = True
         todo = np.flatnonzero(asked & ~done)
-        if len(todo):
+        if len(todo) and mode == "average-finite":
+            if op is None:
+                op, p, norm = build_walk_operator(graph, coin), np.empty((n, n)), np.empty((n, n))
             p[todo], norm[todo] = _window_rows(op, todo, steps)
             done[todo] = True
+        elif len(todo):  # every exact row at once
+            if coin is CoinKind.GROVER:
+                p, norm = grover_average_matrix(graph)
+            else:
+                p, norm = infinite_time_average_matrix(walk_decompose(build_walk_operator(graph, coin)), graph)
+            done[:] = True
         # copies, a slice's too: an edit by the caller must not reach the
         # rows that later calls hand out
         return p[nodes].copy(), norm[nodes].copy()

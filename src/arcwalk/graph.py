@@ -4,6 +4,9 @@ Every graph is simple, connected, and free of isolated nodes.  Adjacency
 lists are sorted ascending by neighbor id, which fixes the arc basis and
 therefore the walk dynamics; all quantitative results are ordering-dependent.
 Node ids are 1-based at the API boundary and 0-based internally.
+The library's two error classes live here: :class:`GraphError` for input
+data, and :class:`ConfigError` for an option that a library call refuses
+before it computes anything.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import numpy as np
 __all__ = [
     "Graph",
     "GraphError",
+    "ConfigError",
     "load_edge_list",
     "load_pajek",
     "betti_number",
@@ -28,6 +32,10 @@ __all__ = [
 
 class GraphError(ValueError):
     """Raised for malformed input data or violated graph invariants."""
+
+
+class ConfigError(ValueError):
+    """Raised for an invalid run option, before anything is computed."""
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from arcwalk import cli, evolution, operators
-from arcwalk.cli import ConfigError, RunConfig, _resolve_mode, main, render, run
+from arcwalk.cli import ConfigError, RunConfig, main, render, run
 from arcwalk.community import DEFAULT_MARGINAL_BAND
 from arcwalk.io import OutputDocument, _flat, csv_table, format_float
 from arcwalk.spectral import DEFAULT_DEGENERACY_TOL
@@ -262,7 +262,7 @@ def test_spectrum_over_dense_cap_names_no_flag(capsys):
 def test_default_mode_is_infinite_at_every_size(capsys):
     # D = 79 * 78 = 6162 arcs; the dense cap stops the run before any eigensolver
     config = RunConfig(command="detect", graph_source="builtin:complete(79)")
-    assert _resolve_mode(config) == "average-infinite"
+    assert config.mode == "average-infinite"
     assert main(["detect", "--graph", "builtin:complete(79)"]) == 2
     assert "D=6162" in capsys.readouterr().err
 
@@ -299,26 +299,91 @@ def test_average_csv_matrix(capsys):
     assert len(lines) == 22
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["detect", "--graph", "builtin:karate", "--mode", "average-finite", "--steps", "0"],
-        ["average", "--graph", "builtin:karate", "--mode", "average-finite", "--steps", "0"],
-        ["classical", "--graph", "builtin:karate", "--start", "1", "--steps", "0"],
-        ["sweep", "--graph", "builtin:karate", "--q-list", ""],
-        ["sweep", "--graph", "builtin:karate", "--q-list", "0.1,0.01"],
-        ["sweep", "--graph", "builtin:karate", "--q-list", "0,0.01"],
-        ["sweep", "--graph", "builtin:karate", "--q-list", "0.1,x"],
-        ["detect", "--graph", "builtin:karate", "--threshold", "nan"],
-        # non-finite values would be written as Infinity, which is not JSON
-        ["detect", "--graph", "builtin:karate", "--threshold", "inf"],
-        ["detect", "--graph", "builtin:karate", "--threshold", "1e400"],
-        ["sweep", "--graph", "builtin:karate", "--q-list", "0.01,inf"],
-    ],
-)
+BAD_INPUTS = [
+    ["detect", "--graph", "builtin:karate", "--mode", "average-finite", "--steps", "0"],
+    ["average", "--graph", "builtin:karate", "--mode", "average-finite", "--steps", "0"],
+    ["classical", "--graph", "builtin:karate", "--start", "1", "--steps", "0"],
+    ["sweep", "--graph", "builtin:karate", "--q-list", ""],
+    ["sweep", "--graph", "builtin:karate", "--q-list", "0.1,0.01"],
+    ["sweep", "--graph", "builtin:karate", "--q-list", "0,0.01"],
+    ["sweep", "--graph", "builtin:karate", "--q-list", "0.1,x"],
+    ["detect", "--graph", "builtin:karate", "--threshold", "nan"],
+    # non-finite values would be written as Infinity, which is not JSON
+    ["detect", "--graph", "builtin:karate", "--threshold", "inf"],
+    ["detect", "--graph", "builtin:karate", "--threshold", "1e400"],
+    ["sweep", "--graph", "builtin:karate", "--q-list", "0.01,inf"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS)
 def test_bad_inputs_are_config_errors(argv, capsys):
     assert main(argv) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def _averaged(*args, **kwargs):
+    raise AssertionError("an average was computed before the options were checked")
+
+
+@pytest.fixture
+def no_averages(monkeypatch):
+    for name in ("_window_rows", "infinite_time_average_matrix", "grover_average_matrix"):
+        monkeypatch.setattr(evolution, name, _averaged)
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS)
+def test_bad_inputs_are_refused_before_any_average(argv, no_averages, capsys):
+    test_bad_inputs_are_config_errors(argv, capsys)
+
+
+def test_config_errors_are_raised_before_any_average(no_averages):
+    test_config_errors()
+
+
+# the rules the library owns reach the CLI in the library's words
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["detect", "--threshold", "abc"], "threshold must be a number or 'auto', got 'abc'"),
+        (["detect", "--threshold", "nan"], "threshold must be finite and positive, got nan"),
+        (["detect", "--threshold", "-1"], "threshold must be finite and positive, got -1.0"),
+        (["average", "--mode", "average-finite", "--steps", "0"], "averaging window must contain at least one step"),
+        (["sweep", "--q-list", ""], "threshold list is empty"),
+        (["sweep", "--q-list", "0.1,0.01"], "thresholds must be finite, positive and ascending, got [0.1, 0.01]"),
+        (["sweep", "--q-list", "0.01,inf"], "thresholds must be finite, positive and ascending, got [0.01, inf]"),
+        (["classical", "--start", "1", "--steps", "0"], "trace needs at least one step"),
+    ],
+)
+def test_config_errors_are_worded(argv, message, capsys):
+    assert main([*argv, "--graph", "builtin:karate"]) == 2
+    assert capsys.readouterr().err == f"arcwalk: config error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(command="detect", coin="heads"), "unknown coin 'heads'; choose fourier or grover"),
+        (dict(command="detect", format="xml"), "unknown output format 'xml'"),
+        (dict(command="evolve", start=1, steps=-1), "steps must be non-negative"),
+        (dict(command="classical"), "classical requires --start"),
+        (dict(command="detect", mode="sideways"), "unknown averaging mode 'sideways'"),
+    ],
+    ids=["coin", "format", "steps", "start", "mode"],
+)
+def test_run_config_errors_are_worded(fields, message):
+    with pytest.raises(ConfigError) as info:
+        run(RunConfig(graph_source="builtin:karate", **fields))
+    assert str(info.value) == message
+
+
+def test_graph_source_without_a_scheme_is_a_builtin(capsys):
+    argv = ["classical", "--start", "1", "--steps", "2", "--graph"]
+    docs = []
+    for source in ("karate", "builtin:karate"):
+        assert main([*argv, source]) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+        assert docs[-1]["metadata"]["graph"].pop("source") == source
+    assert docs[0] == docs[1]
 
 
 @pytest.mark.parametrize(
@@ -415,7 +480,7 @@ def test_flags_set_the_run_config_fields():
         output="out.json",
         format="csv",
     )
-    assert _resolve_mode(config) == "average-finite"
+    assert config.mode == "average-finite"
 
 
 def test_non_unitary_step_in_finite_mode_is_a_numerical_error(monkeypatch, capsys):

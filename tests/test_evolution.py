@@ -10,7 +10,7 @@ from test_cesaro_kernel import connected_graphs
 import arcwalk as aw
 from arcwalk import evolution
 from arcwalk.cli import RunConfig, run
-from arcwalk.graph import GraphError
+from arcwalk.graph import ConfigError, GraphError
 from arcwalk.spectral import grover_average_matrix
 
 
@@ -37,6 +37,13 @@ def test_basis_state_rejects_bad_arc(karate):
         aw.transition_rows(op, 0, 0)
     with pytest.raises(GraphError, match="out of range 1..34"):
         aw.transition_rows(op, 35, 0)
+
+
+def test_transition_rows_rejects_negative_steps(karate):
+    op = aw.build_walk_operator(karate, aw.CoinKind.FOURIER)
+    with pytest.raises(ConfigError) as info:
+        aw.transition_rows(op, 1, -1)
+    assert str(info.value) == "step count must be non-negative"
 
 
 def test_uniform_state_probability(karate):
@@ -414,6 +421,22 @@ def test_average_rows_rejects_an_unknown_mode_at_the_call(karate):
 def test_average_rows_rejects_an_empty_window_at_the_call(karate):
     with pytest.raises(ValueError, match="at least one step"):
         aw.average_rows(karate, aw.CoinKind.FOURIER, "average-finite", 0)
+
+
+@pytest.mark.parametrize("kind", list(aw.CoinKind))
+@pytest.mark.parametrize("mode", ["average-infinite", "average-finite"])
+def test_average_rows_computes_nothing_until_a_row_is_read(karate, kind, mode, monkeypatch):
+    calls = []
+    for name in ("build_walk_operator", "_window_rows", "infinite_time_average_matrix", "grover_average_matrix"):
+        real = getattr(evolution, name)
+        monkeypatch.setattr(evolution, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    _, rows = aw.average_rows(karate, kind, mode, 5)
+    assert calls == []
+    rows(3)
+    made = len(calls)
+    assert made
+    rows([3])  # a row once computed is handed out again
+    assert len(calls) == made
 
 
 @pytest.mark.parametrize("mode", ["average-infinite", "average-finite"])

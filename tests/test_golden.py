@@ -14,61 +14,29 @@ does not depend on the basis chosen inside the group.
 
 The CSV gate compares the ``--format csv`` output of one case per layout with
 ``tests/golden/csv/``: ``#`` metadata lines and non-numeric cells exactly,
-numeric cells as decimals within the same 1e-12.  Spectrum rows are compared
-in the same argument order, each row renumbered by its place in it.
+numeric cells as decimals within the same 1e-12, and every numeric cell of
+the fresh CSV must have at most 12 significant digits, the text the JSON
+document writes.  Spectrum rows are compared in the same argument order,
+each row renumbered by its place in it.  Both comparisons live in
+``record_golden.py``, whose recorder rewrites only the files they fail.
 """
 
-import cmath
-import math
-from decimal import Decimal, InvalidOperation
-
 import pytest
-from record_golden import CASES, CSV_CASES, CSV_DIR, GOLDEN_DIR, cli_document, cli_text, strict_json
-
-FLOAT_ATOL = Decimal("1e-12")
-
-
-def _angle(z: dict) -> float:
-    theta = cmath.phase(complex(z["re"], z["im"]))
-    # -1 may land on either side of the branch cut
-    return theta - 2 * math.pi if theta > math.pi - 1e-9 else theta
-
-
-def _normalize(doc: dict) -> dict:
-    payload = dict(doc["payload"])
-    if "eigenvalues" in payload:
-        pairs = sorted(zip(payload["eigenvalues"], payload["ipr"]), key=lambda pair: _angle(pair[0]))
-        payload["eigenvalues"] = [z for z, _ in pairs]
-        payload["ipr"] = [value for _, value in pairs]
-    return {"metadata": doc["metadata"], "payload": payload}
-
-
-def _diff(ref, got, path: str, out: list[str]) -> None:
-    if isinstance(ref, dict):
-        if not isinstance(got, dict) or sorted(got) != sorted(ref):
-            out.append(f"{path}: keys {sorted(got) if isinstance(got, dict) else got!r}")
-            return
-        for key in ref:
-            _diff(ref[key], got[key], f"{path}.{key}", out)
-    elif isinstance(ref, list):
-        if not isinstance(got, list) or len(got) != len(ref):
-            out.append(f"{path}: expected a list of {len(ref)}")
-            return
-        for i, (r, g) in enumerate(zip(ref, got)):
-            _diff(r, g, f"{path}[{i}]", out)
-    elif isinstance(ref, Decimal) and type(got) in (int, Decimal):
-        if not abs(got - ref) <= FLOAT_ATOL:
-            out.append(f"{path}: {got!r} differs from {ref!r}")
-    elif type(ref) is not type(got) or ref != got:
-        out.append(f"{path}: {got!r} != {ref!r}")
+from record_golden import (
+    CASES,
+    CSV_CASES,
+    CSV_DIR,
+    GOLDEN_DIR,
+    cli_text,
+    csv_mismatches,
+    json_mismatches,
+    strict_json,
+)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_matches_golden(case):
-    reference = strict_json((GOLDEN_DIR / f"{case}.json").read_text(), Decimal)
-    got = cli_document(CASES[case], Decimal)
-    mismatches: list[str] = []
-    _diff(_normalize(reference), _normalize(got), "doc", mismatches)
+    mismatches = json_mismatches((GOLDEN_DIR / f"{case}.json").read_text(), cli_text(CASES[case]))
     assert not mismatches, "\n".join(mismatches[:20])
 
 
@@ -76,31 +44,9 @@ def test_every_golden_document_has_a_case():
     assert sorted(p.stem for p in GOLDEN_DIR.glob("*.json")) == sorted(CASES)
 
 
-def _cell(text: str):
-    try:
-        value = Decimal(text)
-    except InvalidOperation:
-        return text
-    return value if value.is_finite() else text
-
-
-def _csv_rows(text: str) -> tuple[list[str], list[list]]:
-    lines = text.splitlines()
-    comments = [line for line in lines if line.startswith("#")]
-    rows = [[_cell(c) for c in line.split(",")] for line in lines[len(comments):]]
-    if rows[0] == ["mu", "re", "im"]:
-        body = sorted(rows[1:], key=lambda row: _angle({"re": float(row[1]), "im": float(row[2])}))
-        rows = rows[:1] + [[mu, re, im] for mu, (_, re, im) in enumerate(body)]
-    return comments, rows
-
-
 @pytest.mark.parametrize("case", sorted(CSV_CASES))
 def test_csv_matches_golden(case):
-    ref_comments, ref_rows = _csv_rows((CSV_DIR / f"{case}.csv").read_text())
-    got_comments, got_rows = _csv_rows(cli_text(CSV_CASES[case]))
-    assert got_comments == ref_comments
-    mismatches: list[str] = []
-    _diff(ref_rows, got_rows, "csv", mismatches)
+    mismatches = csv_mismatches((CSV_DIR / f"{case}.csv").read_text(), cli_text(CSV_CASES[case]))
     assert not mismatches, "\n".join(mismatches[:20])
 
 

@@ -90,6 +90,8 @@ def test_pajek_list_sections_are_unknown(section):
         ("*Vertices 2\n*Edges\n1 3", "declared range"),
         ("*Vertices 4\n*Edges\n1 2\n2 3\n3 1", "isolated declared vertex 4"),
         ("1 2", "missing \\*Vertices"),
+        ("*Vertices\n*Edges\n1 2", "^line 1: malformed \\*Vertices header$"),
+        ("*Vertices 2\n1 \"a\"\n*Edges\n", "^Pajek file declares no edges$"),
     ],
 )
 def test_pajek_rejects(text, fragment):
@@ -108,6 +110,7 @@ def test_pajek_rejects(text, fragment):
         (aw.load_pajek, "% ids\n*Vertices 2\n\n*Edges\n1 2.5 1\n", "line 5: non-integer node id in '1 2.5 1'"),
         (aw.load_pajek, "*Vertices 2\n*Edges\n2 2 1.0\n", "line 3: self-loop at node 2"),
         (aw.load_pajek, "*Vertices 2\n*Edges\n0 0\n", "line 3: self-loop at node 0"),
+        (aw.load_pajek, "*Vertices 2\n*Edges\n1\n", "line 3: malformed edge record '1'"),
     ],
 )
 def test_loaders_share_their_edge_record_errors(load, text, message):
@@ -215,6 +218,22 @@ def test_arc_between_rejects_non_adjacent_nodes(three_community):
 def test_from_edges_rejects_negative_ids(edges):
     with pytest.raises(GraphError, match="negative node index"):
         aw.Graph.from_edges(edges)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: aw.Graph.from_edges([(0, 1), (1, 2), (2, 1)]), "duplicate edge 2-3"),
+        (lambda: aw.Graph.from_edges([(0, 2), (2, 3)]), "node 2 is isolated"),
+        (lambda: aw.builtin("path(1)"), "path requires n >= 2"),
+        (lambda: aw.builtin("complete(1)"), "complete requires n >= 2"),
+    ],
+    ids=["duplicate", "isolated", "path(1)", "complete(1)"],
+)
+def test_graph_builders_reject(build, message):
+    with pytest.raises(GraphError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_degree_rejects_out_of_range_node(karate):

@@ -343,6 +343,16 @@ def test_loop_eigenvector_rejects_non_cycle(three_community):
         aw.loop_eigenvector(three_community, [1, 2, 9])
 
 
+@pytest.mark.parametrize(
+    "cycle, message",
+    [([1, 2], "a cycle needs at least three nodes"), ([1, 2, 1], "cycle nodes must be distinct")],
+)
+def test_loop_eigenvector_rejects_short_and_repeated_cycles(three_community, cycle, message):
+    with pytest.raises(aw.GraphError) as info:
+        aw.loop_eigenvector(three_community, cycle)
+    assert str(info.value) == message
+
+
 def test_argument_histogram_fourier(three_fourier_dec):
     counts, edges = argument_histogram(three_fourier_dec)
     assert counts.sum() == 78
