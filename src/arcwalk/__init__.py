@@ -23,7 +23,7 @@ from .graph import (
     load_pajek,
 )
 from .io import OutputDocument
-from .operators import CoinKind, DenseCapExceeded, WalkOperator, build_walk_operator, materialize_dense
+from .operators import CoinKind, WalkOperator, build_walk_operator, materialize_dense
 from .spectral import (
     DegeneracyReport,
     SpectralDecomposition,
@@ -49,7 +49,6 @@ __all__ = [
     "builtin",
     "CoinKind",
     "WalkOperator",
-    "DenseCapExceeded",
     "build_walk_operator",
     "materialize_dense",
     "average_rows",

@@ -4,11 +4,12 @@ One command is one process; results are emitted as JSON or CSV documents
 with a metadata block, written atomically when an output path is given.
 Exit codes: 2 for configuration errors (an output path or a stdout that
 cannot be written among them), 3 for data errors, 4 for numerical
-failures; ``main`` alone words them.  The library refuses a bad averaging
-mode or window, threshold, threshold list or step count with
-``graph.ConfigError``, re-exported here, before it computes anything; the
-CLI checks only the command, the format, the output path, the graph
-source's scheme, the coin name, the text of ``--threshold`` and
+failures; ``main`` alone words them.  The library refuses bad averaging
+options, thresholds, threshold lists and step counts, and exact Fourier
+averages above the dense cap, with ``graph.ConfigError`` (re-exported
+here) and start nodes out of range with ``GraphError``, before it computes
+anything; the CLI checks only the command, the format, the output path, the
+graph source's scheme, the coin name, the text of ``--threshold`` and
 ``--q-list``, whether ``--start`` is given, and ``steps >= 0``.
 """
 
@@ -27,7 +28,7 @@ from .community import DEFAULT_MARGINAL_BAND, detect, margin_report, sweep
 from .evolution import DEFAULT_AVERAGE_STEPS, average_rows, transition_rows
 from .graph import ConfigError, Graph, GraphError, betti_number, builtin, is_bipartite, load_edge_list, load_pajek
 from .io import OutputDocument, csv_table, write_atomic
-from .operators import CoinKind, DenseCapExceeded, build_walk_operator
+from .operators import CoinKind, build_walk_operator
 from .spectral import (
     DEFAULT_DEGENERACY_TOL,
     SpectralError,
@@ -127,8 +128,6 @@ def _run_evolve(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
 
 
 def _run_average(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
-    if config.start is not None:
-        graph.degree(config.start)  # raises GraphError for a node out of range
     params, rows = average_rows(graph, _coin_kind(config.coin), config.mode, config.steps)
     if config.start is None:
         p, norm = rows(slice(None))
@@ -381,11 +380,6 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(EXIT_NUMERICAL, "numerical", exc)
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, "config", exc)
-    except DenseCapExceeded as exc:
-        # only spectrum and exact Fourier averages build a D x D array, and
-        # only the averages have a mode that does without it
-        way_out = "" if args.command == "spectrum" else "; use --mode average-finite"
-        return _fail(EXIT_CONFIG, "config", f"{exc}{way_out}")
     try:
         if config.output:
             write_atomic(config.output, text)

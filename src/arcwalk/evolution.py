@@ -31,8 +31,9 @@ groups of ``_ALIGN`` columns, so a row is bit-identical in every batch.
 :func:`average_rows` is the one averaging entry: it alone picks the
 averaging kernel for every caller, this stepping or one of ``spectral``'s
 exact kernels, and hands out the rows of (p, P) on demand.  It checks its
-options at the call and computes nothing until a row is read, so a bad
-option is refused before any eigensolver or stepping runs.
+options (the dense cap too) at the call and its node indices at each read,
+and computes nothing until a row is read, so a bad option or node is
+refused before any eigensolver or stepping runs.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import threading
 import numpy as np
 
 from .graph import ConfigError, Graph
-from .operators import CoinKind, WalkOperator, build_walk_operator
+from .operators import CoinKind, WalkOperator, _check_cap, build_walk_operator
 from .spectral import _transition_matrices, grover_average_matrix, infinite_time_average_matrix, walk_decompose
 
 __all__ = ["average_rows", "transition_rows", "finite_time_average_matrix", "DEFAULT_AVERAGE_STEPS"]
@@ -222,21 +223,23 @@ def average_rows(graph: Graph, coin: CoinKind, mode: str = "average-infinite", s
     indices, or a slice, to those rows of p and P, indexed [start, target],
     as new arrays that the caller owns: ``rows(slice(None))`` gives both
     whole matrices.  The call only builds the record, after raising
-    :class:`ConfigError` for another mode or for ``steps`` below 1 in finite
-    mode; rows are computed in ``rows`` calls, where :class:`SpectralError`
-    and :class:`DenseCapExceeded` surface.
+    :class:`ConfigError` for another mode, for ``steps`` below 1 in finite
+    mode, or for exact Fourier rows above ``DENSE_CAP`` arcs.  A ``rows``
+    call raises :class:`GraphError` for an index outside 0..N-1 before it
+    computes anything; rows are computed there, where
+    :class:`SpectralError` surfaces.
 
     "average-infinite" is the exact Cesaro limit, computed for all nodes at
     the first read: in node space for the Grover coin, and from the
-    eigenvectors of the D x D U' = Q^T C Q, refused above ``DENSE_CAP`` arcs,
-    for the Fourier coin, where a ``detect`` at D = 4,232 took 24.1 s and
-    734 MB on 2 cores (46664ce).  "average-finite" averages over t =
-    1..steps, which the record's ``window_start`` of 1 states, and steps
-    only the nodes asked for that no earlier call stepped: ``detect`` steps
-    the candidates it visits, ``sweep`` those of all its thresholds,
-    ``average --start i`` node i alone.  It is far cheaper at D = 4,232, but
-    another answer, not a faster exact one: T = 100 flips 668 of the 4,316
-    threshold decisions in that graph's 13 highest-degree rows.
+    eigenvectors of the D x D U' = Q^T C Q for the Fourier coin, where a
+    ``detect`` at D = 4,232 took 24.1 s and 734 MB on 2 cores (46664ce).
+    "average-finite" averages over t = 1..steps, which the record's
+    ``window_start`` of 1 states, and steps only the nodes asked for that no
+    earlier call stepped: ``detect`` steps the candidates it visits,
+    ``sweep`` those of all its thresholds, ``average --start i`` node i
+    alone.  It is far cheaper at D = 4,232, but another answer, not a faster
+    exact one: T = 100 flips 668 of the 4,316 threshold decisions in that
+    graph's 13 highest-degree rows.
     """
     if mode == "average-finite":
         if steps < 1:
@@ -244,6 +247,8 @@ def average_rows(graph: Graph, coin: CoinKind, mode: str = "average-infinite", s
         record = {"mode": mode, "steps": steps, "window_start": 1}
     elif mode == "average-infinite":
         record = {"mode": mode, "eigensolver": "grover-spectral-map" if coin is CoinKind.GROVER else "cayley-real-evd"}
+        if coin is CoinKind.FOURIER:  # from the D x D U'
+            _check_cap(graph, "; use --mode average-finite")
     else:
         raise ConfigError(f"unknown averaging mode {mode!r}")
     n = graph.node_count
@@ -252,6 +257,10 @@ def average_rows(graph: Graph, coin: CoinKind, mode: str = "average-infinite", s
 
     def rows(nodes):
         nonlocal p, norm, op
+        index = np.ravel(() if isinstance(nodes, slice) else nodes)
+        outside = index[(index < 0) | (index >= n)]
+        if len(outside):  # refused in Graph.degree's words, 1-based
+            graph.degree(int(outside[0]) + 1)
         # a mask, not np.unique: its first call in a process raised the
         # peak RSS of an exact Grover detect on planted-80 by 0.4 MB
         asked = np.zeros(n, dtype=bool)

@@ -23,7 +23,8 @@ blocks to them directly, fan class by fan class, writing each result to the
 reverse arcs; :func:`materialize_dense` is ``apply`` on the identity.  Only
 this module and ``evolution``'s one start builder, where every walk it steps
 starts, know the real layout: ``spectral`` checks its eigenbases through
-``apply``.
+``apply``.  ``_check_cap`` alone applies ``DENSE_CAP``, with ``ConfigError``,
+for ``materialize_dense``, ``spectral.walk_decompose`` and ``average_rows``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph
+from .graph import ConfigError, Graph
 
 __all__ = [
     "CoinKind",
@@ -42,14 +43,9 @@ __all__ = [
     "build_walk_operator",
     "materialize_dense",
     "DENSE_CAP",
-    "DenseCapExceeded",
 ]
 
 DENSE_CAP = 6000
-
-
-class DenseCapExceeded(RuntimeError):
-    """Raised when a dense materialization would exceed the size guard."""
 
 
 class CoinKind(enum.Enum):
@@ -171,9 +167,12 @@ def build_walk_operator(graph: Graph, coin: CoinKind) -> WalkOperator:
     return WalkOperator(graph, coin)
 
 
-def _check_cap(op: WalkOperator) -> None:
-    if op.dimension > DENSE_CAP:
-        raise DenseCapExceeded(f"D={op.dimension} exceeds dense materialization cap {DENSE_CAP}")
+def _check_cap(walk: WalkOperator | Graph, way_out: str = "") -> None:
+    """Refuse a D x D array of the walk, or of walks on the graph, above
+    ``DENSE_CAP`` arcs: :class:`ConfigError`, its text ending in ``way_out``."""
+    d = walk.dimension if isinstance(walk, WalkOperator) else walk.arc_count
+    if d > DENSE_CAP:
+        raise ConfigError(f"D={d} exceeds dense materialization cap {DENSE_CAP}{way_out}")
 
 
 def materialize_dense(op: WalkOperator) -> np.ndarray:

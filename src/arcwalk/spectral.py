@@ -16,7 +16,8 @@
   (numpy's; LAPACK syevd) give a real orthonormal O, and V = Q O, so
   |V_a|^2 = |V_{rev a}|^2 = (O_a^2 + O_{rev a}^2) / 2.  A symmetric solver
   keeps the basis orthonormal inside degenerate eigenspaces too.  It serves
-  the Fourier averages and the ``spectrum`` census of both coins.
+  the Fourier averages and the ``spectrum`` census of both coins, and
+  refuses D above ``operators.DENSE_CAP`` with ``graph.ConfigError``.
 * :func:`decompose` takes any dense unitary U and returns its
   :class:`SpectralDecomposition` from the same pole-placed core on the
   complex Cayley image i(I - W)(I + W)^-1, which is Hermitian with U's
@@ -140,18 +141,12 @@ def _group_by_argument(eigenvalues: np.ndarray) -> tuple[np.ndarray, ...]:
     (single linkage) in steps below DEFAULT_DEGENERACY_TOL, across +-pi too."""
     args = np.angle(eigenvalues)
     order = np.argsort(args, kind="stable")
-    groups: list[list[int]] = []
-    for idx in order:
-        if groups and args[idx] - args[groups[-1][-1]] < DEFAULT_DEGENERACY_TOL:
-            groups[-1].append(int(idx))
-        else:
-            groups.append([int(idx)])
-    # arguments wrap at +-pi: merge the first and last cluster if they meet
-    if len(groups) > 1:
-        gap = (args[groups[0][0]] + 2 * np.pi) - args[groups[-1][-1]]
-        if gap < DEFAULT_DEGENERACY_TOL:
-            groups[-1].extend(groups.pop(0))
-    return tuple(np.array(g, dtype=np.intp) for g in groups)
+    # the step after each sorted argument, the last one across +-pi
+    steps = np.diff(args[order], append=args[order[:1]] + 2 * np.pi)
+    groups = np.split(order, np.flatnonzero(steps[:-1] >= DEFAULT_DEGENERACY_TOL) + 1) if len(order) else []
+    if len(groups) > 1 and steps[-1] < DEFAULT_DEGENERACY_TOL:  # the first and last groups meet
+        groups = groups[1:-1] + [np.concatenate((groups[-1], groups[0]))]
+    return tuple(groups)
 
 
 # The Cayley map sends the unit circle to the real line and one point of it,
@@ -207,7 +202,7 @@ def walk_decompose(op: WalkOperator) -> SpectralDecomposition:
     symmetric within 1e-12 and unitary within 1e-10, and the basis must pass
     :func:`_check_basis` with U applied by :meth:`WalkOperator.apply`; a
     failure raises :class:`SpectralError`.  Above ``DENSE_CAP`` arcs it
-    raises :class:`DenseCapExceeded` before any D x D array is made."""
+    raises ``graph.ConfigError`` before any D x D array is made."""
     _check_cap(op)
     for k, block in op.blocks.items():
         # written as "not x <= bound" so that a NaN fails the check

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 import arcwalk as aw
+from arcwalk import evolution
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -49,6 +50,17 @@ def three_fourier_avg(three_community):
 @pytest.fixture(scope="session")
 def karate_fourier_avg(karate):
     return aw.average_rows(karate, aw.CoinKind.FOURIER)[1](slice(None))
+
+
+def _averaged(*args, **kwargs):
+    raise AssertionError("an average was computed before the inputs were checked")
+
+
+@pytest.fixture
+def no_averages(monkeypatch):
+    """Every kernel that ``average_rows`` may run, made to fail."""
+    for name in ("_window_rows", "walk_decompose", "infinite_time_average_matrix", "grover_average_matrix"):
+        monkeypatch.setattr(evolution, name, _averaged)
 
 
 @pytest.fixture

@@ -23,7 +23,7 @@ from test_cesaro_kernel import BUILTINS, COINS, connected_graphs
 import arcwalk as aw
 from arcwalk import spectral
 from arcwalk.cli import main
-from arcwalk.operators import DENSE_CAP, DenseCapExceeded
+from arcwalk.operators import DENSE_CAP
 from arcwalk.spectral import SpectralError, _group_by_argument
 
 
@@ -159,7 +159,7 @@ def test_walk_decompose_above_the_cap_allocates_no_dense_array():
         d = op.dimension
         tracemalloc.start()
         try:
-            with pytest.raises(DenseCapExceeded) as raised:
+            with pytest.raises(aw.ConfigError) as raised:
                 aw.walk_decompose(op)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

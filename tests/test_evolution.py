@@ -423,6 +423,27 @@ def test_average_rows_rejects_an_empty_window_at_the_call(karate):
         aw.average_rows(karate, aw.CoinKind.FOURIER, "average-finite", 0)
 
 
+def test_average_rows_refuses_exact_fourier_above_the_dense_cap_at_the_call(no_averages):
+    graph = aw.builtin("cycle(3001)")  # D = 6002
+    message = "^D=6002 exceeds dense materialization cap 6000; use --mode average-finite$"
+    with pytest.raises(ConfigError, match=message):
+        aw.average_rows(graph, aw.CoinKind.FOURIER, "average-infinite")
+    # the Grover kernel holds no D x D array, and the finite mode steps the walk
+    aw.average_rows(graph, aw.CoinKind.GROVER, "average-infinite")
+    aw.average_rows(graph, aw.CoinKind.FOURIER, "average-finite")
+
+
+@pytest.mark.parametrize("mode", ["average-infinite", "average-finite"])
+@pytest.mark.parametrize(
+    "nodes, node", [(-1, 0), (34, 35), ([0, 34], 35), (np.array([-3, 1]), -2)], ids=["-1", "N", "list", "array"]
+)
+def test_rows_refuses_a_node_outside_the_graph(karate, mode, nodes, node, no_averages):
+    # in Graph.degree's words, the node 1-based
+    _, rows = aw.average_rows(karate, aw.CoinKind.FOURIER, mode, 5)
+    with pytest.raises(GraphError, match=f"^node {node} out of range 1..34$"):
+        rows(nodes)
+
+
 @pytest.mark.parametrize("kind", list(aw.CoinKind))
 @pytest.mark.parametrize("mode", ["average-infinite", "average-finite"])
 def test_average_rows_computes_nothing_until_a_row_is_read(karate, kind, mode, monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from test_cesaro_kernel import connected_graphs
 
 import arcwalk as aw
-from arcwalk.operators import DENSE_CAP, DenseCapExceeded, _check_cap, coin_matrix
+from arcwalk.operators import DENSE_CAP, _check_cap, coin_matrix
 
 FOURIER, GROVER = aw.CoinKind.FOURIER, aw.CoinKind.GROVER
 
@@ -250,7 +250,7 @@ def test_dense_cap(karate):
     op = aw.build_walk_operator(aw.builtin("complete(79)"), FOURIER)
     tracemalloc.start()
     try:
-        with pytest.raises(DenseCapExceeded, match="^D=6162 exceeds dense materialization cap 6000$"):
+        with pytest.raises(aw.ConfigError, match="^D=6162 exceeds dense materialization cap 6000$"):
             aw.materialize_dense(op)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
