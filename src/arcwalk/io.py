@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,17 +85,13 @@ def csv_table(header, rows) -> list[str]:
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write via a temp file in the target directory plus rename.  The file
-    gets the mode ``open(path, "w")`` would create it with, 0o666 less the
-    umask, not the 0o600 of the temp file."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    umask = os.umask(0)  # reading the umask means setting it
-    os.umask(umask)
+    """Write via a temp file in the target directory plus rename; ``open``
+    sets its mode as for ``open(path, "w")``: 0o666 less the creation mask."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
+    handle = open(tmp, "x")  # "x" opens no existing file, which the cleanup would remove
     try:
-        with os.fdopen(fd, "w") as handle:
+        with handle:
             handle.write(text)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

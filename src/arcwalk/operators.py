@@ -167,16 +167,15 @@ def build_walk_operator(graph: Graph, coin: CoinKind) -> WalkOperator:
     return WalkOperator(graph, coin)
 
 
-def _check_cap(walk: WalkOperator | Graph, way_out: str = "") -> None:
-    """Refuse a D x D array of the walk, or of walks on the graph, above
-    ``DENSE_CAP`` arcs: :class:`ConfigError`, its text ending in ``way_out``."""
-    d = walk.dimension if isinstance(walk, WalkOperator) else walk.arc_count
-    if d > DENSE_CAP:
-        raise ConfigError(f"D={d} exceeds dense materialization cap {DENSE_CAP}{way_out}")
+def _check_cap(graph: Graph, way_out: str = "") -> None:
+    """Refuse a D x D array of walks on the graph above ``DENSE_CAP`` arcs:
+    :class:`ConfigError`, its text ending in ``way_out``."""
+    if graph.arc_count > DENSE_CAP:
+        raise ConfigError(f"D={graph.arc_count} exceeds dense materialization cap {DENSE_CAP}{way_out}")
 
 
 def materialize_dense(op: WalkOperator) -> np.ndarray:
     """Dense D x D matrix of the walk unitary, U applied to the identity;
     refused above ``DENSE_CAP`` arcs.  No command builds it."""
-    _check_cap(op)
+    _check_cap(op.graph)
     return op.apply(np.eye(op.dimension, dtype=complex))

@@ -57,7 +57,8 @@ projectors: D x D ones, or the Grover kernel's X and Y.  Which eigenvalues
 share a projector is fixed, not an option: a group is a chain of eigenvalues
 whose arguments lie within DEFAULT_DEGENERACY_TOL (1e-8) of the next, across
 +-pi too, and ``spectrum`` documents record that value.  A looser tolerance
-would merge distinct eigenspaces and change the averages.
+would merge distinct eigenspaces and change the averages, and groups less
+than 1e-6 apart raise :class:`SpectralError`: that split hangs on rounding.
 
 Every quantity comes back as an array: the (p, P) matrices indexed [start,
 target], the (D, N) eigenstate node probabilities (a row over the degrees
@@ -138,11 +139,15 @@ class DegeneracyReport:
 
 def _group_by_argument(eigenvalues: np.ndarray) -> tuple[np.ndarray, ...]:
     """Indices of the eigenvalues in groups whose arguments chain together
-    (single linkage) in steps below DEFAULT_DEGENERACY_TOL, across +-pi too."""
+    (single linkage) in steps below DEFAULT_DEGENERACY_TOL, across +-pi too;
+    groups less than 1e-6 apart raise :class:`SpectralError`."""
     args = np.angle(eigenvalues)
     order = np.argsort(args, kind="stable")
     # the step after each sorted argument, the last one across +-pi
     steps = np.diff(args[order], append=args[order[:1]] + 2 * np.pi)
+    near = steps[(steps >= DEFAULT_DEGENERACY_TOL) & (steps < 1e-6)]
+    if len(near):
+        raise SpectralError(f"eigenvalue groups {near.min():.2e} apart in argument split ambiguously")
     groups = np.split(order, np.flatnonzero(steps[:-1] >= DEFAULT_DEGENERACY_TOL) + 1) if len(order) else []
     if len(groups) > 1 and steps[-1] < DEFAULT_DEGENERACY_TOL:  # the first and last groups meet
         groups = groups[1:-1] + [np.concatenate((groups[-1], groups[0]))]
@@ -203,7 +208,7 @@ def walk_decompose(op: WalkOperator) -> SpectralDecomposition:
     :func:`_check_basis` with U applied by :meth:`WalkOperator.apply`; a
     failure raises :class:`SpectralError`.  Above ``DENSE_CAP`` arcs it
     raises ``graph.ConfigError`` before any D x D array is made."""
-    _check_cap(op)
+    _check_cap(op.graph)
     for k, block in op.blocks.items():
         # written as "not x <= bound" so that a NaN fails the check
         if not np.max(np.abs(block - block.T)) <= 1e-12:

@@ -534,6 +534,16 @@ def test_output_file_takes_the_mode_open_would_give_it(tmp_path, umask, mode):
     assert json.loads(out.read_text())["metadata"]["command"] == "detect"
 
 
+def test_output_leaves_the_process_umask_alone(tmp_path, monkeypatch):
+    def umask(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", umask)
+    out = tmp_path / "partition.json"
+    assert main(["detect", "--graph", "builtin:square_triangle", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["metadata"]["command"] == "detect"
+
+
 @pytest.mark.parametrize(
     "kind, text",
     [
@@ -594,10 +604,14 @@ def test_output_into_a_missing_directory_is_a_config_error(monkeypatch, capsys):
 
 
 def test_unwritable_output_is_a_config_error(tmp_path, capsys):
-    argv = ["detect", "--graph", "builtin:square_triangle", "--output", str(tmp_path)]
+    # the temp file is made beside the target, in tmp_path, and removed there
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["detect", "--graph", "builtin:square_triangle", "--output", str(out)]
     assert main(argv) == 2
-    assert f"arcwalk: config error: cannot write {tmp_path}" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    assert f"arcwalk: config error: cannot write {out}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [out]
+    assert list(out.iterdir()) == []
 
 
 def test_stdout_that_cannot_be_written_is_a_config_error(monkeypatch, capsys):

@@ -245,7 +245,7 @@ def test_dense_cap(karate):
     # D equal to the cap is accepted (the check alone, no dense array)
     at_cap = aw.build_walk_operator(aw.builtin(f"cycle({DENSE_CAP // 2})"), FOURIER)
     assert at_cap.dimension == DENSE_CAP
-    _check_cap(at_cap)
+    _check_cap(at_cap.graph)
     # complete(79), D = 6162, is refused before any D x D array is built
     op = aw.build_walk_operator(aw.builtin("complete(79)"), FOURIER)
     tracemalloc.start()

@@ -378,14 +378,23 @@ TOL = DEFAULT_DEGENERACY_TOL
     [
         # single linkage: 0 and 1.2 tol are one group through 0.6 tol
         ([1.2 * TOL, 0.0, 0.6 * TOL, 1.0], [[1, 2, 0], [3]]),
-        ([0.0, 1.5 * TOL], [[0], [1]]),
+        # a gap between groups in [1e-8, 1e-6) is refused, naming the gap,
+        # across +-pi too; from 1e-6 on it splits
+        ([0.0, 1.5 * TOL], "1.50e-08"),
+        ([np.pi - 10 * TOL, 0.5, -np.pi + 10 * TOL], "2.00e-07"),
+        ([0.0, 200 * TOL], [[0], [1]]),
         # arguments wrap at +-pi
         ([np.pi - 0.3 * TOL, 0.5, -np.pi + 0.3 * TOL], [[1], [0, 2]]),
         ([], []),
     ],
-    ids=["chain", "split", "wrap", "empty"],
+    ids=["chain", "split", "split-wrap", "clear", "wrap", "empty"],
 )
 def test_group_by_argument_at_the_fixed_tolerance(args, groups):
-    found = _group_by_argument(np.exp(1j * np.array(args, dtype=float)))
+    eigenvalues = np.exp(1j * np.array(args, dtype=float))
+    if isinstance(groups, str):
+        with pytest.raises(SpectralError, match=f"^eigenvalue groups {groups} apart in argument"):
+            _group_by_argument(eigenvalues)
+        return
+    found = _group_by_argument(eigenvalues)
     assert isinstance(found, tuple)  # an empty spectrum gives ()
     assert [g.tolist() for g in found] == groups
