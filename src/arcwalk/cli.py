@@ -19,6 +19,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -83,7 +84,8 @@ def _coin_kind(name: str) -> CoinKind:
     try:
         return CoinKind(name.lower())
     except ValueError:
-        raise ConfigError(f"unknown coin {name!r}; choose fourier or grover") from None
+        choices = " or ".join(kind.value for kind in CoinKind)
+        raise ConfigError(f"unknown coin {name!r}; choose {choices}") from None
 
 
 def _normalized(rows):
@@ -213,32 +215,6 @@ def _run_classical(config: RunConfig, graph: Graph) -> tuple[dict, dict]:
     return {"start": config.start, "steps": config.steps}, payload
 
 
-# each runner returns the parameters and the payload of its command's document
-_RUNNERS = {
-    "evolve": _run_evolve,
-    "average": _run_average,
-    "spectrum": _run_spectrum,
-    "detect": _run_detect,
-    "sweep": _run_sweep,
-    "classical": _run_classical,
-}
-
-
-def run(config: RunConfig) -> OutputDocument:
-    """Dispatch one configured analysis and return its output document."""
-    if config.command not in _RUNNERS:
-        raise ConfigError(f"unknown command {config.command!r}")
-    if config.format not in ("json", "csv"):
-        raise ConfigError(f"unknown output format {config.format!r}")
-    if config.steps < 0:
-        raise ConfigError("steps must be non-negative")
-    if config.output and not os.path.isdir(os.path.dirname(os.path.abspath(config.output))):
-        raise ConfigError(f"cannot write {config.output}: its directory does not exist")
-    graph = _load_graph(config.graph_source)
-    parameters, payload = _RUNNERS[config.command](config, graph)
-    return OutputDocument(_metadata(config, graph, parameters), payload)
-
-
 # each renderer returns the header and the rows of its command's CSV table,
 # from the payload and the node ids 1..N
 def _csv_evolve(payload: dict, ids: range):
@@ -278,20 +254,43 @@ def _csv_classical(payload: dict, ids: range):
     return ["t", "tv", *ids], rows
 
 
-_CSV_RENDERERS = {
-    "evolve": _csv_evolve,
-    "average": _csv_average,
-    "spectrum": _csv_spectrum,
-    "detect": _csv_detect,
-    "sweep": _csv_sweep,
-    "classical": _csv_classical,
+class _Command(NamedTuple):
+    summary: str
+    # returns the parameters and the payload of the command's document
+    run: Callable[[RunConfig, Graph], tuple[dict, dict]]
+    csv: Callable[[dict, range], tuple]
+
+
+# one entry per command, in the order --help lists them
+_COMMANDS = {
+    "evolve": _Command("time evolution of a transition row", _run_evolve, _csv_evolve),
+    "average": _Command("time-averaged transition probabilities", _run_average, _csv_average),
+    "spectrum": _Command("eigenvalues, degeneracy report, IPR", _run_spectrum, _csv_spectrum),
+    "detect": _Command("threshold community detection", _run_detect, _csv_detect),
+    "sweep": _Command("community counts over a threshold list", _run_sweep, _csv_sweep),
+    "classical": _Command("classical random-walk baseline", _run_classical, _csv_classical),
 }
+
+
+def run(config: RunConfig) -> OutputDocument:
+    """Dispatch one configured analysis and return its output document."""
+    if config.command not in _COMMANDS:
+        raise ConfigError(f"unknown command {config.command!r}")
+    if config.format not in ("json", "csv"):
+        raise ConfigError(f"unknown output format {config.format!r}")
+    if config.steps < 0:
+        raise ConfigError("steps must be non-negative")
+    if config.output and not os.path.isdir(os.path.dirname(os.path.abspath(config.output))):
+        raise ConfigError(f"cannot write {config.output}: its directory does not exist")
+    graph = _load_graph(config.graph_source)
+    parameters, payload = _COMMANDS[config.command].run(config, graph)
+    return OutputDocument(_metadata(config, graph, parameters), payload)
 
 
 def render(doc: OutputDocument, fmt: str) -> str:
     if fmt == "json":
         return doc.to_json()
-    renderer = _CSV_RENDERERS[doc.metadata["command"]]
+    renderer = _COMMANDS[doc.metadata["command"]].csv
     ids = range(1, doc.metadata["graph"]["nodes"] + 1)
     lines = doc.metadata_comment_lines() + csv_table(*renderer(doc.payload, ids))
     return "\n".join(lines) + "\n"
@@ -308,8 +307,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # dests are RunConfig field names, and a flag left unset stays out of the
     # namespace, so RunConfig holds the defaults; evolve's --steps 15 alone
     # is set here
-    def command(name: str, summary: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+    for name, entry in _COMMANDS.items():
+        p = sub.add_parser(name, help=entry.summary, argument_default=argparse.SUPPRESS)
         p.add_argument(
             "--graph",
             dest="graph_source",
@@ -317,10 +316,9 @@ def _build_parser() -> argparse.ArgumentParser:
             help="builtin:NAME | edgelist:PATH | pajek:PATH",
         )
         if name != "classical":  # a classical random walk has no coin
-            p.add_argument("--coin", choices=["fourier", "grover"])
+            p.add_argument("--coin", choices=[kind.value for kind in CoinKind])
         p.add_argument("--output", help="output path (default: stdout)")
         p.add_argument("--format", choices=["json", "csv"])
-        return p
 
     def averaging(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -330,25 +328,23 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--steps", type=int)
 
-    p = command("evolve", "time evolution of a transition row")
+    p = sub.choices["evolve"]
     p.add_argument("--start", type=int, required=True)
     p.add_argument("--steps", type=int, default=15)
 
-    p = command("average", "time-averaged transition probabilities")
+    p = sub.choices["average"]
     averaging(p)
     p.add_argument("--start", type=int)
 
-    command("spectrum", "eigenvalues, degeneracy report, IPR")
-
-    p = command("detect", "threshold community detection")
+    p = sub.choices["detect"]
     averaging(p)
     p.add_argument("--threshold")
 
-    p = command("sweep", "community counts over a threshold list")
+    p = sub.choices["sweep"]
     averaging(p)
     p.add_argument("--q-list", required=True, help="comma-separated ascending thresholds")
 
-    p = command("classical", "classical random-walk baseline")
+    p = sub.choices["classical"]
     p.add_argument("--start", type=int, required=True)
     p.add_argument("--steps", type=int)
     return parser

@@ -277,6 +277,8 @@ def average_rows(graph: Graph, coin: CoinKind, mode: str = "average-infinite", s
             else:
                 p, norm = infinite_time_average_matrix(walk_decompose(build_walk_operator(graph, coin)), graph)
             done[:] = True
+        if p is None:  # an empty request before any other read
+            return np.empty((0, n)), np.empty((0, n))
         # copies, a slice's too: an edit by the caller must not reach the
         # rows that later calls hand out
         return p[nodes].copy(), norm[nodes].copy()

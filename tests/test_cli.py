@@ -435,7 +435,7 @@ def test_unset_flags_take_the_run_config_defaults(argv, expected):
     assert cli._config_from_args(args) == RunConfig(**KARATE, **expected)
 
 
-@pytest.mark.parametrize("command", sorted(cli._RUNNERS))
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
 def test_every_command_renders_its_help(command, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main([command, "--help"])
@@ -447,7 +447,7 @@ def test_parser_dests_are_the_run_config_fields():
     # a flag without a field, or a field without a flag, fails here
     parser = cli._build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert set(sub.choices) == set(cli._RUNNERS)
+    assert set(sub.choices) == set(cli._COMMANDS)
     dests = {sub.dest}
     for p in sub.choices.values():
         dests |= {a.dest for a in p._actions if not isinstance(a, argparse._HelpAction)}
@@ -494,7 +494,7 @@ def test_internal_value_error_is_not_a_config_error(monkeypatch, capsys):
     def broken(config, graph):
         raise ValueError("internal bug")
 
-    monkeypatch.setitem(cli._RUNNERS, "detect", broken)
+    monkeypatch.setitem(cli._COMMANDS, "detect", cli._COMMANDS["detect"]._replace(run=broken))
     with pytest.raises(ValueError, match="internal bug"):
         main(["detect", "--graph", "builtin:karate"])
     assert "config error" not in capsys.readouterr().err

@@ -33,6 +33,8 @@ from record_golden import (
     strict_json,
 )
 
+from arcwalk import cli
+
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_matches_golden(case):
@@ -52,6 +54,12 @@ def test_csv_matches_golden(case):
 
 def test_every_golden_csv_has_a_case():
     assert sorted(p.stem for p in CSV_DIR.glob("*.csv")) == sorted(CSV_CASES)
+
+
+def test_every_command_has_golden_documents():
+    # a command added to the CLI's table needs a JSON and a CSV case
+    for cases in (CASES, CSV_CASES):
+        assert {argv[0] for argv in cases.values()} >= set(cli._COMMANDS)
 
 
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])

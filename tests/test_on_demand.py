@@ -118,6 +118,14 @@ def test_average_start_steps_only_that_node(karate, kind, stepped):
     assert np.array_equal(doc.payload["normalized"], norm[33])
 
 
+@pytest.mark.parametrize("nodes", [[], np.array([], dtype=int), slice(0, 0)], ids=["list", "array", "slice"])
+@pytest.mark.parametrize("mode", ["average-finite", "average-infinite"])
+@pytest.mark.parametrize("kind", list(aw.CoinKind))
+def test_an_empty_request_computes_nothing(karate, kind, mode, nodes, no_averages):
+    p, norm = aw.average_rows(karate, kind, mode)[1](nodes)
+    assert p.shape == norm.shape == (0, karate.node_count)
+
+
 def test_corrupted_step_in_a_later_batch_is_a_numerical_error(tmp_path, perfbench, monkeypatch, capsys):
     # Grover detect on planted-80 reads two batches; the walks of the second
     # batch's first candidate gain probability with every step
